@@ -140,7 +140,7 @@ def recover_gram(cert, op, u, tol_active=TOL_ACTIVE):
     if u_norm == 0.0:
         return GramLift(G=np.zeros((3, 3)), residual=0.0)
     R = cert.R_lambda
-    D = np.stack([unvec_columns(op.Q[i]) for i in range(6)])
+    D = unvec_columns(op.Q)
     U, sigma, _ = np.linalg.svd(R)
     active = sigma >= 1.0 - tol_active
     k = int(active.sum())
@@ -203,12 +203,13 @@ def extract_waveforms(lift, R, omega):
 
 
 def _wrench_of(Q, s_j, s_k, c_j, c_k):
-    return MU0 / (8.0 * np.pi) * Q @ (np.kron(s_k, s_j) + np.kron(c_k, c_j))
+    # outer(a, b).ravel() is kron(a, b) for vectors, without kron's overhead
+    return MU0 / (8.0 * np.pi) * Q @ (np.outer(s_k, s_j).ravel() + np.outer(c_k, c_j).ravel())
 
 
-def _wrench_jacobian(Q, s_j, s_k, c_j, c_k):
-    """6x12 Jacobian of the averaged wrench w.r.t. [s_j, s_k, c_j, c_k]."""
-    D = np.stack([unvec_columns(Q[i]) for i in range(6)])
+def _wrench_jacobian(D, s_j, s_k, c_j, c_k):
+    """6x12 Jacobian of the averaged wrench w.r.t. [s_j, s_k, c_j, c_k],
+    from the unstacked operator D = unvec_columns(Q)."""
     J = np.zeros((6, 12))
     J[:, 0:3] = np.einsum("ixy,y->ix", D, s_k)          # d/d s_j of s_k^T D^T s_j
     J[:, 3:6] = np.einsum("iyx,y->ix", D, s_j)
@@ -219,9 +220,10 @@ def _wrench_jacobian(Q, s_j, s_k, c_j, c_k):
 
 def _feasibility_polish(Q, u_vec, s_j, s_k, c_j, c_k, steps=2):
     # least-norm Gauss-Newton correction onto the wrench constraint manifold
+    D = unvec_columns(Q)
     for _ in range(steps):
         h = _wrench_of(Q, s_j, s_k, c_j, c_k) - u_vec
-        J = _wrench_jacobian(Q, s_j, s_k, c_j, c_k)
+        J = _wrench_jacobian(D, s_j, s_k, c_j, c_k)
         delta, *_ = np.linalg.lstsq(J, -h, rcond=None)
         s_j = s_j + delta[0:3]
         s_k = s_k + delta[3:6]
@@ -305,6 +307,7 @@ def brute_force_allocate(r, hint, u, restarts=20, seed=0, omega=1.0):
             wrench_residual=np.zeros(6),
         )
     Q = op.Q
+    D = unvec_columns(Q)
     feas_tol = 1.0e-6 * u_norm
     rng = np.random.default_rng(seed)
     # amplitude scale guess from the wrench magnitude and operator scale
@@ -314,7 +317,7 @@ def brute_force_allocate(r, hint, u, restarts=20, seed=0, omega=1.0):
         return _wrench_of(Q, m[0:3], m[3:6], m[6:9], m[9:12]) - u_vec
 
     def con_jac(m):
-        return _wrench_jacobian(Q, m[0:3], m[3:6], m[6:9], m[9:12])
+        return _wrench_jacobian(D, m[0:3], m[3:6], m[6:9], m[9:12])
 
     best = None
     for _ in range(restarts):

@@ -13,6 +13,10 @@ weights in L.  The force balance closes exactly at every satellite including
 the centre; the torque balance closes everywhere except the centre, which is
 left carrying 2 chi_sys R_l x (K R_l) by the edge boundary conditions (the
 residual is reported, not hidden).
+
+The disturbance field and unit_wrench take stacks: the field callables accept
+an array of times and unit_wrench a stack of generators and line vectors, so
+a power scan samples the field once for a whole time grid.
 """
 
 from dataclasses import dataclass
@@ -73,11 +77,13 @@ class DisturbanceField:
     k_orb(t) returns the 3x3 generator (1/s^2); p_hat(t) the unit direction of
     the line formation; period is the common period of both (s), which also
     sets the quarter-period offset between the two grid line families.
-    R_l(t) = r_l * p_hat(t).
+    R_l(t) = r_l * p_hat(t).  Both callables take a time or an array of times
+    and return (..., 3, 3) and (..., 3) stacks; a callable that ignores t
+    (such as lambda t: K) stands for a constant that broadcasts over times.
     """
 
-    k_orb: Callable[[float], np.ndarray]
-    p_hat: Callable[[float], np.ndarray]
+    k_orb: Callable[[np.ndarray], np.ndarray]
+    p_hat: Callable[[np.ndarray], np.ndarray]
     period: float
 
     def __post_init__(self):
@@ -85,10 +91,13 @@ class DisturbanceField:
             raise ValueError("period must be positive")
 
     def direction(self, t):
-        p = np.asarray(self.p_hat(t), dtype=float)
-        nrm = np.linalg.norm(p)
-        if not np.isclose(nrm, 1.0, atol=1e-9):
-            raise ValueError(f"p_hat must be a unit vector, got norm {nrm}")
+        """Unit line direction(s) p_hat(t), shape np.shape(t) + (3,)."""
+        t = np.asarray(t, dtype=float)
+        p = np.broadcast_to(np.asarray(self.p_hat(t), dtype=float), t.shape + (3,))
+        nrm = np.linalg.norm(p, axis=-1)
+        bad = ~np.isclose(nrm, 1.0, atol=1e-9)
+        if bad.any():
+            raise ValueError(f"p_hat must be a unit vector, got norm {nrm[bad].flat[0]}")
         return p
 
     @classmethod
@@ -98,7 +107,7 @@ class DisturbanceField:
 
         def p_hat(t):
             p = desired_trajectory(plane, ctx, t)
-            return p / np.linalg.norm(p)
+            return p / np.linalg.norm(p, axis=-1, keepdims=True)
 
         return cls(
             k_orb=lambda t: j2_disturbance_matrix(ctx, t),
@@ -140,11 +149,15 @@ def weighting(n, j):
 
 
 def unit_wrench(K, R_l):
-    """Unit brigade command U_hat = [3 K R_l; R_l x (K R_l)]."""
+    """Unit brigade command U_hat = [3 K R_l; R_l x (K R_l)].
+
+    K is a (..., 3, 3) stack and R_l a (..., 3) stack, broadcast against each
+    other; the result is the (..., 6) stack of commands.
+    """
     K = np.asarray(K, dtype=float)
     R_l = np.asarray(R_l, dtype=float)
-    KR = K @ R_l
-    return np.concatenate([3.0 * KR, np.cross(R_l, KR)])
+    KR = np.einsum("...xy,...y->...x", K, R_l)
+    return np.concatenate([3.0 * KR, np.cross(R_l, KR)], axis=-1)
 
 
 def pair_command(cfg, field, j, t):

@@ -191,17 +191,13 @@ def cmd_scan(args):
     n_list = [int(n) for n in scenario["grid"]["n_list"]]
     threads = max(1, int(os.environ.get("EMFF_THREADS", "1")))
     results = {}
-    try:
-        if threads > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-                for n, report in pool.map(_scan_one, [scenario] * len(n_list), n_list):
-                    results[n] = report
-        else:
-            for n in n_list:
-                results[n] = _scan_one(scenario, n)[1]
-    except (SolverError, allocation.RecoveryError) as exc:
-        print(f"scan failed: {exc}", file=sys.stderr)
-        return 2
+    if threads > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+            for n, report in pool.map(_scan_one, [scenario] * len(n_list), n_list):
+                results[n] = report
+    else:
+        for n in n_list:
+            results[n] = _scan_one(scenario, n)[1]
     header = "n,N_l,r_l_m,chi_sys_kg,W_bar_W,W_oint_W,M_A2m4_per_kg,gamma_S"
     failed = False
     with _open_out(args.out) as fh:

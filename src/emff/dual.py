@@ -15,7 +15,10 @@ Solved by damped-Newton path following on the log-det barrier
 phi_t = t * objective + log det(I - R^T R) with a geometric schedule on t
 (factor 10) until the barrier duality gap 6/t falls below the requested
 relative tolerance.  Everything is vectorized over a batch axis so sweeps
-over time grids and satellite pairs amortize to dense 3x3/6x6 work.
+over time grids and satellite pairs amortize to dense 3x3/6x6 work.  A batch
+shares one 6x9 operator, so the Gram matrix and the operator products in the
+Hessian are computed once per batch.  Each row keeps its own 6x6 solves, so
+its result is bit-for-bit independent of the batch it is solved in.
 """
 
 from dataclasses import dataclass
@@ -89,9 +92,10 @@ def psd_feasible(R):
     return margin >= 0.0, margin
 
 
-def unvec_columns(q9):
-    """Column-stacked 3x3 from a 9-vector (inverse of Fortran-order vec)."""
-    return np.asarray(q9, dtype=float).reshape(3, 3).T
+def unvec_columns(q):
+    """Column-stacked 3x3 blocks from (..., 9) vectors (inverse of Fortran-order vec)."""
+    q = np.asarray(q, dtype=float)
+    return q.reshape(q.shape[:-1] + (3, 3)).swapaxes(-1, -2)
 
 
 def _det3(M):
@@ -118,8 +122,8 @@ def solve_dual_batch(Q, u, tol=DEFAULT_TOL):
 
     Parameters
     ----------
-    Q : (6, 9) or (B, 6, 9) array
-        Interaction operator rows (shared operators broadcast).
+    Q : (6, 9) array
+        Interaction operator shared by every problem of the batch.
     u : (B, 6) array
         Commanded wrenches, one per problem.
     tol : float
@@ -134,10 +138,9 @@ def solve_dual_batch(Q, u, tol=DEFAULT_TOL):
     u = np.atleast_2d(np.asarray(u, dtype=float))
     B = u.shape[0]
     Q = np.asarray(Q, dtype=float)
-    if Q.ndim == 2:
-        Q = np.broadcast_to(Q, (B, 6, 9))
-    # column-stacked unvec of each operator row
-    D = Q.reshape(B, 6, 3, 3).swapaxes(-1, -2)
+    if Q.shape != (6, 9):
+        raise ValueError(f"Q must be one shared 6x9 operator, got shape {Q.shape}")
+    D = unvec_columns(Q)
 
     unorm = np.linalg.norm(u, axis=1)
     live = unorm > 0.0
@@ -158,9 +161,10 @@ def solve_dual_batch(Q, u, tol=DEFAULT_TOL):
     # Scale estimate: push the Gram-preconditioned objective direction to the
     # spectral boundary; its objective value lower-bounds the optimum and sets
     # both the initial barrier weight and the stage count.
-    gram = np.einsum("bixy,bjxy->bij", D, D)
-    lam_dir = np.linalg.solve(gram, cbar[..., None])[..., 0]
-    R_dir = np.einsum("bi,bixy->bxy", lam_dir, D)
+    gram = np.einsum("ixy,jxy->ij", D, D)
+    # one LAPACK solve per row keeps each row independent of its batch
+    lam_dir = np.linalg.solve(np.broadcast_to(gram, (B, 6, 6)), cbar[..., None])[..., 0]
+    R_dir = np.einsum("bi,ixy->bxy", lam_dir, D)
     s_dir = np.linalg.svd(R_dir, compute_uv=False)[..., 0]
     jbar_est = np.einsum("bi,bi->b", cbar, lam_dir) / np.where(live, s_dir, 1.0)
     jbar_est = np.where(live, jbar_est, 1.0)
@@ -172,11 +176,11 @@ def solve_dual_batch(Q, u, tol=DEFAULT_TOL):
     n_stages = int(np.ceil(np.log10(4.0 / tol))) + 1
 
     eye = np.eye(3)
-    TT = np.einsum("biyx,bjyz->bijxz", D, D)
-    Tsym = TT + TT.transpose(0, 2, 1, 3, 4)
+    TT = np.einsum("iyx,jyz->ijxz", D, D)
+    Tsym = TT + TT.transpose(1, 0, 2, 3)
 
     def phi(lam_, t_):
-        R_ = np.einsum("bi,bixy->bxy", lam_, D)
+        R_ = np.einsum("bi,ixy->bxy", lam_, D)
         M_ = eye - R_.swapaxes(-1, -2) @ R_
         ok, logdet = _pd_logdet(M_)
         val = t_ * np.einsum("bi,bi->b", cbar, lam_) + logdet
@@ -187,16 +191,16 @@ def solve_dual_batch(Q, u, tol=DEFAULT_TOL):
         for _ in range(_MAX_NEWTON):
             if not active.any():
                 break
-            R = np.einsum("bi,bixy->bxy", lam, D)
+            R = np.einsum("bi,ixy->bxy", lam, D)
             Rt = R.swapaxes(-1, -2)
             M = eye - Rt @ R
             Minv = np.linalg.inv(M)
             W = Minv @ Rt
-            grad = t[:, None] * cbar - 2.0 * np.einsum("bxy,biyx->bi", W, D)
+            grad = t[:, None] * cbar - 2.0 * np.einsum("bxy,iyx->bi", W, D)
             S = D.swapaxes(-1, -2) @ R[:, None] + Rt[:, None] @ D
             MinvS = Minv[:, None] @ S
             H1 = np.einsum("bjxy,biyx->bij", MinvS, MinvS)
-            H2 = np.einsum("bxy,bijyx->bij", Minv, Tsym)
+            H2 = np.einsum("bxy,ijyx->bij", Minv, Tsym)
             step = np.linalg.solve(H1 + H2, grad[..., None])[..., 0]
             dec2 = np.einsum("bi,bi->b", grad, step)
             active &= dec2 / 2.0 > _NEWTON_EPS
@@ -222,7 +226,7 @@ def solve_dual_batch(Q, u, tol=DEFAULT_TOL):
         t = np.minimum(t * 10.0, t_target)
     t_final = t
 
-    R = np.einsum("bi,bixy->bxy", lam, D)
+    R = np.einsum("bi,ixy->bxy", lam, D)
     jbar = np.einsum("bi,bi->b", cbar, lam)
     out["lambda_"] = lam
     out["R"] = R

@@ -51,12 +51,19 @@ class ZeroSeparationError(ValueError):
     """Separation below MIN_SEPARATION: the far-field model diverges."""
 
 
-def _validate_vec3(v, name):
+def _validate_stack3(v, name):
     v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
+    if v.shape[-1:] != (3,):
+        raise ValueError(f"{name} must be a (..., 3) stack of vectors, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} must be finite, got {v}")
+        raise ValueError(f"{name} must be finite")
+    return v
+
+
+def _validate_vec3(v, name):
+    v = _validate_stack3(v, name)
+    if v.ndim != 1:
+        raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
     return v
 
 
@@ -183,35 +190,30 @@ def psi_stack(d):
     return np.vstack([PSI_FORCE / d**4, _psi_tau_sign * PSI_TORQUE / d**3])
 
 
-def _fallback_perpendicular(ex):
-    # smallest-component rule: cross with the axis ex is most orthogonal to
-    axis = np.zeros(3)
-    axis[int(np.argmin(np.abs(ex)))] = 1.0
-    ey = np.cross(ex, axis)
-    return ey / np.linalg.norm(ey)
-
-
 def build_los_frame(r, hint):
-    """Rotation whose columns are the line-of-sight axes of separation r.
+    """Rotations whose columns are the line-of-sight axes of separations r.
 
-    Column 1 is r/||r||; column 2 is (r x hint) normalized, falling back to a
-    deterministic perpendicular when hint is (near-)parallel to r; column 3
-    completes the right-handed triad.
+    r and hint are (..., 3) stacks (broadcast against each other); the result
+    is (..., 3, 3).  Column 1 is r/||r||; column 2 is (r x hint) normalized,
+    falling back to a deterministic perpendicular (r/||r|| crossed with the
+    world axis of its smallest component) when hint is zero or (near-)parallel
+    to r; column 3 completes the right-handed triad.  Raises
+    ZeroSeparationError when any separation is at most MIN_SEPARATION.
     """
-    r = _validate_vec3(r, "r")
-    hint = _validate_vec3(hint, "hint")
-    d = np.linalg.norm(r)
-    if d <= MIN_SEPARATION:
-        raise ZeroSeparationError(f"separation {d:.3e} m <= {MIN_SEPARATION} m")
-    ex = r / d
+    r, hint = np.broadcast_arrays(_validate_stack3(r, "r"), _validate_stack3(hint, "hint"))
+    d = np.linalg.norm(r, axis=-1)
+    if np.any(d <= MIN_SEPARATION):
+        raise ZeroSeparationError(f"separation {d.min():.3e} m <= {MIN_SEPARATION} m")
+    ex = r / d[..., None]
     cross = np.cross(r, hint)
-    cn = np.linalg.norm(cross)
-    if cn > TOL_PARALLEL * d * max(np.linalg.norm(hint), 1e-300):
-        ey = cross / cn
-    else:
-        ey = _fallback_perpendicular(ex)
+    parallel = np.linalg.norm(cross, axis=-1) <= TOL_PARALLEL * d * np.maximum(
+        np.linalg.norm(hint, axis=-1), 1e-300
+    )
+    axis = np.eye(3)[np.argmin(np.abs(ex), axis=-1)]
+    cross = np.where(parallel[..., None], np.cross(ex, axis), cross)
+    ey = cross / np.linalg.norm(cross, axis=-1)[..., None]
     ez = np.cross(ex, ey)
-    return np.column_stack([ex, ey, ez])
+    return np.stack([ex, ey, ez], axis=-1)
 
 
 def interaction_operator(r, hint):
@@ -221,10 +223,8 @@ def interaction_operator(r, hint):
     rotation, so wrenches and dipoles transform covariantly with the inputs.
     """
     r = _validate_vec3(r, "r")
-    d = np.linalg.norm(r)
-    if d <= MIN_SEPARATION:
-        raise ZeroSeparationError(f"separation {d:.3e} m <= {MIN_SEPARATION} m")
     C = build_los_frame(r, hint)
+    d = np.linalg.norm(r)
     Q = np.kron(np.eye(2), C) @ psi_stack(d) @ np.kron(C.T, C.T)
     return InteractionOperator(Q=Q, separation=float(d), frame=C)
 
@@ -298,10 +298,8 @@ def time_average_oracle(r, dj, dk, period, n_steps, hint=None):
                 "frequencies may be incommensurate",
                 stacklevel=2,
             )
-    r = _validate_vec3(r, "r")
-    if hint is None:
-        hint = _fallback_perpendicular(r / np.linalg.norm(r))
-    op = interaction_operator(r, hint)
+    # a zero hint selects the frame builder's deterministic perpendicular
+    op = interaction_operator(r, np.zeros(3) if hint is None else hint)
     ts = np.linspace(0.0, period, n_steps + 1)
     mj = np.sin(dj.omega * ts)[:, None] * dj.s + np.cos(dj.omega * ts)[:, None] * dj.c
     mk = np.sin(dk.omega * ts)[:, None] * dk.s + np.cos(dk.omega * ts)[:, None] * dk.c

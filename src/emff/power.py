@@ -11,15 +11,23 @@ doubled for the mirrored half-line:
 
 evaluated at separation -d_sat p_hat.  Peak power is chi_sys sup_t w*(2, t);
 the orbit-averaged total sums all pairs over one period.
+
+compute_power_report is the one computation.  It samples the field once, at
+every grid time t and t + T/4 together (the field callables take time
+arrays), rotates the stacked commands into line-of-sight frames from
+magnetics.build_los_frame, and makes one batched dual solve per pair index
+against the single operator psi_stack(d_sat).  pair_power_w_star is the same
+path at one time; peak_power, total_power and dipole_metric each read one
+field of the report.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .brigade import weighting
+from .brigade import unit_wrench, weighting
 from .dual import DEFAULT_TOL, solve_dual_batch
-from .magnetics import TOL_PARALLEL, psi_stack
+from .magnetics import build_los_frame, psi_stack
 
 
 @dataclass(frozen=True)
@@ -62,76 +70,39 @@ def surface_ratio(n_line):
     return float(n_line) ** (2.0 / 3.0)
 
 
-def _los_commands(cfg, field, j, ts):
-    """Line-of-sight commands L(n,j) U_hat(t) for a batch of times.
+def _pair_costs(cfg, field, pairs, t_grid, tol):
+    """Coil-independent pair costs w*(j, t) (A^2*m^4): one row per pair index
+    in pairs, one column per time in t_grid.
 
-    The pair separation is -d_sat p_hat(t); the frame hint is the commanded
-    force direction (smallest-component fallback when force runs along the
-    line).  Returns (B, 6) commands expressed line-of-sight.
+    The field is sampled once at every t and t + T/4.  The pair separation is
+    -d_sat p_hat(t) and the frame hint the commanded force direction; L(n, j)
+    scales each block by a positive number, so one frame serves every j.
     """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    K = np.stack([np.asarray(field.k_orb(t), dtype=float) for t in ts])
-    p = np.stack([field.direction(t) for t in ts])
-    R_l = cfg.r_l * p
-    KR = np.einsum("bxy,by->bx", K, R_l)
-    u = np.concatenate([3.0 * KR, np.cross(R_l, KR)], axis=1)
-    L = weighting(cfg.n, j)
-    u = u * np.diag(L)[None, :]
-
+    # the disturbance generator is not exactly orbit-periodic (its argument
+    # advances at omega_z, not omega_xy), so the shifted times are sampled
+    # outright rather than reusing wrapped grid values
+    n_t = len(t_grid)
+    ts = np.concatenate([t_grid, t_grid + field.period / 4.0])
+    p = field.direction(ts)
+    u = unit_wrench(field.k_orb(ts), cfg.r_l * p)
     r = -cfg.d_sat * p
-    ex = -p  # unit by construction
-    f = u[:, :3]
-    hint = np.cross(f, r)
-    w = np.cross(r, hint)
-    wn = np.linalg.norm(w, axis=1)
-    degenerate = wn <= TOL_PARALLEL * cfg.d_sat * np.maximum(
-        np.linalg.norm(hint, axis=1), 1e-300
-    )
-    if degenerate.any():
-        axis = np.zeros((degenerate.sum(), 3))
-        axis[np.arange(len(axis)), np.argmin(np.abs(ex[degenerate]), axis=1)] = 1.0
-        w_fb = np.cross(ex[degenerate], axis)
-        w[degenerate] = w_fb
-        wn[degenerate] = np.linalg.norm(w_fb, axis=1)
-    ey = w / wn[:, None]
-    ez = np.cross(ex, ey)
-    C = np.stack([ex, ey, ez], axis=-1)
-    Ct = C.swapaxes(-1, -2)
-    u_los = np.concatenate(
-        [
-            np.einsum("bxy,by->bx", Ct, u[:, :3]),
-            np.einsum("bxy,by->bx", Ct, u[:, 3:]),
-        ],
-        axis=1,
-    )
-    return u_los
-
-
-def _dual_values_unit(cfg, field, j, ts, tol=DEFAULT_TOL):
-    """Batched dual optimal values J_d (A^2*m^4) for the pair commands at ts."""
-    u_los = _los_commands(cfg, field, j, ts)
-    res = solve_dual_batch(psi_stack(cfg.d_sat), u_los, tol=tol)
-    return res["J_d"]
+    C = build_los_frame(r, np.cross(u[:, :3], r))
+    # force and torque blocks rotated into the line-of-sight frame: C^T f, C^T tau
+    u_los = np.einsum("bxy,bkx->bky", C, u.reshape(-1, 2, 3)).reshape(-1, 6)
+    Q = psi_stack(cfg.d_sat)
+    w = np.empty((len(pairs), n_t))
+    for row, j in enumerate(pairs):
+        J = solve_dual_batch(Q, u_los * np.diag(weighting(cfg.n, j)), tol=tol)["J_d"]
+        w[row] = 2.0 * (J[:n_t] + J[n_t:])
+    return w
 
 
 def pair_power_w_star(cfg, field, coil, j, t, tol=DEFAULT_TOL):
     """Coil-scaled pair cost w*(r_l, n, j, t): two dual solves a quarter
     period apart, doubled for the mirrored pair.  coil=None gives the
     coil-independent value in A^2*m^4."""
-    J = _dual_values_unit(cfg, field, j, [t, t + field.period / 4.0], tol=tol)
     scale = 1.0 if coil is None else coil.power_scale
-    return float(2.0 * scale * (J[0] + J[1]))
-
-
-def _w_star_grid(cfg, field, j, t_grid, tol=DEFAULT_TOL):
-    # the disturbance generator is not exactly orbit-periodic (its argument
-    # advances at omega_z, not omega_xy), so the shifted times are solved
-    # outright rather than reusing wrapped grid values
-    t_grid = np.asarray(t_grid, dtype=float)
-    n_t = len(t_grid)
-    ts = np.concatenate([t_grid, t_grid + field.period / 4.0])
-    J = _dual_values_unit(cfg, field, j, ts, tol=tol)
-    return 2.0 * (J[:n_t] + J[n_t:])
+    return float(scale * _pair_costs(cfg, field, [j], np.array([float(t)]), tol)[0, 0])
 
 
 def orbit_time_grid(period, n_samples=720):
@@ -159,53 +130,19 @@ def _golden_max(fun, a, b, tol):
     return max(f1, f2)
 
 
-def peak_power(cfg, field, coil, t_grid, tol=DEFAULT_TOL):
-    """Upper bound on the per-satellite peak power: chi_sys sup_t w*(2, t) (W).
+def compute_power_report(cfg, field, coil, t_grid, tol=DEFAULT_TOL):
+    """Full per-pair cost table plus every summary metric in one sweep.
 
-    The supremum is taken over the grid and sharpened by golden-section
-    refinement (tolerance 1e-3 of the period) around the grid argmax.
+    W_bar = chi_sys sup_t w*(2, t): the grid maximum, sharpened by
+    golden-section refinement (tolerance 1e-3 of the period) around the grid
+    argmax.  W_oint = chi_sys (2n+1) (1/T) integral sum_{j=2..n+1} w*(j, t) dt
+    by the periodic trapezoid rule on the uniform grid, and M = W_oint /
+    (m_sys R/gamma^2).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if len(t_grid) == 0:
         raise ValueError("empty time grid")
-    w = _w_star_grid(cfg, field, 2, t_grid, tol=tol)
-    i = int(np.argmax(w))
-    dt = field.period / len(t_grid)
-    refined = _golden_max(
-        lambda s: pair_power_w_star(cfg, field, None, 2, s, tol=tol),
-        t_grid[i] - dt,
-        t_grid[i] + dt,
-        1.0e-3 * field.period,
-    )
-    scale = 1.0 if coil is None else coil.power_scale
-    return float(cfg.chi_sys * scale * max(w.max(), refined))
-
-
-def total_power(cfg, field, coil, t_grid, tol=DEFAULT_TOL):
-    """Orbit-averaged total power (W):
-
-        W = chi_sys * (1/T) integral (2n+1) sum_{j=2..n+1} w*(j, t) dt,
-
-    integrated by the periodic trapezoid rule on the uniform grid."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    if len(t_grid) == 0:
-        raise ValueError("empty time grid")
-    total = np.zeros(len(t_grid))
-    for j in range(2, cfg.n + 2):
-        total += _w_star_grid(cfg, field, j, t_grid, tol=tol)
-    scale = 1.0 if coil is None else coil.power_scale
-    return float(cfg.chi_sys * scale * cfg.n_line * total.mean())
-
-
-def dipole_metric(cfg, field, t_grid, tol=DEFAULT_TOL):
-    """Coil-independent metric M = W_oint / (m_sys R/gamma^2), A^2*m^4/kg."""
-    return total_power(cfg, field, None, t_grid, tol=tol) / cfg.m_sys
-
-
-def compute_power_report(cfg, field, coil, t_grid, tol=DEFAULT_TOL):
-    """Full per-pair cost table plus every summary metric in one sweep."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    w = np.stack([_w_star_grid(cfg, field, j, t_grid, tol=tol) for j in range(2, cfg.n + 2)])
+    w = _pair_costs(cfg, field, range(2, cfg.n + 2), t_grid, tol)
     scale = 1.0 if coil is None else coil.power_scale
     i = int(np.argmax(w[0]))
     dt = field.period / len(t_grid)
@@ -231,3 +168,18 @@ def compute_power_report(cfg, field, coil, t_grid, tol=DEFAULT_TOL):
         gamma_S=surface_ratio(cfg.n_line),
         peak_pair_violation=violation,
     )
+
+
+def peak_power(cfg, field, coil, t_grid, tol=DEFAULT_TOL):
+    """Upper bound on the per-satellite peak power chi_sys sup_t w*(2, t) (W)."""
+    return compute_power_report(cfg, field, coil, t_grid, tol=tol).W_bar
+
+
+def total_power(cfg, field, coil, t_grid, tol=DEFAULT_TOL):
+    """Orbit-averaged total power W_oint (W)."""
+    return compute_power_report(cfg, field, coil, t_grid, tol=tol).W_oint
+
+
+def dipole_metric(cfg, field, t_grid, tol=DEFAULT_TOL):
+    """Coil-independent metric M = W_oint / (m_sys R/gamma^2), A^2*m^4/kg."""
+    return compute_power_report(cfg, field, None, t_grid, tol=tol).M

@@ -6,8 +6,10 @@ import pytest
 from emff import (
     DisturbanceField,
     GridConfig,
+    StablePlane,
     equilibrium_residuals,
     force_weight,
+    make_context,
     pair_command,
     telescoping_oracle,
     torque_weight,
@@ -111,6 +113,40 @@ class TestUnitWrench:
             R_l = rng.normal(size=3)
             u = unit_wrench(K, R_l)
             assert abs(u[3:] @ R_l) <= 1e-12 * np.linalg.norm(u[3:]) * np.linalg.norm(R_l)
+
+
+    def test_stack_matches_rows(self, rng):
+        K = rng.normal(size=(6, 3, 3))
+        R_l = rng.normal(size=(6, 3))
+        u = unit_wrench(K, R_l)
+        assert u.shape == (6, 6)
+        for i in range(6):
+            assert np.array_equal(u[i], unit_wrench(K[i], R_l[i]))
+
+
+class TestDisturbanceField:
+    def test_time_array_matches_single_times(self, rng):
+        ctx = make_context(500e3, np.deg2rad(45.0), 0.0)
+        plane = StablePlane(theta_p=np.deg2rad(30.0), theta_z_xy=0.0, r_xyd=100.0)
+        ts = rng.uniform(0.0, 2.0 * ctx.period, size=9)
+        for field in (DisturbanceField.from_orbit(ctx, plane), random_field(rng)):
+            K = np.broadcast_to(field.k_orb(ts), (9, 3, 3))
+            p = field.direction(ts)
+            assert p.shape == (9, 3)
+            for i, t in enumerate(ts):
+                assert np.array_equal(K[i], field.k_orb(t))
+                assert np.array_equal(p[i], field.direction(t))
+
+    def test_direction_rejects_non_unit_row(self):
+        def p_hat(t):
+            p = np.zeros(np.shape(t) + (3,))
+            p[..., 0] = np.where(np.asarray(t) > 5.0, 2.0, 1.0)
+            return p
+
+        field = DisturbanceField(k_orb=lambda t: np.eye(3), p_hat=p_hat, period=6000.0)
+        assert np.array_equal(field.direction(np.arange(5.0)), np.tile([1.0, 0.0, 0.0], (5, 1)))
+        with pytest.raises(ValueError):
+            field.direction(np.arange(10.0))
 
 
 class TestPairCommand:

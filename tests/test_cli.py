@@ -100,6 +100,16 @@ class TestScanCmd:
             assert float(r["r_l_m"]) == 200.0
             assert float(r["W_bar_W"]) > 0.0
 
+    def test_solver_failure_exit_code(self, scenario_path, monkeypatch):
+        import emff.power
+        from emff import SolverError
+
+        def fail(*args, **kwargs):
+            raise SolverError("stalled")
+
+        monkeypatch.setattr(emff.power, "compute_power_report", fail)
+        assert main(["scan", "--scenario", scenario_path]) == 2
+
     def test_zero_j2_override_zero_power(self, tmp_path):
         scen = dict(SCENARIO, overrides={"k_j2": 0.0})
         path = tmp_path / "s.json"

@@ -100,7 +100,13 @@ class TestBatch:
         batch = solve_dual_batch(Q, us)
         for i in range(8):
             cert = solve_dual(los_problem(us[i], d=d))
-            assert np.isclose(batch["J_d"][i], cert.J_d, rtol=1e-12)
+            assert np.array_equal(batch["J_d"][i], cert.J_d)
+            assert np.array_equal(batch["lambda_"][i], cert.lambda_)
+
+    def test_one_shared_operator(self):
+        Q = np.broadcast_to(psi_stack(1.0), (2, 6, 9))
+        with pytest.raises(ValueError):
+            solve_dual_batch(Q, np.ones((2, 6)) * 1e-5)
 
     def test_batch_zero_rows(self):
         us = np.zeros((3, 6))

@@ -49,6 +49,22 @@ class TestLosFrame:
         with pytest.raises(ZeroSeparationError):
             build_los_frame([1e-4, 0, 0], [0, 1, 0])
 
+    def test_stack_matches_rows(self, rng):
+        r = rng.normal(size=(12, 3))
+        hint = rng.normal(size=(12, 3))
+        hint[3] = 2.5 * r[3]  # parallel to r: fallback
+        hint[7] = 0.0  # zero hint: fallback
+        C = build_los_frame(r, hint)
+        assert C.shape == (12, 3, 3)
+        for i in range(12):
+            assert np.array_equal(C[i], build_los_frame(r[i], hint[i]))
+
+    def test_stack_zero_separation_rejected(self, rng):
+        r = rng.normal(size=(5, 3))
+        r[2] = [0.0, 1e-4, 0.0]
+        with pytest.raises(ZeroSeparationError):
+            build_los_frame(r, rng.normal(size=(5, 3)))
+
 
 class TestInteractionOperator:
     def test_psi_blocks_verbatim_in_los(self):
