@@ -95,7 +95,7 @@ class DisturbanceField:
         t = np.asarray(t, dtype=float)
         p = np.broadcast_to(np.asarray(self.p_hat(t), dtype=float), t.shape + (3,))
         nrm = np.linalg.norm(p, axis=-1)
-        bad = ~np.isclose(nrm, 1.0, atol=1e-9)
+        bad = ~np.isclose(nrm, 1.0, rtol=0.0, atol=1e-9)
         if bad.any():
             raise ValueError(f"p_hat must be a unit vector, got norm {nrm[bad].flat[0]}")
         return p

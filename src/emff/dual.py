@@ -15,13 +15,21 @@ Solved by damped-Newton path following on the log-det barrier
 phi_t = t * objective + log det(I - R^T R) with a geometric schedule on t
 (factor 10) until the barrier duality gap 6/t falls below the requested
 relative tolerance.  Everything is vectorized over a batch axis so sweeps
-over time grids and satellite pairs amortize to dense 3x3/6x6 work.  A batch
-shares one 6x9 operator, so the Gram matrix and the operator products in the
-Hessian are computed once per batch.  Each row keeps its own 6x6 solves, so
-its result is bit-for-bit independent of the batch it is solved in.
+over time grids and satellite pairs amortize to dense 3x3/6x6 work.
+
+A batch shares one 6x9 operator.  M = I - R^T R is quadratic in lambda and
+S_i = -dM/dlambda_i is linear in it, so S comes from one product of lambda
+with a per-batch constant, and the Hessian term tr(M^-1 dS_i/dlambda_j) from
+one product of M^-1 with another.  M^-1 and log det M come from a closed-form
+LDL^T factorization of the 3x3 M; the barrier value of the accepted line-search
+trial is reused at the next iterate.  Each stage drops the rows that have
+finished centering, so a row costs only its own iterations.  Every per-row
+quantity is a stack of per-row products and each row keeps its own 6x6 solve,
+so a row's result is bit-for-bit independent of the batch it is solved in.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,23 +106,105 @@ def unvec_columns(q):
     return q.reshape(q.shape[:-1] + (3, 3)).swapaxes(-1, -2)
 
 
-def _det3(M):
-    """Determinants of a (..., 3, 3) stack, closed form."""
-    return (
-        M[..., 0, 0] * (M[..., 1, 1] * M[..., 2, 2] - M[..., 1, 2] * M[..., 2, 1])
-        - M[..., 0, 1] * (M[..., 1, 0] * M[..., 2, 2] - M[..., 1, 2] * M[..., 2, 0])
-        + M[..., 0, 2] * (M[..., 1, 0] * M[..., 2, 1] - M[..., 1, 1] * M[..., 2, 0])
+#: The identity as the distinct entries (m00, m01, m02, m11, m12, m22) of a
+#: symmetric 3x3 matrix, the form _ldl3 takes.
+_EYE6 = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 1.0])
+#: Row-major positions in R of R[k, a] and R[k, b], k = 0..2, for each entry
+#: (a, b) of R^T R in _EYE6 order.
+_RTR_A = np.array([[3 * k + a for a in (0, 0, 0, 1, 1, 2)] for k in range(3)])
+_RTR_B = np.array([[3 * k + b for b in (0, 1, 2, 1, 2, 2)] for k in range(3)])
+#: V[(j, z), x] -> V[(x, z), j] over the (6*3, 3) stack of 3x3 blocks.
+_SWAP = np.arange(54).reshape(6, 3, 3).transpose(2, 1, 0).ravel()
+
+
+class _Maps(NamedTuple):
+    """Constants of one shared operator that the Newton iteration uses.
+
+    D      -- (6, 3, 3) blocks with R = sum_i lambda_i D_i
+    R_map  -- (6, 9): lambda @ R_map is R row-major
+    S_map  -- (6, 54): lambda @ S_map stacks the six row-major 3x3 matrices
+              S_i = D_i^T R + R^T D_i = sum_k lambda_k (D_i^T D_k + D_k^T D_i)
+    H2_map -- (9, 36): vec(M^-1) @ H2_map = [tr(M^-1 (D_i^T D_j + D_j^T D_i))]_ij
+    """
+
+    D: np.ndarray
+    R_map: np.ndarray
+    S_map: np.ndarray
+    H2_map: np.ndarray
+
+
+def _maps(Q):
+    D = unvec_columns(Q)
+    TT = np.einsum("iyx,jyz->ijxz", D, D)
+    Tsym = TT + TT.transpose(1, 0, 2, 3)
+    # Tsym[i, k] = Tsym[k, i] and every Tsym[i, k] is a symmetric 3x3
+    return _Maps(
+        D=D,
+        R_map=D.reshape(6, 9),
+        S_map=Tsym.reshape(6, 54),
+        H2_map=np.ascontiguousarray(Tsym.reshape(36, 9).T),
     )
 
 
-def _pd_logdet(M):
-    """(is positive definite, log det) per batch element via leading minors."""
-    m1 = M[..., 0, 0]
-    m2 = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    m3 = _det3(M)
-    ok = (m1 > 0.0) & (m2 > 0.0) & (m3 > 0.0)
-    logdet = np.where(ok, np.log(np.where(ok, m3, 1.0)), -np.inf)
-    return ok, logdet
+def _ldl3(m):
+    """Closed-form M = L diag(d) L^T of symmetric 3x3 matrices given by their
+    distinct entries m (b, 6).  Returns (d0, d1, d2, l10, l20, l21); M is
+    positive definite iff every pivot d is positive."""
+    m00, m01, m02, m11, m12, m22 = m.T
+    l10 = m01 / m00
+    l20 = m02 / m00
+    d1 = m11 - l10 * m01
+    a = m12 - l20 * m01
+    l21 = a / d1
+    d2 = m22 - l20 * m02 - l21 * a
+    return m00, d1, d2, l10, l20, l21
+
+
+def _sym_inverse(f):
+    """(b, 3, 3) inverses from _ldl3 factors: M^-1 = L^-T diag(1/d) L^-1.
+    The factorization is backward stable for the positive definite M of the
+    iteration, which matters when M is within rounding of singular."""
+    d0, d1, d2, l10, l20, l21 = f
+    i1 = 1.0 / d1
+    x22 = 1.0 / d2
+    n20 = l10 * l21 - l20  # (2, 0) entry of L^-1
+    x12 = -l21 * x22
+    x02 = n20 * x22
+    x11 = i1 - l21 * x12
+    x01 = n20 * x12 - l10 * i1
+    x00 = 1.0 / d0 + l10 * l10 * i1 + n20 * x02
+    X = np.array((x00, x01, x02, x01, x11, x12, x02, x12, x22))
+    return np.ascontiguousarray(X.T).reshape(-1, 3, 3)
+
+
+def _barrier(maps, lam, t, cbar):
+    """Barrier phi_t = t cbar.lambda + log det(I - R^T R) per row (-inf
+    outside the feasible set), with the _ldl3 factors of I - R^T R."""
+    R = (lam[:, None, :] @ maps.R_map)[:, 0]
+    f = _ldl3(_EYE6 - (R[:, _RTR_A] * R[:, _RTR_B]).sum(axis=1))
+    d0, d1, d2 = f[:3]
+    ok = (d0 > 0.0) & (d1 > 0.0) & (d2 > 0.0)
+    val = t * np.einsum("bi,bi->b", cbar, lam) + np.log(d0 * d1 * d2)
+    return np.where(ok, val, -np.inf), f
+
+
+def _newton_system(maps, lam, t, cbar, f):
+    """Gradient g and negated Hessian H of phi_t at feasible lambda, given the
+    _ldl3 factors f of M = I - R^T R there.  With dM/dlambda_i = -S_i:
+        g_i  = t cbar_i - tr(M^-1 S_i)
+        H_ij = tr(M^-1 S_i M^-1 S_j) + tr(M^-1 (D_i^T D_j + D_j^T D_i)).
+    Every product is a stack of per-row matrix products, so no row's result
+    depends on the others."""
+    b = len(lam)
+    Minv = _sym_inverse(f)
+    S = (lam[:, None, :] @ maps.S_map).reshape(b, 18, 3)
+    # V[(i, y), x] = (S_i M^-1)[y, x] = (M^-1 S_i)[x, y]
+    V = S @ Minv
+    grad = t[:, None] * cbar - np.einsum("bixx->bi", V.reshape(b, 6, 3, 3))
+    # tr(M^-1 S_i M^-1 S_j) as one (6 x 9)(9 x 6) product per row
+    H1 = V.reshape(b, 6, 9) @ V.reshape(b, 54)[:, _SWAP].reshape(b, 9, 6)
+    H2 = (Minv.reshape(b, 1, 9) @ maps.H2_map).reshape(b, 6, 6)
+    return grad, H1 + H2
 
 
 def solve_dual_batch(Q, u, tol=DEFAULT_TOL):
@@ -131,7 +221,10 @@ def solve_dual_batch(Q, u, tol=DEFAULT_TOL):
 
     Returns
     -------
-    dict with lambda_ (B,6), R (B,3,3), J_d (B,), sigma_max (B,), kkt (B,).
+    dict with lambda_ (B,6), R (B,3,3), J_d (B,), sigma_max (B,), kkt (B,),
+    newton_iters (B,) -- Newton iterations summed over the barrier stages --
+    and stalled (B,) -- whether the row was still centering when some stage
+    ran out of its _MAX_NEWTON iterations.
     """
     if not 0.0 < tol <= 1.0e-3:
         raise ValueError("tol must lie in (0, 1e-3]")
@@ -140,17 +233,22 @@ def solve_dual_batch(Q, u, tol=DEFAULT_TOL):
     Q = np.asarray(Q, dtype=float)
     if Q.shape != (6, 9):
         raise ValueError(f"Q must be one shared 6x9 operator, got shape {Q.shape}")
-    D = unvec_columns(Q)
+    maps = _maps(Q)
+    D = maps.D
 
     unorm = np.linalg.norm(u, axis=1)
     live = unorm > 0.0
     lam = np.zeros((B, 6))
+    iters = np.zeros(B, dtype=int)
+    stalled = np.zeros(B, dtype=bool)
     out = {
         "lambda_": lam,
         "R": np.zeros((B, 3, 3)),
         "J_d": np.zeros(B),
         "sigma_max": np.zeros(B),
         "kkt": np.zeros(B),
+        "newton_iters": iters,
+        "stalled": stalled,
     }
     if not live.any():
         return out
@@ -175,60 +273,59 @@ def solve_dual_batch(Q, u, tol=DEFAULT_TOL):
     t_target = 4.0 * t / tol
     n_stages = int(np.ceil(np.log10(4.0 / tol))) + 1
 
-    eye = np.eye(3)
-    TT = np.einsum("iyx,jyz->ijxz", D, D)
-    Tsym = TT + TT.transpose(1, 0, 2, 3)
-
-    def phi(lam_, t_):
-        R_ = np.einsum("bi,ixy->bxy", lam_, D)
-        M_ = eye - R_.swapaxes(-1, -2) @ R_
-        ok, logdet = _pd_logdet(M_)
-        val = t_ * np.einsum("bi,bi->b", cbar, lam_) + logdet
-        return np.where(ok, val, -np.inf)
-
-    for stage in range(n_stages):
-        active = live.copy()
-        for _ in range(_MAX_NEWTON):
-            if not active.any():
-                break
-            R = np.einsum("bi,ixy->bxy", lam, D)
-            Rt = R.swapaxes(-1, -2)
-            M = eye - Rt @ R
-            Minv = np.linalg.inv(M)
-            W = Minv @ Rt
-            grad = t[:, None] * cbar - 2.0 * np.einsum("bxy,iyx->bi", W, D)
-            S = D.swapaxes(-1, -2) @ R[:, None] + Rt[:, None] @ D
-            MinvS = Minv[:, None] @ S
-            H1 = np.einsum("bjxy,biyx->bij", MinvS, MinvS)
-            H2 = np.einsum("bxy,ijyx->bij", Minv, Tsym)
-            step = np.linalg.solve(H1 + H2, grad[..., None])[..., 0]
-            dec2 = np.einsum("bi,bi->b", grad, step)
-            active &= dec2 / 2.0 > _NEWTON_EPS
-            if not active.any():
-                break
-            alpha = np.where(active, 1.0, 0.0)
-            phi0 = phi(lam, t)
-            phi_trial = phi0
-            for _ in range(50):
-                trial = lam + alpha[:, None] * step
-                phi_trial = phi(trial, t)
-                ok = phi_trial >= phi0 + 0.25 * alpha * dec2
-                need = active & ~ok & (alpha > _MIN_STEP)
-                if not need.any():
+    # infeasible trial points divide by zero pivots; their phi is -inf anyway
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(n_stages):
+            # the rows still centering; finished rows are written back and dropped
+            idx = np.flatnonzero(live)
+            lam_a, cbar_a, t_a = lam[idx], cbar[idx], t[idx]
+            phi0, f = _barrier(maps, lam_a, t_a, cbar_a)
+            for it in range(_MAX_NEWTON):
+                grad, H = _newton_system(maps, lam_a, t_a, cbar_a, f)
+                step = np.linalg.solve(H, grad[..., None])[..., 0]
+                dec2 = np.einsum("bi,bi->b", grad, step)
+                going = dec2 / 2.0 > _NEWTON_EPS
+                if not going.all():
+                    iters[idx[~going]] += it + 1
+                    lam[idx] = lam_a
+                    idx = idx[going]
+                    if not idx.size:
+                        break
+                    lam_a, cbar_a, t_a, phi0 = lam_a[going], cbar_a[going], t_a[going], phi0[going]
+                    step, dec2 = step[going], dec2[going]
+                # Armijo backtracking; phi of the accepted trial is the next phi0
+                alpha = np.ones(len(idx))
+                slope = 0.25 * dec2
+                for _ in range(50):
+                    trial = lam_a + alpha[:, None] * step
+                    phi_trial, f = _barrier(maps, trial, t_a, cbar_a)
+                    need = ~(phi_trial >= phi0 + alpha * slope) & (alpha > _MIN_STEP)
+                    if not need.any():
+                        break
+                    alpha = np.where(need, 0.5 * alpha, alpha)
+                accepted = alpha > _MIN_STEP
+                # near the noise floor the computed decrement plateaus while the
+                # objective stops moving; treat stalled improvement as centered
+                going = accepted & (phi_trial - phi0 > 1.0e-12 * (1.0 + np.abs(phi0)))
+                if going.all():
+                    lam_a, phi0 = trial, phi_trial
+                    continue
+                iters[idx[~going]] += it + 1
+                lam[idx] = np.where(accepted[:, None], trial, lam_a)
+                idx = idx[going]
+                if not idx.size:
                     break
-                alpha = np.where(need, 0.5 * alpha, alpha)
-            accepted = active & (alpha > _MIN_STEP)
-            lam = np.where(accepted[:, None], lam + alpha[:, None] * step, lam)
-            # near the noise floor the computed decrement plateaus while the
-            # objective stops moving; treat stalled improvement as centered
-            improved = phi_trial - phi0 > 1.0e-12 * (1.0 + np.abs(phi0))
-            active &= accepted & improved
-        t = np.minimum(t * 10.0, t_target)
+                lam_a, cbar_a, t_a = trial[going], cbar_a[going], t_a[going]
+                phi0, f = phi_trial[going], tuple(x[going] for x in f)
+            else:
+                iters[idx] += _MAX_NEWTON
+                stalled[idx] = True
+                lam[idx] = lam_a
+            t = np.minimum(t * 10.0, t_target)
     t_final = t
 
     R = np.einsum("bi,ixy->bxy", lam, D)
     jbar = np.einsum("bi,bi->b", cbar, lam)
-    out["lambda_"] = lam
     out["R"] = R
     out["J_d"] = np.where(live, (8.0 * np.pi / MU0) * unorm * jbar, 0.0)
     out["sigma_max"] = np.where(live, np.linalg.svd(R, compute_uv=False)[..., 0], 0.0)
@@ -239,9 +336,9 @@ def solve_dual_batch(Q, u, tol=DEFAULT_TOL):
 def solve_dual(problem, tol=DEFAULT_TOL):
     """Certified solve of one dual instance.
 
-    Raises SolverError (carrying the best iterate) when the barrier path fails
-    to reach the requested relative optimality; u = 0 short-circuits to the
-    exact certificate lambda = 0.
+    Raises SolverError (carrying the best iterate) when a barrier stage stalls
+    or the barrier path fails to reach the requested relative optimality;
+    u = 0 short-circuits to the exact certificate lambda = 0.
     """
     res = solve_dual_batch(problem.Q.Q, problem.u.as_vector()[None, :], tol=tol)
     cert = DualCertificate(
@@ -251,6 +348,11 @@ def solve_dual(problem, tol=DEFAULT_TOL):
         sigma_max=float(res["sigma_max"][0]),
         kkt_residual=float(res["kkt"][0]),
     )
+    if res["stalled"][0]:
+        raise SolverError(
+            f"dual solve stalled: a barrier stage ran out of its {_MAX_NEWTON} Newton iterations",
+            best=cert,
+        )
     if problem.u.norm > 0.0 and cert.kkt_residual > tol:
         raise SolverError(
             f"dual solve stalled at relative gap {cert.kkt_residual:.3e} > {tol:.3e}",

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .brigade import unit_wrench, weighting
-from .dual import DEFAULT_TOL, solve_dual_batch
+from .dual import DEFAULT_TOL, SolverError, solve_dual_batch
 from .magnetics import build_los_frame, psi_stack
 
 
@@ -92,7 +92,10 @@ def _pair_costs(cfg, field, pairs, t_grid, tol):
     Q = psi_stack(cfg.d_sat)
     w = np.empty((len(pairs), n_t))
     for row, j in enumerate(pairs):
-        J = solve_dual_batch(Q, u_los * np.diag(weighting(cfg.n, j)), tol=tol)["J_d"]
+        res = solve_dual_batch(Q, u_los * np.diag(weighting(cfg.n, j)), tol=tol)
+        if res["stalled"].any():
+            raise SolverError(f"{res['stalled'].sum()} dual solves stalled at n = {cfg.n}, j = {j}")
+        J = res["J_d"]
         w[row] = 2.0 * (J[:n_t] + J[n_t:])
     return w
 

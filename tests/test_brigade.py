@@ -138,15 +138,18 @@ class TestDisturbanceField:
                 assert np.array_equal(p[i], field.direction(t))
 
     def test_direction_rejects_non_unit_row(self):
-        def p_hat(t):
-            p = np.zeros(np.shape(t) + (3,))
-            p[..., 0] = np.where(np.asarray(t) > 5.0, 2.0, 1.0)
-            return p
+        # 1 + 5e-6 is inside np.isclose's default relative tolerance
+        for bad_norm in (2.0, 1.0 + 5e-6):
 
-        field = DisturbanceField(k_orb=lambda t: np.eye(3), p_hat=p_hat, period=6000.0)
-        assert np.array_equal(field.direction(np.arange(5.0)), np.tile([1.0, 0.0, 0.0], (5, 1)))
-        with pytest.raises(ValueError):
-            field.direction(np.arange(10.0))
+            def p_hat(t):
+                p = np.zeros(np.shape(t) + (3,))
+                p[..., 0] = np.where(np.asarray(t) > 5.0, bad_norm, 1.0)
+                return p
+
+            field = DisturbanceField(k_orb=lambda t: np.eye(3), p_hat=p_hat, period=6000.0)
+            assert np.array_equal(field.direction(np.arange(5.0)), np.tile([1.0, 0.0, 0.0], (5, 1)))
+            with pytest.raises(ValueError):
+                field.direction(np.arange(10.0))
 
 
 class TestPairCommand:

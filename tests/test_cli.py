@@ -110,6 +110,15 @@ class TestScanCmd:
         monkeypatch.setattr(emff.power, "compute_power_report", fail)
         assert main(["scan", "--scenario", scenario_path]) == 2
 
+    def test_stalled_solve_exit_code(self, scenario_path, monkeypatch):
+        import emff.dual
+
+        # one Newton iteration per barrier stage leaves every solve stalled
+        monkeypatch.setattr(emff.dual, "_MAX_NEWTON", 1)
+        monkeypatch.delenv("EMFF_THREADS", raising=False)
+        assert main(["allocate", "--r", "1,0,0", "--force", "1e-5,0,0"]) == 2
+        assert main(["scan", "--scenario", scenario_path]) == 2
+
     def test_zero_j2_override_zero_power(self, tmp_path):
         scen = dict(SCENARIO, overrides={"k_j2": 0.0})
         path = tmp_path / "s.json"

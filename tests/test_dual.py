@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emff import (
     MU0,
@@ -10,7 +12,9 @@ from emff import (
     psi_stack,
     solve_dual,
     solve_dual_batch,
+    SolverError,
 )
+from emff import dual
 from emff.dual import unvec_columns
 from conftest import forward_command, random_geometry
 
@@ -71,6 +75,15 @@ class TestSolveDual:
             assert np.isfinite(cert.J_d)
             assert cert.J_d >= 0.0
 
+    def test_stall_raises(self, monkeypatch):
+        # one Newton iteration per stage cannot center the barrier
+        monkeypatch.setattr(dual, "_MAX_NEWTON", 1)
+        res = solve_dual_batch(psi_stack(1.0), [[0.0] * 6, [1e-5, 0, 0, 0, 0, 0]])
+        assert res["stalled"].tolist() == [False, True]
+        assert res["newton_iters"][0] == 0
+        with pytest.raises(SolverError):
+            solve_dual(los_problem([1e-5, 0, 0, 0, 0, 0]))
+
     def test_tol_validated(self):
         with pytest.raises(ValueError):
             solve_dual(los_problem([1e-5, 0, 0, 0, 0, 0]), tol=1e-2)
@@ -92,16 +105,85 @@ class TestSolveDual:
         assert brute.J_p <= cert.J_d * (1 + 1e-4)
 
 
+#: One batch row: None is a zero command, else (direction, log10 magnitude).
+#: Magnitudes over 1e-9..1e-1 make rows finish centering at very different
+#: iterations, so the kernel drops rows from the batch at different points.
+_rows = st.one_of(
+    st.none(),
+    st.tuples(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6), st.floats(-9.0, -1.0)),
+)
+
+_BATCH_FIELDS = ("lambda_", "J_d", "R", "sigma_max", "kkt", "newton_iters", "stalled")
+
+
+def reference_barrier(Q, lam, t, cbar):
+    """phi_t, its gradient and negated Hessian by the direct formulas: R, then
+    M = I - R^T R, then M^-1 by LAPACK, with S_i = D_i^T R + R^T D_i formed
+    from R and the Hessian as 4-index contractions."""
+    D = unvec_columns(Q)
+    R = np.einsum("bi,ixy->bxy", lam, D)
+    Rt = R.swapaxes(-1, -2)
+    M = np.eye(3) - Rt @ R
+    Minv = np.linalg.inv(M)
+    phi = t * np.einsum("bi,bi->b", cbar, lam) + np.linalg.slogdet(M)[1]
+    grad = t[:, None] * cbar - 2.0 * np.einsum("bxy,iyx->bi", Minv @ Rt, D)
+    S = D.swapaxes(-1, -2) @ R[:, None] + Rt[:, None] @ D
+    MinvS = Minv[:, None] @ S
+    H1 = np.einsum("bjxy,biyx->bij", MinvS, MinvS)
+    TT = np.einsum("iyx,jyz->ijxz", D, D)
+    H2 = np.einsum("bxy,ijyx->bij", Minv, TT + TT.transpose(1, 0, 2, 3))
+    return phi, grad, H1 + H2
+
+
 class TestBatch:
-    def test_batch_matches_scalar(self, rng):
-        d = 1.3
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(rows=st.lists(_rows, min_size=2, max_size=9), d=st.floats(0.5, 3.0), data=st.data())
+    def test_batch_matches_scalar(self, rows, d, data):
+        us = np.zeros((len(rows), 6))
+        for i, row in enumerate(rows):
+            if row is not None and np.linalg.norm(row[0]) > 0.0:
+                us[i] = np.asarray(row[0]) / np.linalg.norm(row[0]) * 10.0 ** row[1]
         Q = psi_stack(d)
-        us = rng.normal(size=(8, 6)) * 1e-5
         batch = solve_dual_batch(Q, us)
-        for i in range(8):
-            cert = solve_dual(los_problem(us[i], d=d))
-            assert np.array_equal(batch["J_d"][i], cert.J_d)
-            assert np.array_equal(batch["lambda_"][i], cert.lambda_)
+        perm = np.array(data.draw(st.permutations(range(len(rows)))))
+        permuted = solve_dual_batch(Q, us[perm])
+        cut = data.draw(st.integers(1, len(rows) - 1))
+        halves = [solve_dual_batch(Q, us[:cut]), solve_dual_batch(Q, us[cut:])]
+        for k in _BATCH_FIELDS:
+            assert np.array_equal(permuted[k], batch[k][perm]), k
+            assert np.array_equal(np.concatenate([h[k] for h in halves]), batch[k]), k
+        for i in range(len(rows)):
+            alone = solve_dual_batch(Q, us[i : i + 1])
+            for k in _BATCH_FIELDS:
+                assert np.array_equal(alone[k][0], batch[k][i]), k
+        cert = solve_dual(los_problem(us[0], d=d))
+        assert cert.J_d == batch["J_d"][0]
+        assert np.array_equal(cert.lambda_, batch["lambda_"][0])
+
+    def test_newton_system_matches_reference(self, rng):
+        for _ in range(10):
+            Q = interaction_operator(*random_geometry(rng)).Q
+            maps = dual._maps(Q)
+            lam = rng.normal(size=(20, 6))
+            # strictly feasible: sigma_max(R) spread over (0, 1)
+            R = np.einsum("bi,ixy->bxy", lam, unvec_columns(Q))
+            smax = np.linalg.svd(R, compute_uv=False)[:, 0]
+            sigma = rng.uniform(0.05, 0.999, size=20)
+            lam *= (sigma / smax)[:, None]
+            t = 10.0 ** rng.uniform(-2.0, 6.0, size=20)
+            cbar = rng.normal(size=(20, 6))
+            phi, f = dual._barrier(maps, lam, t, cbar)
+            grad, H = dual._newton_system(maps, lam, t, cbar, f)
+            phi_ref, grad_ref, H_ref = reference_barrier(Q, lam, t, cbar)
+            assert np.all(np.abs(phi - phi_ref) <= 1e-10 * (1.0 + np.abs(phi_ref)))
+            scale = np.abs(grad_ref).max(axis=1, keepdims=True)
+            assert np.all(np.abs(grad - grad_ref) <= 1e-10 * scale)
+            scale = np.abs(H_ref).max(axis=(1, 2), keepdims=True)
+            assert np.all(np.abs(H - H_ref) <= 1e-10 * scale)
+            # outside the feasible set the barrier is -inf
+            with np.errstate(divide="ignore", invalid="ignore"):
+                outside = dual._barrier(maps, lam * (1.2 / sigma)[:, None], t, cbar)[0]
+            assert np.all(outside == -np.inf)
 
     def test_one_shared_operator(self):
         Q = np.broadcast_to(psi_stack(1.0), (2, 6, 9))
