@@ -13,9 +13,14 @@ the solver converges for any finite command and the optimum is finite.
 
 Solved by damped-Newton path following on the log-det barrier
 phi_t = t * objective + log det(I - R^T R) with a geometric schedule on t
-(factor 10) until the barrier duality gap 6/t falls below the requested
-relative tolerance.  Everything is vectorized over a batch axis so sweeps
-over time grids and satellite pairs amortize to dense 3x3/6x6 work.
+(factor 100) until the barrier duality gap 6/t falls below the requested
+relative tolerance.  The central path moves like lambda* + a/t, so the Newton
+step at the raised t, taken from the old centre, overshoots by t_new/t_prev:
+the line search of each stage's first step starts at alpha = t_prev/t_new,
+which extrapolates along the path in 1/t (Fiacco-McCormick), instead of
+backtracking there from alpha = 1.  Everything is vectorized over a batch
+axis so sweeps over time grids and satellite pairs amortize to dense 3x3/6x6
+work.
 
 A batch shares one 6x9 operator.  M = I - R^T R is quadratic in lambda and
 S_i = -dM/dlambda_i is linear in it, so S comes from one product of lambda
@@ -45,6 +50,7 @@ _BARRIER_NU = 6.0        # barrier parameter of the 6x6 log-det cone
 _NEWTON_EPS = 1.0e-13    # stop centering when decrement^2 / 2 falls below
 _MAX_NEWTON = 60
 _MIN_STEP = 1.0e-14
+_T_FACTOR = 100          # barrier weight raise per stage
 
 
 class SolverError(RuntimeError):
@@ -207,6 +213,22 @@ def _newton_system(maps, lam, t, cbar, f):
     return grad, H1 + H2
 
 
+def _newton_step(H, grad):
+    """Newton steps H^-1 grad, one LAPACK solve per row.  A row whose H is
+    singular to working precision gets a NaN step; the other rows are then
+    solved one at a time with the same call, so their steps do not change."""
+    try:
+        return np.linalg.solve(H, grad[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        step = np.full_like(grad, np.nan)
+        for i in range(len(H)):
+            try:
+                step[i] = np.linalg.solve(H[i : i + 1], grad[i : i + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return step
+
+
 def solve_dual_batch(Q, u, tol=DEFAULT_TOL):
     """Solve a batch of dual problems sharing the barrier schedule.
 
@@ -222,9 +244,11 @@ def solve_dual_batch(Q, u, tol=DEFAULT_TOL):
     Returns
     -------
     dict with lambda_ (B,6), R (B,3,3), J_d (B,), sigma_max (B,), kkt (B,),
-    newton_iters (B,) -- Newton iterations summed over the barrier stages --
-    and stalled (B,) -- whether the row was still centering when some stage
-    ran out of its _MAX_NEWTON iterations.
+    newton_iters (B,) -- Newton iterations summed over the barrier stages --,
+    phi_evals (B,) -- barrier evaluations: one at each stage start plus every
+    line-search trial the row needed -- and stalled (B,) -- whether the row was
+    still centering when some stage ran out of its _MAX_NEWTON iterations, or
+    met a Newton system singular to working precision.
     """
     if not 0.0 < tol <= 1.0e-3:
         raise ValueError("tol must lie in (0, 1e-3]")
@@ -240,6 +264,7 @@ def solve_dual_batch(Q, u, tol=DEFAULT_TOL):
     live = unorm > 0.0
     lam = np.zeros((B, 6))
     iters = np.zeros(B, dtype=int)
+    evals = np.zeros(B, dtype=int)
     stalled = np.zeros(B, dtype=bool)
     out = {
         "lambda_": lam,
@@ -248,6 +273,7 @@ def solve_dual_batch(Q, u, tol=DEFAULT_TOL):
         "sigma_max": np.zeros(B),
         "kkt": np.zeros(B),
         "newton_iters": iters,
+        "phi_evals": evals,
         "stalled": stalled,
     }
     if not live.any():
@@ -271,21 +297,36 @@ def solve_dual_batch(Q, u, tol=DEFAULT_TOL):
     # scale estimate already equals the optimum
     t = _BARRIER_NU / jbar_est
     t_target = 4.0 * t / tol
-    n_stages = int(np.ceil(np.log10(4.0 / tol))) + 1
+    # stage k runs at t * _T_FACTOR**k; the last is the first to reach t_target
+    # (an int power against a float compares exactly)
+    n_stages = 1
+    while _T_FACTOR ** (n_stages - 1) < 4.0 / tol:
+        n_stages += 1
+    first_alpha = np.ones(B)
 
     # infeasible trial points divide by zero pivots; their phi is -inf anyway
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(n_stages):
+        for stage in range(n_stages):
+            if stage:
+                t_new = t_target if stage == n_stages - 1 else t * _T_FACTOR
+                # the 1/t predictor: the Newton step from the old centre is
+                # (t_new - t) dlambda/dt, so its first trial is scaled by t/t_new
+                first_alpha = t / t_new
+                t = t_new
             # the rows still centering; finished rows are written back and dropped
             idx = np.flatnonzero(live)
             lam_a, cbar_a, t_a = lam[idx], cbar[idx], t[idx]
             phi0, f = _barrier(maps, lam_a, t_a, cbar_a)
+            evals[idx] += 1
             for it in range(_MAX_NEWTON):
                 grad, H = _newton_system(maps, lam_a, t_a, cbar_a, f)
-                step = np.linalg.solve(H, grad[..., None])[..., 0]
+                step = _newton_step(H, grad)
                 dec2 = np.einsum("bi,bi->b", grad, step)
                 going = dec2 / 2.0 > _NEWTON_EPS
                 if not going.all():
+                    # a singular Newton system gives a NaN decrement: the row
+                    # stays where it is and counts as stalled
+                    stalled[idx[~np.isfinite(dec2)]] = True
                     iters[idx[~going]] += it + 1
                     lam[idx] = lam_a
                     idx = idx[going]
@@ -294,8 +335,9 @@ def solve_dual_batch(Q, u, tol=DEFAULT_TOL):
                     lam_a, cbar_a, t_a, phi0 = lam_a[going], cbar_a[going], t_a[going], phi0[going]
                     step, dec2 = step[going], dec2[going]
                 # Armijo backtracking; phi of the accepted trial is the next phi0
-                alpha = np.ones(len(idx))
+                alpha = first_alpha[idx] if it == 0 else np.ones(len(idx))
                 slope = 0.25 * dec2
+                trials = np.ones(len(idx), dtype=int)
                 for _ in range(50):
                     trial = lam_a + alpha[:, None] * step
                     phi_trial, f = _barrier(maps, trial, t_a, cbar_a)
@@ -303,6 +345,8 @@ def solve_dual_batch(Q, u, tol=DEFAULT_TOL):
                     if not need.any():
                         break
                     alpha = np.where(need, 0.5 * alpha, alpha)
+                    trials += need
+                evals[idx] += trials
                 accepted = alpha > _MIN_STEP
                 # near the noise floor the computed decrement plateaus while the
                 # objective stops moving; treat stalled improvement as centered
@@ -321,7 +365,6 @@ def solve_dual_batch(Q, u, tol=DEFAULT_TOL):
                 iters[idx] += _MAX_NEWTON
                 stalled[idx] = True
                 lam[idx] = lam_a
-            t = np.minimum(t * 10.0, t_target)
     t_final = t
 
     R = np.einsum("bi,ixy->bxy", lam, D)
@@ -350,7 +393,8 @@ def solve_dual(problem, tol=DEFAULT_TOL):
     )
     if res["stalled"][0]:
         raise SolverError(
-            f"dual solve stalled: a barrier stage ran out of its {_MAX_NEWTON} Newton iterations",
+            f"dual solve stalled: a barrier stage ran out of its {_MAX_NEWTON} Newton"
+            " iterations or met a singular Newton system",
             best=cert,
         )
     if problem.u.norm > 0.0 and cert.kkt_residual > tol:

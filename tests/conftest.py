@@ -14,6 +14,15 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+#: A brigade-spaced (n = 3, d = 1000/7) LOS command whose 6x6 Newton system
+#: becomes singular to working precision on the barrier path.
+SINGULAR_D = 142.85714285714283
+SINGULAR_U = [
+    1.2038213335472343e-07, 7.205873880531521e-08, -2.152318386863755e-07,
+    8.085636400227791e-22, -1.1327991509809233e-05, -3.79256520027975e-06,
+]
+
+
 def random_geometry(rng, d_min=0.5, d_max=5.0):
     """Random separation (k -> j) and frame hint."""
     r = rng.normal(size=3)

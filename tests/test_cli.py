@@ -58,6 +58,14 @@ class TestAllocateCmd:
     def test_small_separation_numeric_failure(self):
         assert main(["allocate", "--r", "1e-5,0,0", "--force", "1e-5,0,0"]) == 2
 
+    def test_singular_newton_system_numeric_failure(self):
+        from conftest import SINGULAR_D, SINGULAR_U
+
+        force, torque = (",".join(map(repr, v)) for v in (SINGULAR_U[:3], SINGULAR_U[3:]))
+        args = ["allocate", "--frame", "los", "--r", f"{SINGULAR_D!r},0,0",
+                "--force", force, "--torque", torque]
+        assert main(args) == 2
+
 
 class TestOrbitCmd:
     def test_csv_shape_and_closure(self, scenario_path, tmp_path):

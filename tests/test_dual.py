@@ -16,7 +16,7 @@ from emff import (
 )
 from emff import dual
 from emff.dual import unvec_columns
-from conftest import forward_command, random_geometry
+from conftest import SINGULAR_D, SINGULAR_U, forward_command, random_geometry
 
 
 def los_problem(u, d=1.0):
@@ -113,7 +113,7 @@ _rows = st.one_of(
     st.tuples(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6), st.floats(-9.0, -1.0)),
 )
 
-_BATCH_FIELDS = ("lambda_", "J_d", "R", "sigma_max", "kkt", "newton_iters", "stalled")
+_BATCH_FIELDS = ("lambda_", "J_d", "R", "sigma_max", "kkt", "newton_iters", "phi_evals", "stalled")
 
 
 def reference_barrier(Q, lam, t, cbar):
@@ -184,6 +184,58 @@ class TestBatch:
             with np.errstate(divide="ignore", invalid="ignore"):
                 outside = dual._barrier(maps, lam * (1.2 / sigma)[:, None], t, cbar)[0]
             assert np.all(outside == -np.inf)
+
+    def test_schedule_iteration_budget(self, monkeypatch):
+        # factor 100 with the 1/t predictor; the factor-10 schedule without it
+        # averages about 69 Newton iterations and 140 barrier evaluations
+        counted = [0]
+        barrier = dual._barrier
+
+        def counting_barrier(maps, lam, t, cbar):
+            counted[0] += len(lam)
+            return barrier(maps, lam, t, cbar)
+
+        monkeypatch.setattr(dual, "_barrier", counting_barrier)
+        rng = np.random.default_rng(5)
+        iters, evals = [], []
+        for _ in range(300):
+            d = rng.uniform(0.5, 5.0)
+            u = rng.normal(size=6)
+            u *= 10.0 ** rng.uniform(-12.0, 3.0) / np.linalg.norm(u)
+            counted[0] = 0
+            res = solve_dual_batch(psi_stack(d), u[None])
+            assert not res["stalled"][0]
+            # at one row every barrier evaluation is one the row needed
+            assert res["phi_evals"][0] == counted[0]
+            iters.append(res["newton_iters"][0])
+            evals.append(res["phi_evals"][0])
+        assert np.mean(iters) <= 35 and max(iters) <= 50
+        assert np.mean(evals) <= 70
+
+    def test_singular_newton_system_stalls_its_row(self, rng):
+        Q = psi_stack(SINGULAR_D)
+        alone = solve_dual_batch(Q, [SINGULAR_U])
+        assert alone["stalled"][0]
+        with pytest.raises(SolverError):
+            solve_dual(los_problem(SINGULAR_U, d=SINGULAR_D))
+        others = rng.normal(size=(5, 6)) * 10.0 ** rng.uniform(-8.0, -4.0, size=(5, 1))
+        us = np.vstack([others[:2], SINGULAR_U, others[2:]])
+        batch = solve_dual_batch(Q, us)
+        assert batch["stalled"].tolist() == [False, False, True, False, False, False]
+        for i in range(len(us)):
+            row = solve_dual_batch(Q, us[i : i + 1])
+            for k in _BATCH_FIELDS:
+                assert np.array_equal(row[k][0], batch[k][i]), k
+
+    def test_newton_step_isolates_singular_rows(self, rng):
+        A = rng.normal(size=(4, 6, 6))
+        H = A @ A.swapaxes(-1, -2) + 6.0 * np.eye(6)
+        H[2] = 0.0
+        grad = rng.normal(size=(4, 6))
+        step = dual._newton_step(H, grad)
+        assert np.isnan(step[2]).all()
+        keep = [0, 1, 3]
+        assert np.array_equal(step[keep], dual._newton_step(H[keep], grad[keep]))
 
     def test_one_shared_operator(self):
         Q = np.broadcast_to(psi_stack(1.0), (2, 6, 9))
