@@ -14,11 +14,19 @@ the orbit-averaged total sums all pairs over one period.
 
 compute_power_report is the one computation.  It samples the field once, at
 every grid time t and t + T/4 together (the field callables take time
-arrays), rotates the stacked commands into line-of-sight frames from
-magnetics.build_los_frame, and makes one batched dual solve per pair index
-against the single operator psi_stack(d_sat).  pair_power_w_star is the same
-path at one time; peak_power, total_power and dipole_metric each read one
-field of the report.
+arrays), and rotates the stacked commands into line-of-sight frames from
+magnetics.build_los_frame.  In that frame a brigade command is
+(f_x, f_y, 0, 0, 0, tau_z), and pair j at separation d is the row
+u' = (a d^4 f, b d^3 tau) against psi_stack(1), with a, b the force and torque
+weights of L(n, j).  Each row is costed in closed form (_vertex_costs): the
+dual point lambda* = -sign(v) (0, 1, 0, 0, 0, 2), v = f_y' + 2 tau_z', has
+value (8 pi/mu0)|v|, and a primal point X with Psi(1) vec X = -u' has the same
+cost whenever a 2x2 matrix S built from the row is positive semidefinite, so
+weak duality certifies the value (Boyd & Vandenberghe, sec. 5).  The rows
+that fail the certificate, for every pair index together, go to one batched
+barrier solve against psi_stack(1).  pair_power_w_star is the same path at one
+time; peak_power, total_power and dipole_metric each read one field of the
+report.
 """
 
 from dataclasses import dataclass
@@ -27,7 +35,11 @@ import numpy as np
 
 from .brigade import unit_wrench, weighting
 from .dual import DEFAULT_TOL, SolverError, solve_dual_batch
-from .magnetics import build_los_frame, psi_stack
+from .magnetics import MU0, build_los_frame, psi_stack
+
+#: Relative bound on the out-of-plane part of a row and on the primal
+#: residual |Psi(1) vec X + u'| for the closed form to count as certified.
+VERTEX_RTOL = 1.0e-12
 
 
 @dataclass(frozen=True)
@@ -38,6 +50,11 @@ class PowerReport:
     pair index j = 2..n+1, one column per time sample.  peak_pair_violation is
     the largest amount (same units) by which any w*(j>2, t) exceeds w*(2, t);
     nonpositive means the peak-at-j=2 rule held on every sample.
+    barrier_rows counts the rows of that table (two per entry, at t and
+    t + T/4) that failed the closed-form certificate and went to the barrier
+    solver.  vertex_margin is the smallest lambda_min(S)/tr S over the
+    certified nonzero rows, how far the scenario is from leaving the
+    closed-form region (nan when no such row exists).
     """
 
     n: int
@@ -50,6 +67,8 @@ class PowerReport:
     M: float
     gamma_S: float
     peak_pair_violation: float
+    barrier_rows: int
+    vertex_margin: float
 
     @property
     def pair_index(self):
@@ -70,9 +89,69 @@ def surface_ratio(n_line):
     return float(n_line) ** (2.0 / 3.0)
 
 
+def _vertex_costs(u, Q):
+    """Closed-form dual costs of line-of-sight rows u (B, 6) against
+    Q = psi_stack(1).  Returns (J, certified, margin).
+
+    J = (8 pi/mu0)|v|, v = f_y + 2 tau_z, is the value of the dual point
+    lambda* = -sign(v) (0, 1, 0, 0, 0, 2), feasible for every row, so J never
+    exceeds the optimum.  With sigma = -sign(v) and
+        S = sigma [[-(tau_z + f_y/3), f_x/9], [f_x/9, -(tau_z + 2 f_y/3)]],
+    the primal point X = sigma J2 S in the x-y block, J2 = [[0, 1], [-1, 0]],
+    costs (8 pi/mu0) tr S = J when S >= 0.  A row is certified when
+    lambda_min(S) >= 0, its out-of-plane part (f_z, tau_x, tau_y) and the
+    residual Q vec X + u are both within VERTEX_RTOL |u|; then J is the
+    optimum.  margin is lambda_min(S)/tr S (nan where tr S = 0).
+    """
+    u = np.ascontiguousarray(u.T)  # one contiguous row per component
+    fx, fy, tz = u[0], u[1], u[5]
+    v = fy + 2.0 * tz
+    sigma = -np.sign(v)
+    p = -sigma * (tz + fy / 3.0)
+    q = sigma * fx / 9.0
+    r = -sigma * (tz + 2.0 * fy / 3.0)
+    lam_min = 0.5 * (p + r) - np.hypot(0.5 * (p - r), q)
+    # the column-stacked entries X00, X10, X01, X11 of vec X
+    x = sigma * np.array([q, -p, r, -q])
+    residual = Q[:, [0, 1, 3, 4]] @ x + u
+    bound = VERTEX_RTOL * np.sqrt(np.einsum("ib,ib->b", u, u))
+    certified = (
+        (lam_min >= 0.0)
+        & (np.sqrt(np.einsum("ib,ib->b", u[2:5], u[2:5])) <= bound)
+        & (np.sqrt(np.einsum("ib,ib->b", residual, residual)) <= bound)
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        margin = lam_min / (p + r)
+    return (8.0 * np.pi / MU0) * np.abs(v), certified, margin
+
+
+def _row_costs(rows, tol):
+    """Optimal dual costs of line-of-sight rows (B, 6) against psi_stack(1).
+
+    Certified rows keep their closed-form cost; all the others go to one
+    solve_dual_batch call.  Returns (J, number of barrier rows, smallest
+    certified vertex margin or nan); raises SolverError if a barrier row
+    stalls.  tol is the barrier's relative gap target, checked even when no
+    row needs the barrier.
+    """
+    if not 0.0 < tol <= 1.0e-3:
+        raise ValueError("tol must lie in (0, 1e-3]")
+    Q = psi_stack(1.0)
+    J, certified, margin = _vertex_costs(rows, Q)
+    fallback = np.flatnonzero(~certified)
+    if fallback.size:
+        res = solve_dual_batch(Q, rows[fallback], tol=tol)
+        if res["stalled"].any():
+            raise SolverError(f"{res['stalled'].sum()} of {fallback.size} barrier dual solves stalled")
+        J[fallback] = res["J_d"]
+    margin = margin[certified & ~np.isnan(margin)]
+    return J, int(fallback.size), float(margin.min()) if margin.size else float("nan")
+
+
 def _pair_costs(cfg, field, pairs, t_grid, tol):
-    """Coil-independent pair costs w*(j, t) (A^2*m^4): one row per pair index
-    in pairs, one column per time in t_grid.
+    """Coil-independent pair costs w*(j, t) (A^2*m^4), one row per pair index
+    in pairs, one column per time in t_grid, with _row_costs's barrier row
+    count and vertex margin.
 
     The field is sampled once at every t and t + T/4.  The pair separation is
     -d_sat p_hat(t) and the frame hint the commanded force direction; L(n, j)
@@ -89,23 +168,24 @@ def _pair_costs(cfg, field, pairs, t_grid, tol):
     C = build_los_frame(r, np.cross(u[:, :3], r))
     # force and torque blocks rotated into the line-of-sight frame: C^T f, C^T tau
     u_los = np.einsum("bxy,bkx->bky", C, u.reshape(-1, 2, 3)).reshape(-1, 6)
-    Q = psi_stack(cfg.d_sat)
-    w = np.empty((len(pairs), n_t))
-    for row, j in enumerate(pairs):
-        res = solve_dual_batch(Q, u_los * np.diag(weighting(cfg.n, j)), tol=tol)
-        if res["stalled"].any():
-            raise SolverError(f"{res['stalled'].sum()} dual solves stalled at n = {cfg.n}, j = {j}")
-        J = res["J_d"]
-        w[row] = 2.0 * (J[:n_t] + J[n_t:])
-    return w
+    # pair j at separation d is the row (a d^4 f, b d^3 tau) against psi_stack(1)
+    d = cfg.d_sat
+    weights = np.array([np.diag(weighting(cfg.n, j)) for j in pairs]) * ([d**4] * 3 + [d**3] * 3)
+    rows = (weights[:, None, :] * u_los).reshape(-1, 6)
+    try:
+        J, barrier_rows, margin = _row_costs(rows, tol)
+    except SolverError as exc:
+        raise SolverError(f"{exc} at n = {cfg.n}") from exc
+    J = J.reshape(len(pairs), 2 * n_t)
+    return 2.0 * (J[:, :n_t] + J[:, n_t:]), barrier_rows, margin
 
 
 def pair_power_w_star(cfg, field, coil, j, t, tol=DEFAULT_TOL):
-    """Coil-scaled pair cost w*(r_l, n, j, t): two dual solves a quarter
-    period apart, doubled for the mirrored pair.  coil=None gives the
+    """Coil-scaled pair cost w*(r_l, n, j, t): the dual costs at t and a
+    quarter period later, doubled for the mirrored pair.  coil=None gives the
     coil-independent value in A^2*m^4."""
     scale = 1.0 if coil is None else coil.power_scale
-    return float(scale * _pair_costs(cfg, field, [j], np.array([float(t)]), tol)[0, 0])
+    return float(scale * _pair_costs(cfg, field, [j], np.array([float(t)]), tol)[0][0, 0])
 
 
 def orbit_time_grid(period, n_samples=720):
@@ -145,7 +225,7 @@ def compute_power_report(cfg, field, coil, t_grid, tol=DEFAULT_TOL):
     t_grid = np.asarray(t_grid, dtype=float)
     if len(t_grid) == 0:
         raise ValueError("empty time grid")
-    w = _pair_costs(cfg, field, range(2, cfg.n + 2), t_grid, tol)
+    w, barrier_rows, vertex_margin = _pair_costs(cfg, field, range(2, cfg.n + 2), t_grid, tol)
     scale = 1.0 if coil is None else coil.power_scale
     i = int(np.argmax(w[0]))
     dt = field.period / len(t_grid)
@@ -170,6 +250,8 @@ def compute_power_report(cfg, field, coil, t_grid, tol=DEFAULT_TOL):
         M=float(M),
         gamma_S=surface_ratio(cfg.n_line),
         peak_pair_violation=violation,
+        barrier_rows=barrier_rows,
+        vertex_margin=vertex_margin,
     )
 
 

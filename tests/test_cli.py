@@ -14,6 +14,14 @@ SCENARIO = {
     "sampling": {"time_samples": 24, "dual_tol": 1e-10},
 }
 
+#: Inclination 60 deg, theta_p 15 deg: some rows of every report fail the
+#: closed-form certificate and go to the barrier solver.
+OFF_REGION = {
+    **SCENARIO,
+    "orbit": {**SCENARIO["orbit"], "inclination_deg": 60.0},
+    "plane": {**SCENARIO["plane"], "theta_p_deg": 15.0},
+}
+
 
 @pytest.fixture
 def scenario_path(tmp_path):
@@ -118,14 +126,51 @@ class TestScanCmd:
         monkeypatch.setattr(emff.power, "compute_power_report", fail)
         assert main(["scan", "--scenario", scenario_path]) == 2
 
-    def test_stalled_solve_exit_code(self, scenario_path, monkeypatch):
+    def test_stalled_solve_exit_code(self, tmp_path, monkeypatch):
         import emff.dual
 
-        # one Newton iteration per barrier stage leaves every solve stalled
+        # one Newton iteration per barrier stage leaves every solve stalled;
+        # the reference scenario is closed form throughout, so the scan leg
+        # runs a scenario with barrier rows
+        path = tmp_path / "off.json"
+        path.write_text(json.dumps(OFF_REGION))
         monkeypatch.setattr(emff.dual, "_MAX_NEWTON", 1)
         monkeypatch.delenv("EMFF_THREADS", raising=False)
         assert main(["allocate", "--r", "1,0,0", "--force", "1e-5,0,0"]) == 2
-        assert main(["scan", "--scenario", scenario_path]) == 2
+        assert main(["scan", "--scenario", str(path)]) == 2
+
+    def test_barrier_calls_per_report(self, tmp_path, monkeypatch):
+        import emff.power
+        from emff.magnetics import psi_stack
+
+        calls, reports = [], []
+        solve, report = emff.power.solve_dual_batch, emff.power.compute_power_report
+
+        def counting_solve(Q, u, tol):
+            calls.append(np.array(u))
+            return solve(Q, u, tol=tol)
+
+        def recording_report(*args, **kwargs):
+            reports.append(report(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(emff.power, "solve_dual_batch", counting_solve)
+        monkeypatch.setattr(emff.power, "compute_power_report", recording_report)
+        monkeypatch.delenv("EMFF_THREADS", raising=False)
+        for scenario in (SCENARIO, OFF_REGION):
+            path = tmp_path / "s.json"
+            path.write_text(json.dumps(scenario))
+            calls.clear()
+            reports.clear()
+            assert main(["scan", "--scenario", str(path), "--out", str(tmp_path / "o.csv")]) == 0
+            if scenario is SCENARIO:
+                assert calls == [] and [r.barrier_rows for r in reports] == [0, 0]
+                continue
+            # one barrier call per report, holding exactly its uncertified rows
+            assert [len(u) for u in calls] == [r.barrier_rows for r in reports]
+            assert all(r.barrier_rows > 0 for r in reports)
+            for u in calls:
+                assert not emff.power._vertex_costs(u, psi_stack(1.0))[1].any()
 
     def test_zero_j2_override_zero_power(self, tmp_path):
         scen = dict(SCENARIO, overrides={"k_j2": 0.0})
