@@ -261,8 +261,7 @@ def allocate(r, hint, u, omega, tol=None, frame="world"):
     op_los = InteractionOperator(Q=Q_los, separation=op.separation, frame=np.eye(3))
     cert = solve_dual(DualProblem(Q=op_los, u=u_los), tol=tol)
     lift = recover_gram(cert, op_los, u_los)
-    R_mirror = cert.R_lambda if lift.R_polished is None else lift.R_polished
-    wf_j, wf_k = extract_waveforms(lift, R_mirror, omega)
+    wf_j, wf_k = extract_waveforms(lift, lift.R_polished, omega)
     s_j, s_k, c_j, c_k = _feasibility_polish(
         Q_los, u_los.as_vector(), wf_j.s, wf_k.s, wf_j.c, wf_k.c
     )

@@ -188,25 +188,6 @@ def telescoping_oracle(cfg, field, j, t):
     return np.concatenate([force, torque_scale * np.cross(p, Kp)])
 
 
-def _pair_commands_exact(cfg, field, t):
-    # commanded wrench on (j-2) from (j-1) for every j, shared geometry terms
-    K = field.k_orb(t)
-    p = field.direction(t)
-    Kp = K @ p
-    cross = np.cross(p, Kp)
-    cmds = {}
-    for j in range(2, cfg.n + 2):
-        f = cfg.m_sat * cfg.d_sat * (cfg.n - j + 2) * (cfg.n + j - 1) / 2.0 * Kp
-        tau = (
-            cfg.m_sat
-            * cfg.d_sat**2
-            * (cfg.n - j + 2) * (cfg.n - j + 3) * (2 * cfg.n + j - 1) / 6.0
-            * cross
-        )
-        cmds[j] = (f, tau)
-    return cmds, p, Kp
-
-
 def equilibrium_residuals(cfg, field, t):
     """Per-satellite force/torque balance residuals of the assembled brigade.
 
@@ -217,8 +198,11 @@ def equilibrium_residuals(cfg, field, t):
     2 chi_sys R_l x (K R_l) imbalance left by the edge boundary conditions.
     """
     n = cfg.n
-    cmds, p, Kp = _pair_commands_exact(cfg, field, t)
     d = cfg.d_sat
+    p = field.direction(t)
+    Kp = field.k_orb(t) @ p
+    # (force, torque) commanded on satellite j-2 from j-1, for every pair j
+    cmds = {j: np.split(pair_command(cfg, field, j, t), 2) for j in range(2, n + 2)}
 
     # wrench on satellite a from satellite b, positive half-line pairs (a < b);
     # command on the inboard member, reaction via momentum conservation

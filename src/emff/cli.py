@@ -3,15 +3,15 @@
 Scenario files are JSON with units spelled out in the key names (altitude_km,
 r_l_m, ...) because unit mistakes dominate failure modes in this domain.
 Numeric output is CSV (scan/orbit) or JSON (allocate/verify) at 17
-significant digits; with a fixed seed and EMFF_THREADS=1 the output bytes
-are deterministic.  Exit codes: 0 ok, 1 usage error, 2 numeric failure.
+significant digits, and the output bytes are deterministic (verify: for a
+fixed seed).  `scan` runs serially in one process: it builds the orbit field,
+coil and time grid once and computes one power report per distinct n, in
+ascending order.  Exit codes: 0 ok, 1 usage error, 2 numeric failure.
 """
 
 import argparse
-import concurrent.futures
 import contextlib
 import json
-import os
 import sys
 
 import numpy as np
@@ -125,20 +125,6 @@ def _grid_config(scenario, n):
     return brigade.GridConfig(n=n, m_sys=m_sys, d_sat=float(grid["d_sat_m"]))
 
 
-def _scan_one(scenario, n):
-    ctx = _context_from(scenario)
-    plane = _plane_from(scenario)
-    field = brigade.DisturbanceField.from_orbit(ctx, plane)
-    cfg = _grid_config(scenario, n)
-    coil = _coil_from(scenario)
-    sampling = scenario["sampling"]
-    grid = power.orbit_time_grid(ctx.period, int(sampling["time_samples"]))
-    report = power.compute_power_report(
-        cfg, field, coil, grid, tol=float(sampling["dual_tol"])
-    )
-    return n, report
-
-
 def cmd_allocate(args):
     r = _parse_vec3(args.r, "r")
     force = _parse_vec3(args.force, "force") if args.force else np.zeros(3)
@@ -188,22 +174,21 @@ def cmd_orbit(args):
 
 def cmd_scan(args):
     scenario = load_scenario(args.scenario)
-    n_list = [int(n) for n in scenario["grid"]["n_list"]]
-    threads = max(1, int(os.environ.get("EMFF_THREADS", "1")))
-    results = {}
-    if threads > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            for n, report in pool.map(_scan_one, [scenario] * len(n_list), n_list):
-                results[n] = report
-    else:
-        for n in n_list:
-            results[n] = _scan_one(scenario, n)[1]
+    ctx = _context_from(scenario)
+    field = brigade.DisturbanceField.from_orbit(ctx, _plane_from(scenario))
+    coil = _coil_from(scenario)
+    sampling = scenario["sampling"]
+    grid = power.orbit_time_grid(ctx.period, int(sampling["time_samples"]))
+    tol = float(sampling["dual_tol"])
+    reports = [
+        power.compute_power_report(_grid_config(scenario, n), field, coil, grid, tol=tol)
+        for n in sorted({int(n) for n in scenario["grid"]["n_list"]})
+    ]
     header = "n,N_l,r_l_m,chi_sys_kg,W_bar_W,W_oint_W,M_A2m4_per_kg,gamma_S"
     failed = False
     with _open_out(args.out) as fh:
         fh.write(header + "\n")
-        for n in sorted(results):
-            rep = results[n]
+        for rep in reports:
             scale = max(np.abs(rep.w_star_unit).max(), 1e-300)
             if rep.peak_pair_violation > 1e-9 * scale:
                 j_off, t_off = np.unravel_index(
@@ -211,25 +196,20 @@ def cmd_scan(args):
                     rep.w_star_unit[1:].shape,
                 )
                 print(
-                    f"peak consistency violated at n={n} j={j_off + 3} "
+                    f"peak consistency violated at n={rep.n} j={j_off + 3} "
                     f"t={rep.samples[t_off]:.3f}s: w*(j) exceeds w*(2) by "
                     f"{rep.peak_pair_violation:.3e}",
                     file=sys.stderr,
                 )
                 failed = True
-            row = [n, rep.n * 2 + 1, rep.r_l, rep.chi_sys, rep.W_bar, rep.W_oint, rep.M, rep.gamma_S]
+            row = [rep.n, rep.n * 2 + 1, rep.r_l, rep.chi_sys, rep.W_bar, rep.W_oint, rep.M, rep.gamma_S]
             fh.write(",".join(str(v) if isinstance(v, int) else _fmt(v) for v in row) + "\n")
     return 2 if failed else 0
 
 
 def cmd_verify(args):
     names = verify.SUITES if "all" in args.suite else tuple(args.suite)
-    if args.corrupt_psi_tau:
-        magnetics._psi_tau_sign = -1.0
-    try:
-        summary = verify.run_suites(names=names, seed=args.seed, cases=args.cases)
-    finally:
-        magnetics._psi_tau_sign = 1.0
+    summary = verify.run_suites(names=names, seed=args.seed, cases=args.cases)
     with _open_out(args.out) as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
@@ -265,7 +245,6 @@ def build_parser():
     )
     p_verify.add_argument("--cases", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--corrupt-psi-tau", action="store_true", help=argparse.SUPPRESS)
     p_verify.set_defaults(fn=cmd_verify)
 
     for p in (p_alloc, p_orbit, p_scan, p_verify):

@@ -42,10 +42,6 @@ PSI_TORQUE = np.array(
     ]
 )
 
-# Test hook: flipped to -1.0 by the verification suites to prove the
-# telescoping/realization checks are sensitive to the torque-block sign.
-_psi_tau_sign = 1.0
-
 
 class ZeroSeparationError(ValueError):
     """Separation below MIN_SEPARATION: the far-field model diverges."""
@@ -187,7 +183,7 @@ class InteractionOperator:
 
 def psi_stack(d):
     """Line-of-sight interaction blocks [Psi_f/d^4; Psi_tau/d^3] as one 6x9 array."""
-    return np.vstack([PSI_FORCE / d**4, _psi_tau_sign * PSI_TORQUE / d**3])
+    return np.vstack([PSI_FORCE / d**4, PSI_TORQUE / d**3])
 
 
 def build_los_frame(r, hint):

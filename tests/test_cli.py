@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,16 @@ def scenario_path(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(SCENARIO))
     return str(path)
+
+
+def run_module(*args):
+    """`python -m emff ARGS` in a subprocess that imports this checkout's src."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "emff", *args], env=env, capture_output=True, text=True
+    )
 
 
 def read_csv(path):
@@ -135,7 +147,6 @@ class TestScanCmd:
         path = tmp_path / "off.json"
         path.write_text(json.dumps(OFF_REGION))
         monkeypatch.setattr(emff.dual, "_MAX_NEWTON", 1)
-        monkeypatch.delenv("EMFF_THREADS", raising=False)
         assert main(["allocate", "--r", "1,0,0", "--force", "1e-5,0,0"]) == 2
         assert main(["scan", "--scenario", str(path)]) == 2
 
@@ -156,7 +167,6 @@ class TestScanCmd:
 
         monkeypatch.setattr(emff.power, "solve_dual_batch", counting_solve)
         monkeypatch.setattr(emff.power, "compute_power_report", recording_report)
-        monkeypatch.delenv("EMFF_THREADS", raising=False)
         for scenario in (SCENARIO, OFF_REGION):
             path = tmp_path / "s.json"
             path.write_text(json.dumps(scenario))
@@ -221,16 +231,20 @@ class TestVerifyCmd:
         data = json.loads(out.read_text())
         assert data["suites"][0]["cases"] == 10
 
-    def test_corrupted_torque_blocks_fail_telescoping(self, tmp_path):
+    def test_corrupted_torque_blocks_fail_telescoping(self, tmp_path, monkeypatch):
+        import emff.magnetics
+
+        # a sign error in the torque blocks must not pass the telescoping suite
+        monkeypatch.setattr(emff.magnetics, "PSI_TORQUE", -emff.magnetics.PSI_TORQUE)
         out = tmp_path / "verify.json"
-        code = main(
-            ["verify", "--suite", "telescoping", "--cases", "3", "--corrupt-psi-tau",
-             "--out", str(out)]
-        )
+        code = main(["verify", "--suite", "telescoping", "--cases", "3", "--out", str(out)])
         assert code == 2
         data = json.loads(out.read_text())
         assert not data["passed"]
         assert data["suites"][0]["failures"]
+
+    def test_corrupt_flag_is_usage_error(self):
+        assert main(["verify", "--suite", "telescoping", "--corrupt-psi-tau"]) == 1
 
     def test_unknown_suite_usage_error(self):
         assert main(["verify", "--suite", "nonsense"]) == 1
@@ -238,30 +252,18 @@ class TestVerifyCmd:
 
 class TestEntryPoint:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "emff", "allocate", "--r", "1,0,0",
-             "--force", "1e-5,0,0"],
-            capture_output=True, text=True,
-        )
+        proc = run_module("allocate", "--r", "1,0,0", "--force", "1e-5,0,0")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["gap"] <= 1e-6
 
     def test_usage_exit_code_via_module(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "emff", "allocate"], capture_output=True, text=True
-        )
+        proc = run_module("allocate")
         assert proc.returncode == 1
+        assert "--r" in proc.stderr
 
-    def test_thread_cap_preserves_output_bytes(self, scenario_path, tmp_path):
-        import os
-
-        serial, parallel = tmp_path / "serial.csv", tmp_path / "par.csv"
-        main(["scan", "--scenario", scenario_path, "--out", str(serial)])
-        env = dict(os.environ, EMFF_THREADS="2")
-        proc = subprocess.run(
-            [sys.executable, "-m", "emff", "scan", "--scenario", scenario_path,
-             "--out", str(parallel)],
-            capture_output=True, text=True, env=env,
-        )
+    def test_module_scan_matches_in_process_bytes(self, scenario_path, tmp_path):
+        in_process, module = tmp_path / "in_process.csv", tmp_path / "module.csv"
+        assert main(["scan", "--scenario", scenario_path, "--out", str(in_process)]) == 0
+        proc = run_module("scan", "--scenario", scenario_path, "--out", str(module))
         assert proc.returncode == 0
-        assert serial.read_bytes() == parallel.read_bytes()
+        assert in_process.read_bytes() == module.read_bytes()
