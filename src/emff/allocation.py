@@ -1,12 +1,14 @@
 """Globally optimal dipole allocation for a two-coil pair.
 
-Pipeline: solve the convex dual, recover the rank-<=2 Gram matrix
-G = s_j s_j^T + c_j c_j^T of the driven coil from the active singular
-subspace of R at the dual optimum, factor G into sine/cosine amplitude
-vectors, and mirror them onto the partner coil via [s_k, c_k] = -R^T [s_j, c_j].
-Strong duality makes the construction tight: the primal cost equals the dual
-bound and the commanded wrench is reproduced exactly (up to solver tolerance),
-which the returned solution certifies explicitly.
+Pipeline: solve the convex dual (at dual.DEFAULT_TOL), recover the rank-<=2
+Gram matrix G = s_j s_j^T + c_j c_j^T of the driven coil from the active
+singular subspace of R at the dual optimum, factor G into sine/cosine
+amplitude vectors, and mirror them onto the partner coil via
+[s_k, c_k] = -R^T [s_j, c_j].  The barrier multiplier is only sqrt(gap)-
+accurate, so one least-norm Gauss-Newton correction onto the wrench
+constraints then makes the commanded wrench exact.  Strong duality makes the
+construction tight: the primal cost equals the dual bound, which the returned
+solution certifies explicitly.
 """
 
 import warnings
@@ -15,12 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .dual import DEFAULT_TOL, TOL_ACTIVE, DualProblem, solve_dual, unvec_columns
+from .dual import TOL_ACTIVE, DualProblem, solve_dual, unvec_columns
 from .magnetics import (
     MU0,
     DipoleWaveform,
     InteractionOperator,
     Wrench,
+    _validate_vec3,
+    build_los_frame,
     interaction_operator,
     psi_stack,
 )
@@ -53,15 +57,11 @@ class GramLift:
 
     Diagonal entries are squared per-axis amplitudes; off-diagonals encode
     pairwise phase differences.  residual is the relative error of the linear
-    wrench equations the lift must satisfy.  R_polished is the KKT-refined
-    multiplier matrix the lift is exactly consistent with (the barrier
-    iterate carries O(sqrt(gap)) parameter error; the joint refinement
-    removes it), to be used when mirroring the partner coil.
+    wrench equations the lift must satisfy under the certificate's R(lambda).
     """
 
     G: np.ndarray
     residual: float
-    R_polished: np.ndarray | None = None
 
     def __post_init__(self):
         G = np.asarray(self.G, dtype=float)
@@ -89,51 +89,15 @@ def _trace_equations(R, D, G):
     return -np.einsum("xy,iyz,zx->i", R, D.transpose(0, 2, 1), G)
 
 
-def _refine_kkt(W, lam, D, rhs, steps=4):
-    """Joint Gauss-Newton polish of the primal factor and dual multiplier.
-
-    Solves the stationarity system of the tight-duality construction,
-
-        -tr[R(lam) D_i^T W W^T] = rhs_i          (commanded wrench)
-        (I - R(lam) R(lam)^T) W = 0              (active singular subspace)
-
-    for (W, lam) starting from the barrier iterate.  The barrier point is
-    only sqrt(gap)-accurate in parameter space, which leaves the trace
-    equations incompatible with any rank-2 lift; restoring compatibility
-    needs the multiplier to move too.  The W -> W Q gauge freedom makes the
-    Jacobian rank-deficient by one, handled by the least-norm step.
-    """
-    n_w = W.size
-    for _ in range(steps):
-        R = np.einsum("m,mxy->xy", lam, D)
-        G = W @ W.T
-        res_trace = _trace_equations(R, D, G) - rhs
-        M = np.eye(3) - R @ R.T
-        res_null = (M @ W).reshape(-1, order="F")
-        F = np.concatenate([res_trace, res_null])
-        jac = np.zeros((6 + n_w, n_w + 6))
-        for i in range(6):
-            A = R @ D[i].T
-            jac[i, :n_w] = (-(A + A.T) @ W).reshape(-1, order="F")
-            for m in range(6):
-                jac[i, n_w + m] = -np.trace(D[m] @ D[i].T @ G)
-        for c in range(W.shape[1]):
-            jac[6 + 3 * c : 9 + 3 * c, 3 * c : 3 * c + 3] = M
-        for m in range(6):
-            jac[6:, n_w + m] = (-(D[m] @ R.T + R @ D[m].T) @ W).reshape(-1, order="F")
-        step, *_ = np.linalg.lstsq(jac, -F, rcond=None)
-        W = W + step[:n_w].reshape(W.shape, order="F")
-        lam = lam + step[n_w:]
-    return W, np.einsum("m,mxy->xy", lam, D)
-
-
-def recover_gram(cert, op, u, tol_active=TOL_ACTIVE):
+def recover_gram(cert, op, u):
     """Gram lift supported on the active singular subspace of R at the optimum.
 
     Solves the six linear trace equations for a symmetric coefficient matrix on
-    the subspace (least squares), then clips tiny negative eigenvalues.  Raises
+    the subspace (singular values within TOL_ACTIVE of 1; least squares), clips
+    tiny negative eigenvalues and keeps the top two eigenpairs.  Raises
     RecoveryError when no singular value sits near 1 for a nonzero command, or
-    when the least-squares residual shows the dual was not actually optimal.
+    when the lift's trace-equation residual under cert.R_lambda exceeds 1e-6,
+    which shows the dual was not actually optimal.
     """
     u_vec = u.as_vector()
     u_norm = np.linalg.norm(u_vec)
@@ -142,7 +106,7 @@ def recover_gram(cert, op, u, tol_active=TOL_ACTIVE):
     R = cert.R_lambda
     D = unvec_columns(op.Q)
     U, sigma, _ = np.linalg.svd(R)
-    active = sigma >= 1.0 - tol_active
+    active = sigma >= 1.0 - TOL_ACTIVE
     k = int(active.sum())
     if k == 0:
         raise RecoveryError(
@@ -166,15 +130,14 @@ def recover_gram(cert, op, u, tol_active=TOL_ACTIVE):
     if w[0] < -PSD_CLIP * scale:
         raise RecoveryError(f"recovered lift indefinite: min eigenvalue {w[0]:.3e}")
     w = np.clip(w, 0.0, None)
-    # top eigenpairs (at most two) seed the rank-limited factor
+    # top eigenpairs (at most two) give the rank-limited factor
     order = np.argsort(w)[::-1][: min(k, 2)]
     W = V @ (P[:, order] * np.sqrt(w[order]))
-    W, R_pol = _refine_kkt(W, cert.lambda_.copy(), D, rhs)
     G = W @ W.T
-    residual = np.linalg.norm(_trace_equations(R_pol, D, G) - rhs) / np.linalg.norm(rhs)
+    residual = np.linalg.norm(_trace_equations(R, D, G) - rhs) / np.linalg.norm(rhs)
     if residual > 1.0e-6:
         raise RecoveryError(f"trace-equation residual {residual:.3e} too large")
-    return GramLift(G=G, residual=float(residual), R_polished=R_pol)
+    return GramLift(G=G, residual=float(residual))
 
 
 def extract_waveforms(lift, R, omega):
@@ -218,10 +181,10 @@ def _wrench_jacobian(D, s_j, s_k, c_j, c_k):
     return MU0 / (8.0 * np.pi) * J
 
 
-def _feasibility_polish(Q, u_vec, s_j, s_k, c_j, c_k, steps=2):
+def _feasibility_polish(Q, u_vec, s_j, s_k, c_j, c_k):
     # least-norm Gauss-Newton correction onto the wrench constraint manifold
     D = unvec_columns(Q)
-    for _ in range(steps):
+    for _ in range(2):
         h = _wrench_of(Q, s_j, s_k, c_j, c_k) - u_vec
         J = _wrench_jacobian(D, s_j, s_k, c_j, c_k)
         delta, *_ = np.linalg.lstsq(J, -h, rcond=None)
@@ -232,7 +195,15 @@ def _feasibility_polish(Q, u_vec, s_j, s_k, c_j, c_k, steps=2):
     return s_j, s_k, c_j, c_k
 
 
-def allocate(r, hint, u, omega, tol=None, frame="world"):
+def _zero_solution(omega):
+    zero = DipoleWaveform(s=np.zeros(3), c=np.zeros(3), omega=omega)
+    return AllocationSolution(
+        dipole_j=zero, dipole_k=zero, J_p=0.0, J_d=0.0, gap=0.0,
+        wrench_residual=np.zeros(6),
+    )
+
+
+def allocate(r, hint, u, omega, frame="world"):
     """Globally optimal allocation reproducing the commanded wrench u.
 
     r points from coil k to coil j; hint orients the line-of-sight frame
@@ -241,34 +212,30 @@ def allocate(r, hint, u, omega, tol=None, frame="world"):
     treats u as already expressed line-of-sight.  Raises GapViolationError
     if the certified relative gap exceeds 1e-6.
     """
-    tol = DEFAULT_TOL if tol is None else tol
     if frame not in ("world", "los"):
         raise ValueError("frame must be 'world' or 'los'")
-    op = interaction_operator(r, hint)
+    r = _validate_vec3(r, "r")
+    C = build_los_frame(r, hint)
+    d = float(np.linalg.norm(r))
     u = u if isinstance(u, Wrench) else Wrench.from_vector(np.asarray(u, dtype=float))
     if u.norm == 0.0:
-        zero = DipoleWaveform(s=np.zeros(3), c=np.zeros(3), omega=omega)
-        return AllocationSolution(
-            dipole_j=zero, dipole_k=zero, J_p=0.0, J_d=0.0, gap=0.0,
-            wrench_residual=np.zeros(6),
-        )
-    C = op.frame
+        return _zero_solution(omega)
     if frame == "world":
         u_los = Wrench(C.T @ u.force, C.T @ u.torque)
     else:
         u_los = u
-    Q_los = psi_stack(op.separation)
-    op_los = InteractionOperator(Q=Q_los, separation=op.separation, frame=np.eye(3))
-    cert = solve_dual(DualProblem(Q=op_los, u=u_los), tol=tol)
+    Q_los = psi_stack(d)
+    op_los = InteractionOperator(Q=Q_los, separation=d, frame=np.eye(3))
+    cert = solve_dual(DualProblem(Q=op_los, u=u_los))
     lift = recover_gram(cert, op_los, u_los)
-    wf_j, wf_k = extract_waveforms(lift, lift.R_polished, omega)
+    wf_j, wf_k = extract_waveforms(lift, cert.R_lambda, omega)
     s_j, s_k, c_j, c_k = _feasibility_polish(
         Q_los, u_los.as_vector(), wf_j.s, wf_k.s, wf_j.c, wf_k.c
     )
     residual = _wrench_of(Q_los, s_j, s_k, c_j, c_k) - u_los.as_vector()
     if frame == "world":
         s_j, s_k, c_j, c_k = C @ s_j, C @ s_k, C @ c_j, C @ c_k
-        residual = np.kron(np.eye(2), C) @ residual
+        residual = np.concatenate([C @ residual[:3], C @ residual[3:]])
     J_p = 0.5 * (s_j @ s_j + s_k @ s_k + c_j @ c_j + c_k @ c_k)
     gap = (J_p - cert.J_d) / max(cert.J_d, GAP_FLOOR)
     if gap > GAP_TOL:
@@ -300,11 +267,7 @@ def brute_force_allocate(r, hint, u, restarts=20, seed=0, omega=1.0):
     u_vec = u.as_vector()
     u_norm = np.linalg.norm(u_vec)
     if u_norm == 0.0:
-        zero = DipoleWaveform(s=np.zeros(3), c=np.zeros(3), omega=omega)
-        return AllocationSolution(
-            dipole_j=zero, dipole_k=zero, J_p=0.0, J_d=0.0, gap=0.0,
-            wrench_residual=np.zeros(6),
-        )
+        return _zero_solution(omega)
     Q = op.Q
     D = unvec_columns(Q)
     feas_tol = 1.0e-6 * u_norm

@@ -136,7 +136,7 @@ def cmd_allocate(args):
         hint = np.cross(force, r)
         if np.linalg.norm(hint) == 0.0:
             hint = np.array([0.0, 0.0, 1.0])
-    sol = allocation.allocate(r, hint, u, omega=args.omega, tol=args.tol, frame=args.frame)
+    sol = allocation.allocate(r, hint, u, omega=args.omega, frame=args.frame)
     out = {
         "dipole_j": {"s": sol.dipole_j.s.tolist(), "c": sol.dipole_j.c.tolist()},
         "dipole_k": {"s": sol.dipole_k.s.tolist(), "c": sol.dipole_k.c.tolist()},
@@ -227,7 +227,6 @@ def build_parser():
     p_alloc.add_argument("--omega", type=float, default=1.0, help="drive frequency, rad/s")
     p_alloc.add_argument("--hint", default=None, help="frame hint vector (default: force x r)")
     p_alloc.add_argument("--frame", choices=("world", "los"), default="world")
-    p_alloc.add_argument("--tol", type=float, default=1.0e-10)
     p_alloc.set_defaults(fn=cmd_allocate)
 
     p_orbit = sub.add_parser("orbit", help="sample the stable trajectory and disturbance matrix")

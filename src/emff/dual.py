@@ -63,11 +63,10 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class DualProblem:
-    """Dual instance: interaction operator, commanded wrench, objective scale."""
+    """Dual instance: interaction operator and commanded wrench."""
 
     Q: InteractionOperator
     u: Wrench
-    scale: float = 8.0 * np.pi / MU0
 
     def __post_init__(self):
         if not np.isfinite(self.u.as_vector()).all():

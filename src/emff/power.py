@@ -70,10 +70,6 @@ class PowerReport:
     barrier_rows: int
     vertex_margin: float
 
-    @property
-    def pair_index(self):
-        return np.arange(2, self.n + 2)
-
 
 def power_index(coil, J_d):
     """Time-averaged coil power (W) needed to sustain a dual cost J_d."""

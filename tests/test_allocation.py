@@ -2,22 +2,65 @@ import numpy as np
 import pytest
 
 from emff import (
+    DisturbanceField,
     DualProblem,
     GramLift,
     InteractionOperator,
     RecoveryError,
+    StablePlane,
     Wrench,
     allocate,
     averaged_wrench,
     brute_force_allocate,
     extract_waveforms,
     interaction_operator,
+    make_context,
     psi_stack,
     recover_gram,
     solve_dual,
 )
+from emff.brigade import GridConfig, pair_command
 from emff.dual import DualCertificate
 from conftest import forward_command, random_geometry
+
+#: Reference scenario field (500 km, 45 deg, theta_p 30 deg) for brigade pair commands.
+FIELD = DisturbanceField.from_orbit(
+    make_context(500e3, np.deg2rad(45.0), 0.0),
+    StablePlane(theta_p=np.deg2rad(30.0), theta_z_xy=0.0, r_xyd=100.0),
+)
+
+
+def wide_command(rng):
+    """Random direction with |u| log-uniform in [1e-12, 1e3]."""
+    r, hint = random_geometry(rng)
+    u = rng.normal(size=6)
+    u *= 10.0 ** rng.uniform(-12.0, 3.0) / np.linalg.norm(u)
+    return r, hint, Wrench.from_vector(u)
+
+
+def structured_command(rng, shape):
+    """Axial force (0), pure force (1), pure torque (2) or axial torque (3)."""
+    r, hint = random_geometry(rng)
+    size = 10.0 ** rng.uniform(-8.0, 0.0)
+    v = rng.normal(size=3)
+    v *= size / np.linalg.norm(v)
+    axial = size * r / np.linalg.norm(r)
+    u = np.zeros(6)
+    if shape in (0, 1):
+        u[:3] = axial if shape == 0 else v
+    else:
+        u[3:] = v if shape == 2 else axial
+    return r, hint, Wrench.from_vector(u)
+
+
+def brigade_command(rng):
+    """Pair (n, j) command of the reference scenario at a random orbit time."""
+    n = int(rng.integers(1, 11))
+    j = int(rng.integers(2, n + 2))
+    t = rng.uniform(0.0, FIELD.period)
+    cfg = GridConfig.from_line_length(n, 100.0, 1000.0)
+    u = Wrench.from_vector(pair_command(cfg, FIELD, j, t))
+    return -cfg.d_sat * FIELD.direction(t), rng.normal(size=3), u
 
 
 def los_setup(u_vec, d=1.0):
@@ -91,8 +134,7 @@ class TestExtractWaveforms:
         op = interaction_operator(r, hint)
         cert = solve_dual(DualProblem(Q=op, u=u))
         lift = recover_gram(cert, op, u)
-        R = lift.R_polished
-        assert np.allclose(R, cert.R_lambda, atol=1e-5 * np.abs(cert.R_lambda).max())
+        R = cert.R_lambda
         wf_j, wf_k = extract_waveforms(lift, R, omega=1.0)
         assert np.allclose(wf_k.s, -R.T @ wf_j.s, atol=1e-12)
         assert np.allclose(wf_k.c, -R.T @ wf_j.c, atol=1e-12)
@@ -110,11 +152,15 @@ class TestAllocate:
         assert sol.dipole_j.amplitude_squared == 0.0
 
     def test_forward_generated_bound_and_feasibility(self, rng):
-        for _ in range(25):
-            r, hint, u, J_gen = forward_command(rng)
+        cases = [forward_command(rng) for _ in range(25)]
+        cases += [(*wide_command(rng), None) for _ in range(12)]
+        cases += [(*structured_command(rng, shape % 4), None) for shape in range(12)]
+        cases += [(*brigade_command(rng), None) for _ in range(12)]
+        for r, hint, u, J_gen in cases:
             sol = allocate(r, hint, u, omega=1.0)
             assert sol.gap <= 1e-6
-            assert sol.J_p <= J_gen * (1 + 1e-9)
+            if J_gen is not None:
+                assert sol.J_p <= J_gen * (1 + 1e-9)
             assert np.linalg.norm(sol.wrench_residual) <= 1e-8 * u.norm
             achieved = averaged_wrench(
                 interaction_operator(r, hint), sol.dipole_j, sol.dipole_k
@@ -135,10 +181,9 @@ class TestAllocate:
         op = interaction_operator(r, hint)
         cert = solve_dual(DualProblem(Q=op, u=u))
         lift = recover_gram(cert, op, u)
-        wf_j, wf_k = extract_waveforms(lift, lift.R_polished, omega=1.0)
-        P = np.block(
-            [[np.eye(3), lift.R_polished], [lift.R_polished.T, np.eye(3)]]
-        )
+        R = cert.R_lambda
+        wf_j, wf_k = extract_waveforms(lift, R, omega=1.0)
+        P = np.block([[np.eye(3), R], [R.T, np.eye(3)]])
         m_norm = np.sqrt(wf_j.amplitude_squared + wf_k.amplitude_squared)
         assert np.linalg.norm(P @ np.concatenate([wf_j.s, wf_k.s])) <= 1e-7 * m_norm
         assert np.linalg.norm(P @ np.concatenate([wf_j.c, wf_k.c])) <= 1e-7 * m_norm

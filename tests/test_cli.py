@@ -78,6 +78,9 @@ class TestAllocateCmd:
     def test_small_separation_numeric_failure(self):
         assert main(["allocate", "--r", "1e-5,0,0", "--force", "1e-5,0,0"]) == 2
 
+    def test_tol_flag_is_usage_error(self):
+        assert main(["allocate", "--r", "1,0,0", "--force", "1e-5,0,0", "--tol", "1e-8"]) == 1
+
     def test_singular_newton_system_numeric_failure(self):
         from conftest import SINGULAR_D, SINGULAR_U
 
