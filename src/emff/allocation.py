@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .dual import TOL_ACTIVE, DualProblem, solve_dual, unvec_columns
+from .dual import DualProblem, solve_dual, unvec_columns
 from .magnetics import (
     MU0,
     DipoleWaveform,
@@ -37,6 +37,9 @@ GAP_FLOOR = 1.0e-12
 
 #: Eigenvalues of G below -1e-9 (relative to its trace) are treated as errors.
 PSD_CLIP = 1.0e-9
+
+#: Singular values of R within this distance of 1 count as active constraints.
+TOL_ACTIVE = 1.0e-6
 
 
 class RecoveryError(RuntimeError):

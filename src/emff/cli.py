@@ -6,7 +6,9 @@ Numeric output is CSV (scan/orbit) or JSON (allocate/verify) at 17
 significant digits, and the output bytes are deterministic (verify: for a
 fixed seed).  `scan` runs serially in one process: it builds the orbit field,
 coil and time grid once and computes one power report per distinct n, in
-ascending order.  Exit codes: 0 ok, 1 usage error, 2 numeric failure.
+ascending order.  Every dual is solved at dual.DEFAULT_TOL (1e-10); a
+scenario may still say so as sampling.dual_tol, but no other value.  Exit
+codes: 0 ok, 1 usage error, 2 numeric failure.
 """
 
 import argparse
@@ -17,7 +19,7 @@ import sys
 import numpy as np
 
 from . import allocation, brigade, magnetics, orbit, power, verify
-from .dual import SolverError
+from .dual import DEFAULT_TOL, SolverError
 
 DEFAULT_COIL = {
     "turns": 200.0,
@@ -25,7 +27,13 @@ DEFAULT_COIL = {
     "wire_radius_m": 1.0e-3,
     "resistivity_ohm_m": 1.68e-8,
 }
-DEFAULT_SAMPLING = {"time_samples": 720, "dual_tol": 1.0e-10}
+DEFAULT_SAMPLING = {"time_samples": 720}
+#: Keys each scenario section must give; grid also needs one of r_l_m, d_sat_m.
+REQUIRED_KEYS = {
+    "orbit": ("altitude_km", "inclination_deg"),
+    "plane": ("theta_p_deg", "theta_z_xy_deg", "r_xyd_m"),
+    "grid": ("n_list", "m_sys_kg"),
+}
 
 
 class UsageError(Exception):
@@ -62,27 +70,45 @@ def _parse_vec3(text, name):
     return np.array(parts)
 
 
+def _count(value, name):
+    """A positive integer count; integral floats such as 2.0 count too."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and float(value).is_integer() and value >= 1):
+        raise UsageError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def load_scenario(path):
-    """Parse and validate a scenario file; returns plain dicts with defaults filled."""
+    """Parse and validate a scenario file; returns plain dicts with defaults
+    filled, n_list and time_samples as ints."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    for section in ("orbit", "plane", "grid"):
-        if section not in raw:
-            raise UsageError(f"scenario missing '{section}' section")
+    if not isinstance(raw, dict):
+        raise UsageError("scenario must be a JSON object")
+    for section, keys in REQUIRED_KEYS.items():
+        if not isinstance(raw.get(section), dict):
+            raise UsageError(f"scenario needs a '{section}' section (a JSON object)")
+        missing = [f"{section}.{k}" for k in keys if k not in raw[section]]
+        if missing:
+            raise UsageError(f"scenario missing {', '.join(missing)}")
     grid = raw["grid"]
     if ("r_l_m" in grid) == ("d_sat_m" in grid):
         raise UsageError("grid must give exactly one of r_l_m or d_sat_m")
-    if not grid.get("n_list"):
+    if not isinstance(grid["n_list"], list) or not grid["n_list"]:
         raise UsageError("grid.n_list must be a nonempty list")
-    scenario = {
+    sampling = {**DEFAULT_SAMPLING, **raw.get("sampling", {})}
+    if sampling.pop("dual_tol", DEFAULT_TOL) != DEFAULT_TOL:
+        raise UsageError(f"sampling.dual_tol must be {DEFAULT_TOL:g}: the dual is always"
+                         f" solved at {DEFAULT_TOL:g}")
+    sampling["time_samples"] = _count(sampling["time_samples"], "sampling.time_samples")
+    return {
         "orbit": raw["orbit"],
         "plane": raw["plane"],
-        "grid": grid,
+        "grid": {**grid, "n_list": [_count(n, "grid.n_list entry") for n in grid["n_list"]]},
         "coil": {**DEFAULT_COIL, **raw.get("coil", {})},
-        "sampling": {**DEFAULT_SAMPLING, **raw.get("sampling", {})},
+        "sampling": sampling,
         "overrides": raw.get("overrides", {}),
     }
-    return scenario
 
 
 def _context_from(scenario):
@@ -156,8 +182,7 @@ def cmd_orbit(args):
     scenario = load_scenario(args.scenario)
     ctx = _context_from(scenario)
     plane = _plane_from(scenario)
-    n_samples = int(scenario["sampling"]["time_samples"])
-    ts = np.linspace(0.0, ctx.period, n_samples)
+    ts = np.linspace(0.0, ctx.period, scenario["sampling"]["time_samples"])
     pos = orbit.desired_trajectory(plane, ctx, ts)
     header = ["t_s", "x_m", "y_m", "z_m"]
     header += [f"K{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)]
@@ -177,12 +202,10 @@ def cmd_scan(args):
     ctx = _context_from(scenario)
     field = brigade.DisturbanceField.from_orbit(ctx, _plane_from(scenario))
     coil = _coil_from(scenario)
-    sampling = scenario["sampling"]
-    grid = power.orbit_time_grid(ctx.period, int(sampling["time_samples"]))
-    tol = float(sampling["dual_tol"])
+    grid = power.orbit_time_grid(ctx.period, scenario["sampling"]["time_samples"])
     reports = [
-        power.compute_power_report(_grid_config(scenario, n), field, coil, grid, tol=tol)
-        for n in sorted({int(n) for n in scenario["grid"]["n_list"]})
+        power.compute_power_report(_grid_config(scenario, n), field, coil, grid)
+        for n in sorted(set(scenario["grid"]["n_list"]))
     ]
     header = "n,N_l,r_l_m,chi_sys_kg,W_bar_W,W_oint_W,M_A2m4_per_kg,gamma_S"
     failed = False

@@ -13,14 +13,14 @@ the solver converges for any finite command and the optimum is finite.
 
 Solved by damped-Newton path following on the log-det barrier
 phi_t = t * objective + log det(I - R^T R) with a geometric schedule on t
-(factor 100) until the barrier duality gap 6/t falls below the requested
-relative tolerance.  The central path moves like lambda* + a/t, so the Newton
-step at the raised t, taken from the old centre, overshoots by t_new/t_prev:
-the line search of each stage's first step starts at alpha = t_prev/t_new,
-which extrapolates along the path in 1/t (Fiacco-McCormick), instead of
-backtracking there from alpha = 1.  Everything is vectorized over a batch
-axis so sweeps over time grids and satellite pairs amortize to dense 3x3/6x6
-work.
+(factor 100) until the barrier duality gap 6/t falls below DEFAULT_TOL
+relative to the optimum.  The central path moves like lambda* + a/t, so the
+Newton step at the raised t, taken from the old centre, overshoots by
+t_new/t_prev: the line search of each stage's first step starts at
+alpha = t_prev/t_new, which extrapolates along the path in 1/t
+(Fiacco-McCormick), instead of backtracking there from alpha = 1.
+Everything is vectorized over a batch axis so sweeps over time grids and
+satellite pairs amortize to dense 3x3/6x6 work.
 
 A batch shares one 6x9 operator.  M = I - R^T R is quadratic in lambda and
 S_i = -dM/dlambda_i is linear in it, so S comes from one product of lambda
@@ -40,17 +40,17 @@ import numpy as np
 
 from .magnetics import MU0, InteractionOperator, Wrench
 
-#: Default relative duality-gap target of the barrier schedule.
+#: Relative duality-gap target of the barrier schedule, for every solve.
 DEFAULT_TOL = 1.0e-10
-
-#: Singular values of R within this distance of 1 count as active constraints.
-TOL_ACTIVE = 1.0e-6
 
 _BARRIER_NU = 6.0        # barrier parameter of the 6x6 log-det cone
 _NEWTON_EPS = 1.0e-13    # stop centering when decrement^2 / 2 falls below
 _MAX_NEWTON = 60
 _MIN_STEP = 1.0e-14
 _T_FACTOR = 100          # barrier weight raise per stage
+# stage k runs at t0 * _T_FACTOR**k and the last is the first to reach the
+# target 4 t0 / DEFAULT_TOL (an int power against a float compares exactly)
+_N_STAGES = 1 + min(k for k in range(64) if _T_FACTOR**k >= 4.0 / DEFAULT_TOL)
 
 
 class SolverError(RuntimeError):
@@ -228,17 +228,16 @@ def _newton_step(H, grad):
         return step
 
 
-def solve_dual_batch(Q, u, tol=DEFAULT_TOL):
-    """Solve a batch of dual problems sharing the barrier schedule.
+def solve_dual_batch(Q, u):
+    """Solve a batch of dual problems sharing the barrier schedule, each to
+    the relative duality gap DEFAULT_TOL.
 
     Parameters
     ----------
     Q : (6, 9) array
         Interaction operator shared by every problem of the batch.
     u : (B, 6) array
-        Commanded wrenches, one per problem.
-    tol : float
-        Relative duality-gap target, in (0, 1e-3].
+        Commanded wrenches, one per problem; every entry must be finite.
 
     Returns
     -------
@@ -249,9 +248,10 @@ def solve_dual_batch(Q, u, tol=DEFAULT_TOL):
     still centering when some stage ran out of its _MAX_NEWTON iterations, or
     met a Newton system singular to working precision.
     """
-    if not 0.0 < tol <= 1.0e-3:
-        raise ValueError("tol must lie in (0, 1e-3]")
     u = np.atleast_2d(np.asarray(u, dtype=float))
+    bad = np.flatnonzero(~np.isfinite(u).all(axis=1))
+    if bad.size:
+        raise ValueError(f"command row {bad[0]} is not finite: {u[bad[0]]}")
     B = u.shape[0]
     Q = np.asarray(Q, dtype=float)
     if Q.shape != (6, 9):
@@ -292,22 +292,17 @@ def solve_dual_batch(Q, u, tol=DEFAULT_TOL):
     jbar_est = np.einsum("bi,bi->b", cbar, lam_dir) / np.where(live, s_dir, 1.0)
     jbar_est = np.where(live, jbar_est, 1.0)
 
-    # safety factor 4 keeps the certified gap strictly under tol even when the
-    # scale estimate already equals the optimum
+    # safety factor 4 keeps the certified gap strictly under DEFAULT_TOL even
+    # when the scale estimate already equals the optimum
     t = _BARRIER_NU / jbar_est
-    t_target = 4.0 * t / tol
-    # stage k runs at t * _T_FACTOR**k; the last is the first to reach t_target
-    # (an int power against a float compares exactly)
-    n_stages = 1
-    while _T_FACTOR ** (n_stages - 1) < 4.0 / tol:
-        n_stages += 1
+    t_target = 4.0 * t / DEFAULT_TOL
     first_alpha = np.ones(B)
 
     # infeasible trial points divide by zero pivots; their phi is -inf anyway
     with np.errstate(divide="ignore", invalid="ignore"):
-        for stage in range(n_stages):
+        for stage in range(_N_STAGES):
             if stage:
-                t_new = t_target if stage == n_stages - 1 else t * _T_FACTOR
+                t_new = t_target if stage == _N_STAGES - 1 else t * _T_FACTOR
                 # the 1/t predictor: the Newton step from the old centre is
                 # (t_new - t) dlambda/dt, so its first trial is scaled by t/t_new
                 first_alpha = t / t_new
@@ -375,14 +370,14 @@ def solve_dual_batch(Q, u, tol=DEFAULT_TOL):
     return out
 
 
-def solve_dual(problem, tol=DEFAULT_TOL):
+def solve_dual(problem):
     """Certified solve of one dual instance.
 
     Raises SolverError (carrying the best iterate) when a barrier stage stalls
-    or the barrier path fails to reach the requested relative optimality;
+    or the barrier path fails to reach the relative gap DEFAULT_TOL;
     u = 0 short-circuits to the exact certificate lambda = 0.
     """
-    res = solve_dual_batch(problem.Q.Q, problem.u.as_vector()[None, :], tol=tol)
+    res = solve_dual_batch(problem.Q.Q, problem.u.as_vector()[None, :])
     cert = DualCertificate(
         lambda_=res["lambda_"][0],
         R_lambda=res["R"][0],
@@ -396,9 +391,9 @@ def solve_dual(problem, tol=DEFAULT_TOL):
             " iterations or met a singular Newton system",
             best=cert,
         )
-    if problem.u.norm > 0.0 and cert.kkt_residual > tol:
+    if problem.u.norm > 0.0 and cert.kkt_residual > DEFAULT_TOL:
         raise SolverError(
-            f"dual solve stalled at relative gap {cert.kkt_residual:.3e} > {tol:.3e}",
+            f"dual solve stalled at relative gap {cert.kkt_residual:.3e} > {DEFAULT_TOL:.3e}",
             best=cert,
         )
     return cert

@@ -24,9 +24,9 @@ value (8 pi/mu0)|v|, and a primal point X with Psi(1) vec X = -u' has the same
 cost whenever a 2x2 matrix S built from the row is positive semidefinite, so
 weak duality certifies the value (Boyd & Vandenberghe, sec. 5).  The rows
 that fail the certificate, for every pair index together, go to one batched
-barrier solve against psi_stack(1).  pair_power_w_star is the same path at one
-time; peak_power, total_power and dipole_metric each read one field of the
-report.
+barrier solve against psi_stack(1), always to the relative gap
+dual.DEFAULT_TOL.  pair_power_w_star is the same path at one time;
+peak_power, total_power and dipole_metric each read one field of the report.
 """
 
 from dataclasses import dataclass
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .brigade import unit_wrench, weighting
-from .dual import DEFAULT_TOL, SolverError, solve_dual_batch
+from .dual import SolverError, solve_dual_batch
 from .magnetics import MU0, build_los_frame, psi_stack
 
 #: Relative bound on the out-of-plane part of a row and on the primal
@@ -121,22 +121,19 @@ def _vertex_costs(u, Q):
     return (8.0 * np.pi / MU0) * np.abs(v), certified, margin
 
 
-def _row_costs(rows, tol):
+def _row_costs(rows):
     """Optimal dual costs of line-of-sight rows (B, 6) against psi_stack(1).
 
     Certified rows keep their closed-form cost; all the others go to one
     solve_dual_batch call.  Returns (J, number of barrier rows, smallest
     certified vertex margin or nan); raises SolverError if a barrier row
-    stalls.  tol is the barrier's relative gap target, checked even when no
-    row needs the barrier.
+    stalls.
     """
-    if not 0.0 < tol <= 1.0e-3:
-        raise ValueError("tol must lie in (0, 1e-3]")
     Q = psi_stack(1.0)
     J, certified, margin = _vertex_costs(rows, Q)
     fallback = np.flatnonzero(~certified)
     if fallback.size:
-        res = solve_dual_batch(Q, rows[fallback], tol=tol)
+        res = solve_dual_batch(Q, rows[fallback])
         if res["stalled"].any():
             raise SolverError(f"{res['stalled'].sum()} of {fallback.size} barrier dual solves stalled")
         J[fallback] = res["J_d"]
@@ -144,7 +141,7 @@ def _row_costs(rows, tol):
     return J, int(fallback.size), float(margin.min()) if margin.size else float("nan")
 
 
-def _pair_costs(cfg, field, pairs, t_grid, tol):
+def _pair_costs(cfg, field, pairs, t_grid):
     """Coil-independent pair costs w*(j, t) (A^2*m^4), one row per pair index
     in pairs, one column per time in t_grid, with _row_costs's barrier row
     count and vertex margin.
@@ -169,19 +166,19 @@ def _pair_costs(cfg, field, pairs, t_grid, tol):
     weights = np.array([np.diag(weighting(cfg.n, j)) for j in pairs]) * ([d**4] * 3 + [d**3] * 3)
     rows = (weights[:, None, :] * u_los).reshape(-1, 6)
     try:
-        J, barrier_rows, margin = _row_costs(rows, tol)
+        J, barrier_rows, margin = _row_costs(rows)
     except SolverError as exc:
         raise SolverError(f"{exc} at n = {cfg.n}") from exc
     J = J.reshape(len(pairs), 2 * n_t)
     return 2.0 * (J[:, :n_t] + J[:, n_t:]), barrier_rows, margin
 
 
-def pair_power_w_star(cfg, field, coil, j, t, tol=DEFAULT_TOL):
+def pair_power_w_star(cfg, field, coil, j, t):
     """Coil-scaled pair cost w*(r_l, n, j, t): the dual costs at t and a
     quarter period later, doubled for the mirrored pair.  coil=None gives the
     coil-independent value in A^2*m^4."""
     scale = 1.0 if coil is None else coil.power_scale
-    return float(scale * _pair_costs(cfg, field, [j], np.array([float(t)]), tol)[0][0, 0])
+    return float(scale * _pair_costs(cfg, field, [j], np.array([float(t)]))[0][0, 0])
 
 
 def orbit_time_grid(period, n_samples=720):
@@ -209,7 +206,7 @@ def _golden_max(fun, a, b, tol):
     return max(f1, f2)
 
 
-def compute_power_report(cfg, field, coil, t_grid, tol=DEFAULT_TOL):
+def compute_power_report(cfg, field, coil, t_grid):
     """Full per-pair cost table plus every summary metric in one sweep.
 
     W_bar = chi_sys sup_t w*(2, t): the grid maximum, sharpened by
@@ -221,12 +218,12 @@ def compute_power_report(cfg, field, coil, t_grid, tol=DEFAULT_TOL):
     t_grid = np.asarray(t_grid, dtype=float)
     if len(t_grid) == 0:
         raise ValueError("empty time grid")
-    w, barrier_rows, vertex_margin = _pair_costs(cfg, field, range(2, cfg.n + 2), t_grid, tol)
+    w, barrier_rows, vertex_margin = _pair_costs(cfg, field, range(2, cfg.n + 2), t_grid)
     scale = 1.0 if coil is None else coil.power_scale
     i = int(np.argmax(w[0]))
     dt = field.period / len(t_grid)
     refined = _golden_max(
-        lambda s: pair_power_w_star(cfg, field, None, 2, s, tol=tol),
+        lambda s: pair_power_w_star(cfg, field, None, 2, s),
         t_grid[i] - dt,
         t_grid[i] + dt,
         1.0e-3 * field.period,
@@ -251,16 +248,16 @@ def compute_power_report(cfg, field, coil, t_grid, tol=DEFAULT_TOL):
     )
 
 
-def peak_power(cfg, field, coil, t_grid, tol=DEFAULT_TOL):
+def peak_power(cfg, field, coil, t_grid):
     """Upper bound on the per-satellite peak power chi_sys sup_t w*(2, t) (W)."""
-    return compute_power_report(cfg, field, coil, t_grid, tol=tol).W_bar
+    return compute_power_report(cfg, field, coil, t_grid).W_bar
 
 
-def total_power(cfg, field, coil, t_grid, tol=DEFAULT_TOL):
+def total_power(cfg, field, coil, t_grid):
     """Orbit-averaged total power W_oint (W)."""
-    return compute_power_report(cfg, field, coil, t_grid, tol=tol).W_oint
+    return compute_power_report(cfg, field, coil, t_grid).W_oint
 
 
-def dipole_metric(cfg, field, t_grid, tol=DEFAULT_TOL):
+def dipole_metric(cfg, field, t_grid):
     """Coil-independent metric M = W_oint / (m_sys R/gamma^2), A^2*m^4/kg."""
-    return compute_power_report(cfg, field, None, t_grid, tol=tol).M
+    return compute_power_report(cfg, field, None, t_grid).M

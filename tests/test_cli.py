@@ -160,9 +160,9 @@ class TestScanCmd:
         calls, reports = [], []
         solve, report = emff.power.solve_dual_batch, emff.power.compute_power_report
 
-        def counting_solve(Q, u, tol):
+        def counting_solve(Q, u):
             calls.append(np.array(u))
-            return solve(Q, u, tol=tol)
+            return solve(Q, u)
 
         def recording_report(*args, **kwargs):
             reports.append(report(*args, **kwargs))
@@ -208,12 +208,74 @@ class TestScanCmd:
         path.write_text(json.dumps({"orbit": {}}))
         assert main(["scan", "--scenario", str(path)]) == 1
 
+    def test_non_object_scenario_usage_error(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([SCENARIO]))
+        assert main(["scan", "--scenario", str(path)]) == 1
+
     def test_both_lengths_given_rejected(self, tmp_path):
         scen = json.loads(json.dumps(SCENARIO))
         scen["grid"]["d_sat_m"] = 5.0
         path = tmp_path / "s.json"
         path.write_text(json.dumps(scen))
         assert main(["scan", "--scenario", str(path)]) == 1
+
+
+def scenario_with(tmp_path, edit):
+    """Path of SCENARIO after edit(scenario) has changed a deep copy of it."""
+    scen = json.loads(json.dumps(SCENARIO))
+    edit(scen)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(scen))
+    return str(path)
+
+
+class TestScenarioValidation:
+    @pytest.mark.parametrize("value", [1e-6, 0.1, "abc"])
+    def test_dual_tol_other_than_default_is_usage_error(self, tmp_path, capsys, value):
+        path = scenario_with(tmp_path, lambda s: s["sampling"].update(dual_tol=value))
+        assert main(["scan", "--scenario", path]) == 1
+        assert "always solved at 1e-10" in capsys.readouterr().err
+
+    def test_dual_tol_key_is_optional(self, scenario_path, tmp_path):
+        path = scenario_with(tmp_path, lambda s: s["sampling"].pop("dual_tol"))
+        with_key, without = tmp_path / "with.csv", tmp_path / "without.csv"
+        assert main(["scan", "--scenario", scenario_path, "--out", str(with_key)]) == 0
+        assert main(["scan", "--scenario", path, "--out", str(without)]) == 0
+        assert with_key.read_bytes() == without.read_bytes()
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda s: s["grid"].update(n_list=[1, 2.7]), "grid.n_list entry"),
+            (lambda s: s["grid"].update(n_list=[1, 0]), "grid.n_list entry"),
+            (lambda s: s["grid"].update(n_list=[True]), "grid.n_list entry"),
+            (lambda s: s["grid"].update(n_list=3), "grid.n_list"),
+            (lambda s: s["sampling"].update(time_samples=24.9), "sampling.time_samples"),
+            (lambda s: s["sampling"].update(time_samples=0), "sampling.time_samples"),
+            (lambda s: s["grid"].pop("m_sys_kg"), "grid.m_sys_kg"),
+            (lambda s: s["orbit"].pop("altitude_km"), "orbit.altitude_km"),
+            (lambda s: s["plane"].pop("r_xyd_m"), "plane.r_xyd_m"),
+            (lambda s: s.update(grid=[1, 2]), "'grid'"),
+        ],
+    )
+    def test_bad_input_is_usage_error(self, tmp_path, capsys, edit, message):
+        path = scenario_with(tmp_path, edit)
+        for command in ("scan", "orbit"):
+            assert main([command, "--scenario", path, "--out", str(tmp_path / "o.csv")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err
+
+    def test_integral_floats_accepted(self, scenario_path, tmp_path):
+        def edit(s):
+            s["grid"]["n_list"] = [2.0, 1]
+            s["sampling"]["time_samples"] = 24.0
+
+        path = scenario_with(tmp_path, edit)
+        ref, floats = tmp_path / "ref.csv", tmp_path / "floats.csv"
+        assert main(["scan", "--scenario", scenario_path, "--out", str(ref)]) == 0
+        assert main(["scan", "--scenario", path, "--out", str(floats)]) == 0
+        assert ref.read_bytes() == floats.read_bytes()
 
 
 class TestVerifyCmd:

@@ -84,10 +84,6 @@ class TestSolveDual:
         with pytest.raises(SolverError):
             solve_dual(los_problem([1e-5, 0, 0, 0, 0, 0]))
 
-    def test_tol_validated(self):
-        with pytest.raises(ValueError):
-            solve_dual(los_problem([1e-5, 0, 0, 0, 0, 0]), tol=1e-2)
-
     def test_r_lambda_consistent_with_q(self, rng):
         r, hint, u, _ = forward_command(rng)
         op = interaction_operator(r, hint)
@@ -241,6 +237,13 @@ class TestBatch:
         Q = np.broadcast_to(psi_stack(1.0), (2, 6, 9))
         with pytest.raises(ValueError):
             solve_dual_batch(Q, np.ones((2, 6)) * 1e-5)
+
+    def test_non_finite_rows_rejected(self):
+        good = np.array([[1e-5, 0, 0, 0, 0, 0], [0, 2e-6, 0, 0, 0, -1e-6]])
+        for bad in ([0, np.nan, 0, 0, 0, 0], [0, 0, 0, np.inf, 0, 0]):
+            us = np.vstack([good[:1], bad, good[1:], [-np.inf, 0, 0, 0, 0, 0]])
+            with pytest.raises(ValueError, match="row 1 is not finite"):
+                solve_dual_batch(psi_stack(1.0), us)
 
     def test_batch_zero_rows(self):
         us = np.zeros((3, 6))

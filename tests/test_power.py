@@ -242,12 +242,12 @@ class TestVertexCertificate:
         rows = np.array(rows)
         sent = []
 
-        def barrier_stub(Q, u, tol):
+        def barrier_stub(Q, u):
             sent.append(np.array(u))
             return {"J_d": -1.0 - np.arange(len(u)), "stalled": np.zeros(len(u), dtype=bool)}
 
         with mock.patch.object(power, "solve_dual_batch", barrier_stub):
-            J, n_barrier, _ = power._row_costs(rows.copy(), 1e-10)
+            J, n_barrier, _ = power._row_costs(rows.copy())
         certified = J >= 0.0
         # exactly the uncertified rows, in order, went to one barrier call
         assert len(sent) == (1 if n_barrier else 0) and n_barrier == (~certified).sum()
@@ -355,8 +355,3 @@ class TestRouting:
         # a zero field has only zero rows: certified, and no margin to report
         rep = compute_power_report(cfg, zero_field(), None, grid)
         assert rep.barrier_rows == 0 and np.isnan(rep.vertex_margin)
-
-    def test_bad_tolerance_rejected_without_barrier_rows(self):
-        cfg = GridConfig(n=1, m_sys=100.0, d_sat=10.0)
-        with pytest.raises(ValueError):
-            compute_power_report(cfg, FIELD, None, GRID, tol=0.1)
