@@ -9,13 +9,15 @@ accurate, so one least-norm Gauss-Newton correction onto the wrench
 constraints then makes the commanded wrench exact.  Strong duality makes the
 construction tight: the primal cost equals the dual bound, which the returned
 solution certifies explicitly.
+
+brute_force_allocate checks that claim from outside the dual: a batched
+multistart Newton search on the constraint manifold, which uses only the
+wrench model.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .dual import DualProblem, solve_dual, unvec_columns
 from .magnetics import (
@@ -168,34 +170,25 @@ def extract_waveforms(lift, R, omega):
     )
 
 
-def _wrench_of(Q, s_j, s_k, c_j, c_k):
-    # outer(a, b).ravel() is kron(a, b) for vectors, without kron's overhead
-    return MU0 / (8.0 * np.pi) * Q @ (np.outer(s_k, s_j).ravel() + np.outer(c_k, c_j).ravel())
+def _wrench_hessians(Q):
+    """Constant Hessians H (6x12x12) of the averaged wrench in the amplitudes
+    m = [s_j, s_k, c_j, c_k]: the wrench is bilinear, so wrench_i = m^T H_i m / 2
+    and its 6x12 Jacobian is H m."""
+    D = MU0 / (8.0 * np.pi) * unvec_columns(Q)
+    H = np.zeros((6, 12, 12))
+    for j, k in ((0, 3), (6, 9)):
+        H[:, j:j + 3, k:k + 3] = D
+        H[:, k:k + 3, j:j + 3] = D.transpose(0, 2, 1)
+    return H
 
 
-def _wrench_jacobian(D, s_j, s_k, c_j, c_k):
-    """6x12 Jacobian of the averaged wrench w.r.t. [s_j, s_k, c_j, c_k],
-    from the unstacked operator D = unvec_columns(Q)."""
-    J = np.zeros((6, 12))
-    J[:, 0:3] = np.einsum("ixy,y->ix", D, s_k)          # d/d s_j of s_k^T D^T s_j
-    J[:, 3:6] = np.einsum("iyx,y->ix", D, s_j)
-    J[:, 6:9] = np.einsum("ixy,y->ix", D, c_k)
-    J[:, 9:12] = np.einsum("iyx,y->ix", D, c_j)
-    return MU0 / (8.0 * np.pi) * J
-
-
-def _feasibility_polish(Q, u_vec, s_j, s_k, c_j, c_k):
+def _feasibility_polish(H, u_vec, m):
     # least-norm Gauss-Newton correction onto the wrench constraint manifold
-    D = unvec_columns(Q)
     for _ in range(2):
-        h = _wrench_of(Q, s_j, s_k, c_j, c_k) - u_vec
-        J = _wrench_jacobian(D, s_j, s_k, c_j, c_k)
-        delta, *_ = np.linalg.lstsq(J, -h, rcond=None)
-        s_j = s_j + delta[0:3]
-        s_k = s_k + delta[3:6]
-        c_j = c_j + delta[6:9]
-        c_k = c_k + delta[9:12]
-    return s_j, s_k, c_j, c_k
+        J = H @ m
+        delta, *_ = np.linalg.lstsq(J, u_vec - 0.5 * J @ m, rcond=None)
+        m = m + delta
+    return m
 
 
 def _zero_solution(omega):
@@ -232,10 +225,10 @@ def allocate(r, hint, u, omega, frame="world"):
     cert = solve_dual(DualProblem(Q=op_los, u=u_los))
     lift = recover_gram(cert, op_los, u_los)
     wf_j, wf_k = extract_waveforms(lift, cert.R_lambda, omega)
-    s_j, s_k, c_j, c_k = _feasibility_polish(
-        Q_los, u_los.as_vector(), wf_j.s, wf_k.s, wf_j.c, wf_k.c
-    )
-    residual = _wrench_of(Q_los, s_j, s_k, c_j, c_k) - u_los.as_vector()
+    H = _wrench_hessians(Q_los)
+    m = _feasibility_polish(H, u_los.as_vector(), np.concatenate([wf_j.s, wf_k.s, wf_j.c, wf_k.c]))
+    s_j, s_k, c_j, c_k = m[0:3], m[3:6], m[6:9], m[9:12]
+    residual = 0.5 * (H @ m) @ m - u_los.as_vector()
     if frame == "world":
         s_j, s_k, c_j, c_k = C @ s_j, C @ s_k, C @ c_j, C @ c_k
         residual = np.concatenate([C @ residual[:3], C @ residual[3:]])
@@ -255,13 +248,177 @@ def allocate(r, hint, u, omega, frame="world"):
     )
 
 
+#: Newton steps a restart may take in either stage of brute_force_allocate.
+MAX_NEWTON_STEPS = 100
+
+#: Halvings of a restart's step length before its line search gives up.
+_MAX_HALVINGS = 30
+
+#: Wrench residual, relative to |u|, at which feasibility Gauss-Newton stops
+#: and which a manifold step must keep after its retraction.
+_FEAS_TOL = 1.0e-12
+
+#: Singular values of the wrench Jacobian below this fraction of the largest
+#: leave their direction tangent to the constraint set to first order.
+_RANK_TOL = 1.0e-8
+
+#: Floor on |eigenvalue| of the reduced Hessian (amplitudes in units of the
+#: scale guess, where the cost Hessian is the identity).
+_CURVATURE_FLOOR = 1.0e-3
+
+#: Predicted decrease, relative to the cost, below which no step can lower
+#: the cost measurably in double precision.
+_ROUNDING = 4.0 * np.finfo(float).eps
+
+
+def _residuals(H, u, X):
+    """Wrench residuals (r, 6) and Jacobians (r, 6, 12) of amplitude rows X."""
+    J = np.einsum("ipq,rq->rip", H, X)
+    return 0.5 * np.einsum("rip,rp->ri", J, X) - u, J
+
+
+def _least_norm(J, h):
+    """Least-norm solutions of J_r d_r = h_r, from the normal equations with
+    a damping at rounding level, so a rank-deficient J_r is solved as well."""
+    JJ = J @ J.transpose(0, 2, 1)
+    damping = 1.0e-14 * np.trace(JJ, axis1=1, axis2=2) + np.finfo(float).tiny
+    JJ += damping[:, None, None] * np.eye(6)
+    return np.einsum("rip,ri->rp", J, np.linalg.solve(JJ, h[..., None])[..., 0])
+
+
+def _retract(H, u, X):
+    """Four least-norm Gauss-Newton steps from each row back onto the constraints."""
+    for _ in range(4):
+        h, J = _residuals(H, u, X)
+        X = X - _least_norm(J, h)
+    return X
+
+
+def _line_search(trial, accept, count):
+    """Per-row backtracking over step lengths 1, 1/2, 1/4, ...: trial(rows, a)
+    gives the candidates of `rows` at step length a, accept(rows, cand, a)
+    which of them pass.  A row stops at its first passing candidate, so its
+    outcome does not depend on the other rows.  Returns the accepted
+    candidates and the rows that found one within _MAX_HALVINGS halvings."""
+    found = np.zeros(count, dtype=bool)
+    out = np.zeros((count, 12))
+    for k in range(_MAX_HALVINGS):
+        rows = np.flatnonzero(~found)
+        if rows.size == 0:
+            break
+        cand = trial(rows, 0.5**k)
+        ok = accept(rows, cand, 0.5**k)
+        out[rows[ok]] = cand[ok]
+        found[rows[ok]] = True
+    return out, found
+
+
+def _feasible_points(H, u, X):
+    """Damped least-norm Gauss-Newton from each row of X onto the constraints
+    x^T H_i x / 2 = u_i, backtracking on the residual norm.  A row stops when
+    its residual reaches _FEAS_TOL or its line search fails."""
+    X = X.copy()
+    active = np.ones(len(X), dtype=bool)
+    for _ in range(MAX_NEWTON_STEPS):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        x = X[idx]
+        h, J = _residuals(H, u, x)
+        size = np.linalg.norm(h, axis=1)
+        d = -_least_norm(J, h)
+        moving = np.flatnonzero(size > _FEAS_TOL)
+        new, found = _line_search(
+            lambda rows, a: x[moving[rows]] + a * d[moving[rows]],
+            lambda rows, c, a: np.linalg.norm(_residuals(H, u, c)[0], axis=1)
+            <= (1.0 - 1.0e-4 * a) * size[moving[rows]],
+            moving.size,
+        )
+        X[idx[moving[found]]] = new[found]
+        active[idx] = False
+        active[idx[moving[found]]] = True
+    return X
+
+
+def _manifold_minima(H, u, X):
+    """Local minima of |x|^2/2 on {x : x^T H_i x / 2 = u_i} from each row of X.
+
+    H and u are normalized (|u| = 1, amplitudes in units of the scale guess).
+    After _feasible_points, each feasible row takes Newton steps on the
+    manifold: the tangent basis is the right singular vectors of the Jacobian
+    J beyond its numerical rank (_RANK_TOL), the multipliers y solve
+    J^T y = -x in least squares, and the reduced Hessian of the Lagrangian
+    I + sum_i y_i H_i is exact.  Its eigenvalues enter as |lambda| floored at
+    _CURVATURE_FLOOR; the drive-phase symmetry gives it an exact zero.  A
+    step is retracted by Gauss-Newton and accepted by an Armijo test on the
+    cost.  A row stops when the predicted decrease is below the rounding of
+    its cost and the reduced Hessian has no eigenvalue below
+    -_CURVATURE_FLOOR (otherwise it steps along that eigenvector), or when
+    its line search fails.  Rows never share a step length, mask or stopping
+    test.  Returns the final rows and each row's count of manifold steps.
+    """
+    X = _feasible_points(H, u, X)
+    steps = np.zeros(len(X), dtype=int)
+    active = np.linalg.norm(_residuals(H, u, X)[0], axis=1) <= _FEAS_TOL
+    eye = np.eye(12)
+    for _ in range(MAX_NEWTON_STEPS):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        x = X[idx]
+        _, J = _residuals(H, u, x)
+        U, S, Vt = np.linalg.svd(J)
+        normal = S > _RANK_TOL * S[:, :1]
+        tangent = np.concatenate([~normal, np.ones_like(normal)], axis=1)
+        coords = np.einsum("rkp,rp->rk", Vt, x)
+        y = -np.einsum("rij,rj->ri", U, np.where(normal, coords[:, :6] / np.where(normal, S, 1.0), 0))
+        g = np.where(tangent, coords, 0.0)
+        B = Vt @ (eye + np.einsum("ri,ipq->rpq", y, H)) @ Vt.transpose(0, 2, 1)
+        lam, V = np.linalg.eigh(np.where(tangent[:, :, None] & tangent[:, None, :], B, eye))
+        curvature = np.maximum(np.abs(lam), _CURVATURE_FLOOR)
+        q = -np.einsum("rkl,rl->rk", V, np.einsum("rlk,rl->rk", V, g) / curvature)
+        cost = 0.5 * np.einsum("rp,rp->r", x, x)
+        decrease = -np.einsum("rk,rk->r", g, q)
+        flat = decrease <= _ROUNDING * cost
+        # at a stationary point that is not a minimum, step along the most
+        # negative curvature; the model decrease then grows with alpha^2
+        escape = flat & (lam[:, 0] < -_CURVATURE_FLOOR)
+        reach = np.sqrt(2.0 * cost[escape])
+        q[escape] = V[escape, :, 0] * reach[:, None]
+        decrease[escape] = -0.5 * lam[escape, 0] * reach**2
+        p = np.einsum("rkp,rk->rp", Vt, q)
+        moving = np.flatnonzero(~flat | escape)
+
+        def accept(rows, cand, a):
+            r = moving[rows]
+            power = np.where(escape[r], a * a, a)
+            return (np.linalg.norm(_residuals(H, u, cand)[0], axis=1) <= _FEAS_TOL) & (
+                0.5 * np.einsum("rp,rp->r", cand, cand) <= cost[r] - 1.0e-4 * power * decrease[r]
+            )
+
+        new, found = _line_search(
+            lambda rows, a: _retract(H, u, x[moving[rows]] + a * p[moving[rows]]),
+            accept,
+            moving.size,
+        )
+        X[idx[moving[found]]] = new[found]
+        steps[idx[moving[found]]] += 1
+        active[idx] = False
+        active[idx[moving[found]]] = True
+    return X, steps
+
+
 def brute_force_allocate(r, hint, u, restarts=20, seed=0, omega=1.0):
-    """Global-optimality oracle: augmented-Lagrangian descent from random starts.
+    """Global-optimality oracle: Newton on the constraint manifold from random starts.
 
     Minimizes the total squared amplitude over the raw 12 variables subject to
-    the six wrench equalities: BFGS on the augmented Lagrangian with multiplier
-    updates, then a trust-region feasibility restoration.  Independent of the
-    dual/recovery path; returns the best feasible solution found.
+    the six wrench equalities, all restarts as one batch.  Each start (seeded
+    normal draws) is first taken onto the constraint set by damped least-norm
+    Gauss-Newton steps, then moved by Newton steps on the manifold: reduced
+    Hessian of the Lagrangian, exact because the wrench is bilinear, with
+    |eigenvalue| modification, a Gauss-Newton retraction and an Armijo test on
+    the cost.  Uses nothing from the dual/recovery path; returns the best
+    restart feasible to 1e-6 |u|.
     """
     if restarts < 20:
         raise ValueError("restarts must be >= 20")
@@ -271,79 +428,27 @@ def brute_force_allocate(r, hint, u, restarts=20, seed=0, omega=1.0):
     u_norm = np.linalg.norm(u_vec)
     if u_norm == 0.0:
         return _zero_solution(omega)
-    Q = op.Q
-    D = unvec_columns(Q)
-    feas_tol = 1.0e-6 * u_norm
-    rng = np.random.default_rng(seed)
+    H = _wrench_hessians(op.Q)
     # amplitude scale guess from the wrench magnitude and operator scale
-    m_scale = np.sqrt(u_norm / (MU0 / (8.0 * np.pi) * np.linalg.norm(Q)))
-
-    def constraint(m):
-        return _wrench_of(Q, m[0:3], m[3:6], m[6:9], m[9:12]) - u_vec
-
-    def con_jac(m):
-        return _wrench_jacobian(D, m[0:3], m[3:6], m[6:9], m[9:12])
-
-    best = None
-    for _ in range(restarts):
-        m = rng.normal(scale=m_scale, size=12)
-        y = np.zeros(6)
-        # penalty curvature rho*(dh/dm)^2 comparable to the identity objective Hessian
-        rho = 10.0 * (m_scale / u_norm) ** 2
-
-        for _ in range(8):
-            def aug(mv, y=y, rho=rho):
-                h = constraint(mv)
-                return 0.5 * mv @ mv + y @ h + 0.5 * rho * (h @ h)
-
-            def aug_grad(mv, y=y, rho=rho):
-                h = constraint(mv)
-                return mv + con_jac(mv).T @ (y + rho * h)
-
-            res = scipy.optimize.minimize(
-                aug, m, jac=aug_grad, method="BFGS",
-                options={"maxiter": 300, "gtol": 1e-12 * (1 + m_scale**2)},
-            )
-            m = res.x
-            h = constraint(m)
-            if np.linalg.norm(h) <= 1e-3 * u_norm:
-                break
-            y = y + rho * h
-            rho *= 4.0
-        # BFGS stalls once rho ill-conditions the penalty Hessian, and the
-        # constraint Jacobian can lose rank at the attractor; trust-region
-        # least squares restores exact feasibility from nearby
-        if np.linalg.norm(constraint(m)) > 0.01 * feas_tol:
-            with warnings.catch_warnings():
-                # scipy's trust-region boundary solver divides by zero on
-                # exactly rank-deficient Jacobians; results are unaffected
-                warnings.simplefilter("ignore", RuntimeWarning)
-                restored = scipy.optimize.least_squares(
-                    lambda mv: constraint(mv) / u_norm,
-                    m,
-                    jac=lambda mv: con_jac(mv) / u_norm,
-                    method="trf",
-                    xtol=2.3e-16,
-                    ftol=2.3e-16,
-                    gtol=None,
-                    max_nfev=400,
-                )
-            m = restored.x
-        h = constraint(m)
-        if np.linalg.norm(h) <= feas_tol:
-            J = 0.5 * m @ m
-            if best is None or J < best[0]:
-                best = (J, m.copy(), h.copy())
-    if best is None:
+    m_scale = np.sqrt(u_norm / (MU0 / (8.0 * np.pi) * np.linalg.norm(op.Q)))
+    starts = np.random.default_rng(seed).standard_normal((restarts, 12))
+    X, _ = _manifold_minima(H * (m_scale**2 / u_norm), u_vec / u_norm, starts)
+    M = m_scale * X
+    h = 0.5 * np.einsum("rp,ipq,rq->ri", M, H, M) - u_vec
+    feasible = np.flatnonzero(np.linalg.norm(h, axis=1) <= 1.0e-6 * u_norm)
+    if feasible.size == 0:
         raise NoFeasiblePointError(
             f"no feasible allocation after {restarts} restarts (||u|| = {u_norm:.3e})"
         )
-    J, m, h = best
+    cost = 0.5 * np.einsum("rp,rp->r", M, M)
+    best = feasible[np.argmin(cost[feasible])]
+    # copies, so the solution does not keep every restart's arrays alive
+    m, residual = M[best].copy(), h[best].copy()
     return AllocationSolution(
         dipole_j=DipoleWaveform(s=m[0:3], c=m[6:9], omega=omega),
         dipole_k=DipoleWaveform(s=m[3:6], c=m[9:12], omega=omega),
-        J_p=float(J),
+        J_p=float(cost[best]),
         J_d=float("nan"),
         gap=float("nan"),
-        wrench_residual=h,
+        wrench_residual=residual,
     )

@@ -96,6 +96,9 @@ def load_scenario(path):
         raise UsageError("grid must give exactly one of r_l_m or d_sat_m")
     if not isinstance(grid["n_list"], list) or not grid["n_list"]:
         raise UsageError("grid.n_list must be a nonempty list")
+    for section in ("coil", "sampling", "overrides"):
+        if not isinstance(raw.get(section, {}), dict):
+            raise UsageError(f"scenario section '{section}' must be a JSON object")
     sampling = {**DEFAULT_SAMPLING, **raw.get("sampling", {})}
     if sampling.pop("dual_tol", DEFAULT_TOL) != DEFAULT_TOL:
         raise UsageError(f"sampling.dual_tol must be {DEFAULT_TOL:g}: the dual is always"

@@ -7,6 +7,7 @@ telescoping sums, RK4 integration) and reports per-case failures.  A single
 it so suites can run standalone or together with identical outcomes.
 """
 
+import time
 import zlib
 
 import numpy as np
@@ -229,7 +230,8 @@ _SUITE_FN = {
 
 
 def run_suites(names=SUITES, seed=0, cases=None):
-    """Run the named suites; returns a summary dict with per-suite results."""
+    """Run the named suites; returns a summary dict with per-suite results,
+    each with its wall time in "seconds"."""
     results = []
     for name in names:
         if name not in _SUITE_FN:
@@ -237,6 +239,9 @@ def run_suites(names=SUITES, seed=0, cases=None):
         kwargs = {"seed": seed}
         if cases is not None:
             kwargs["cases"] = cases
-        results.append(_SUITE_FN[name](**kwargs))
+        start = time.perf_counter()
+        result = _SUITE_FN[name](**kwargs)
+        result["seconds"] = time.perf_counter() - start
+        results.append(result)
     passed = all(not r["failures"] for r in results)
     return {"passed": passed, "seed": seed, "suites": results}

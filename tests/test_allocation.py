@@ -19,6 +19,7 @@ from emff import (
     recover_gram,
     solve_dual,
 )
+from emff.allocation import MAX_NEWTON_STEPS, _manifold_minima
 from emff.brigade import GridConfig, pair_command
 from emff.dual import DualCertificate
 from conftest import forward_command, random_geometry
@@ -61,6 +62,19 @@ def brigade_command(rng):
     cfg = GridConfig.from_line_length(n, 100.0, 1000.0)
     u = Wrench.from_vector(pair_command(cfg, FIELD, j, t))
     return -cfg.d_sat * FIELD.direction(t), rng.normal(size=3), u
+
+
+@pytest.fixture
+def manifold_runs(monkeypatch):
+    """Records (rows, steps) of every _manifold_minima call the oracle makes."""
+    runs = []
+
+    def spy(*args):
+        runs.append(_manifold_minima(*args))
+        return runs[-1]
+
+    monkeypatch.setattr("emff.allocation._manifold_minima", spy)
+    return runs
 
 
 def los_setup(u_vec, d=1.0):
@@ -249,3 +263,48 @@ class TestBruteForce:
             assert np.linalg.norm(brute.wrench_residual) <= 1e-6 * u.norm
             sol = allocate(r, hint, u, omega=1.0)
             assert brute.J_p >= sol.J_d * (1 - 1e-4)
+
+    def test_independent_of_dual(self, rng, monkeypatch):
+        def no_dual(*args, **kwargs):
+            raise AssertionError("the oracle must not call the dual")
+
+        monkeypatch.setattr("emff.allocation.solve_dual", no_dual)
+        monkeypatch.setattr("emff.dual.solve_dual_batch", no_dual)
+        r, hint, u, _ = forward_command(rng)
+        brute = brute_force_allocate(r, hint, u, restarts=20, seed=4)
+        assert np.linalg.norm(brute.wrench_residual) <= 1e-6 * u.norm
+        realized = averaged_wrench(interaction_operator(r, hint), brute.dipole_j, brute.dipole_k)
+        assert np.linalg.norm(realized.as_vector() - u.as_vector()) <= 1e-6 * u.norm
+
+    def test_rows_independent_of_batch(self, rng, manifold_runs):
+        # restarts=40 draws the same first 20 starts as restarts=20
+        r, hint, u, _ = forward_command(rng)
+        J_20 = brute_force_allocate(r, hint, u, restarts=20, seed=5).J_p
+        J_40 = brute_force_allocate(r, hint, u, restarts=40, seed=5).J_p
+        assert J_40 <= J_20 * (1 + 1e-12)
+        (X_20, steps_20), (X_40, steps_40) = manifold_runs
+        assert np.allclose(X_40[:20], X_20, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(steps_40[:20], steps_20)
+
+    def test_tight_on_forward_commands(self, rng):
+        for seed in range(3):
+            r, hint, u, _ = forward_command(rng)
+            brute = brute_force_allocate(r, hint, u, restarts=20, seed=seed)
+            sol = allocate(r, hint, u, omega=1.0)
+            assert abs(brute.J_p / sol.J_d - 1) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "r,u,seed",
+        [
+            ([1.0, 0, 0], [1e-5, 0, 0, 0, 0, 0], 1),    # axial force
+            ([1.5, 0, 0], [0, 0, 0, 0, 0, 2e-7], 3),    # pure torque
+        ],
+    )
+    def test_structured_commands_stop_before_step_cap(self, manifold_runs, r, u, seed):
+        # every restart stops on its own stationarity or line-search test,
+        # and the best one reaches the dual bound
+        brute = brute_force_allocate(r, [0, 0, -1.0], u, restarts=20, seed=seed)
+        (_, steps), = manifold_runs
+        assert steps.max() < MAX_NEWTON_STEPS
+        sol = allocate(r, [0, 0, -1.0], u, omega=1.0)
+        assert abs(brute.J_p / sol.J_d - 1) <= 1e-9

@@ -257,6 +257,9 @@ class TestScenarioValidation:
             (lambda s: s["orbit"].pop("altitude_km"), "orbit.altitude_km"),
             (lambda s: s["plane"].pop("r_xyd_m"), "plane.r_xyd_m"),
             (lambda s: s.update(grid=[1, 2]), "'grid'"),
+            (lambda s: s.update(coil=3), "'coil'"),
+            (lambda s: s.update(sampling=[24]), "'sampling'"),
+            (lambda s: s.update(overrides=["k_j2"]), "'overrides'"),
         ],
     )
     def test_bad_input_is_usage_error(self, tmp_path, capsys, edit, message):
@@ -289,6 +292,7 @@ class TestVerifyCmd:
         data = json.loads(out.read_text())
         assert data["passed"] is True
         assert {s["suite"] for s in data["suites"]} == {"averaging", "telescoping", "orbit"}
+        assert all(s["seconds"] >= 0.0 for s in data["suites"])
 
     def test_duality_suite_case_count(self, tmp_path):
         out = tmp_path / "verify.json"
