@@ -1,14 +1,14 @@
 """Globally optimal dipole allocation for a two-coil pair.
 
-Pipeline: solve the convex dual (at dual.DEFAULT_TOL), recover the rank-<=2
-Gram matrix G = s_j s_j^T + c_j c_j^T of the driven coil from the active
-singular subspace of R at the dual optimum, factor G into sine/cosine
-amplitude vectors, and mirror them onto the partner coil via
-[s_k, c_k] = -R^T [s_j, c_j].  The barrier multiplier is only sqrt(gap)-
-accurate, so one least-norm Gauss-Newton correction onto the wrench
-constraints then makes the commanded wrench exact.  Strong duality makes the
-construction tight: the primal cost equals the dual bound, which the returned
-solution certifies explicitly.
+Pipeline: solve the convex dual together with its nuclear-norm primal (at
+dual.DEFAULT_TOL), read the rank-<=2 Gram matrix G = s_j s_j^T + c_j c_j^T of
+the driven coil off the primal point X' = s_j s_k^T + c_j c_k^T (its two
+leading singular triplets), factor G into sine/cosine amplitude vectors, and
+mirror them onto the partner coil via [s_k, c_k] = -R^T [s_j, c_j].  The
+optimum has rank two or less, so the truncation drops only a rounding-level
+third singular value and the commanded wrench needs no correction step.
+Strong duality makes the construction tight: the primal cost equals the dual
+bound, which the returned solution certifies explicitly.
 
 brute_force_allocate checks that claim from outside the dual: a batched
 multistart Newton search on the constraint manifold, which uses only the
@@ -40,12 +40,9 @@ GAP_FLOOR = 1.0e-12
 #: Eigenvalues of G below -1e-9 (relative to its trace) are treated as errors.
 PSD_CLIP = 1.0e-9
 
-#: Singular values of R within this distance of 1 count as active constraints.
-TOL_ACTIVE = 1.0e-6
-
 
 class RecoveryError(RuntimeError):
-    """Primal recovery failed: empty active subspace or inconsistent lift."""
+    """Primal recovery failed: the lift does not reproduce the command."""
 
 
 class GapViolationError(RuntimeError):
@@ -89,59 +86,26 @@ class AllocationSolution:
     wrench_residual: np.ndarray
 
 
-def _trace_equations(R, D, G):
-    """LHS of the recovery system: -tr[R D_i^T G] for each operator row."""
-    return -np.einsum("xy,iyz,zx->i", R, D.transpose(0, 2, 1), G)
-
-
 def recover_gram(cert, op, u):
-    """Gram lift supported on the active singular subspace of R at the optimum.
+    """Gram lift read off the certificate's primal point.
 
-    Solves the six linear trace equations for a symmetric coefficient matrix on
-    the subspace (singular values within TOL_ACTIVE of 1; least squares), clips
-    tiny negative eigenvalues and keeps the top two eigenpairs.  Raises
-    RecoveryError when no singular value sits near 1 for a nonzero command, or
-    when the lift's trace-equation residual under cert.R_lambda exceeds 1e-6,
-    which shows the dual was not actually optimal.
+    X' = -(8 pi/mu0) X = s_j s_k^T + c_j c_k^T, so its two leading singular
+    triplets (sigma_i, a_i, b_i) give G = sum_i sigma_i a_i a_i^T.  With the
+    partner mirrored as [s_k, c_k] = -R^T [s_j, c_j], the lift must satisfy
+    -Q vec(G R) = (8 pi/mu0) u; raises RecoveryError when its relative
+    residual under cert.R_lambda exceeds 1e-6, which shows that the
+    certificate is not optimal or its optimum has rank three.
     """
     u_vec = u.as_vector()
-    u_norm = np.linalg.norm(u_vec)
-    if u_norm == 0.0:
+    if np.linalg.norm(u_vec) == 0.0:
         return GramLift(G=np.zeros((3, 3)), residual=0.0)
-    R = cert.R_lambda
-    D = unvec_columns(op.Q)
-    U, sigma, _ = np.linalg.svd(R)
-    active = sigma >= 1.0 - TOL_ACTIVE
-    k = int(active.sum())
-    if k == 0:
-        raise RecoveryError(
-            f"no active singular value (max sigma = {sigma[0]:.12f}); dual not converged"
-        )
-    V = U[:, active]
-    pairs = [(a, b) for a in range(k) for b in range(a, k)]
-    A = np.zeros((6, len(pairs)))
-    for i in range(6):
-        Ai = -(V.T @ R @ D[i].T @ V)
-        Ai = 0.5 * (Ai + Ai.T)
-        for col, (a, b) in enumerate(pairs):
-            A[i, col] = Ai[a, b] if a == b else 2.0 * Ai[a, b]
+    a, sigma, _ = np.linalg.svd(-(8.0 * np.pi / MU0) * cert.X)
+    G = (a[:, :2] * sigma[:2]) @ a[:, :2].T
     rhs = (8.0 * np.pi / MU0) * u_vec
-    coeffs, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    S = np.zeros((k, k))
-    for col, (a, b) in enumerate(pairs):
-        S[a, b] = S[b, a] = coeffs[col]
-    w, P = np.linalg.eigh(S)
-    scale = max(abs(w).max(), GAP_FLOOR)
-    if w[0] < -PSD_CLIP * scale:
-        raise RecoveryError(f"recovered lift indefinite: min eigenvalue {w[0]:.3e}")
-    w = np.clip(w, 0.0, None)
-    # top eigenpairs (at most two) give the rank-limited factor
-    order = np.argsort(w)[::-1][: min(k, 2)]
-    W = V @ (P[:, order] * np.sqrt(w[order]))
-    G = W @ W.T
-    residual = np.linalg.norm(_trace_equations(R, D, G) - rhs) / np.linalg.norm(rhs)
+    lhs = -op.Q @ (G @ cert.R_lambda).ravel(order="F")
+    residual = np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
     if residual > 1.0e-6:
-        raise RecoveryError(f"trace-equation residual {residual:.3e} too large")
+        raise RecoveryError(f"lift reproduces the command only to {residual:.3e}")
     return GramLift(G=G, residual=float(residual))
 
 
@@ -182,15 +146,6 @@ def _wrench_hessians(Q):
     return H
 
 
-def _feasibility_polish(H, u_vec, m):
-    # least-norm Gauss-Newton correction onto the wrench constraint manifold
-    for _ in range(2):
-        J = H @ m
-        delta, *_ = np.linalg.lstsq(J, u_vec - 0.5 * J @ m, rcond=None)
-        m = m + delta
-    return m
-
-
 def _zero_solution(omega):
     zero = DipoleWaveform(s=np.zeros(3), c=np.zeros(3), omega=omega)
     return AllocationSolution(
@@ -225,10 +180,9 @@ def allocate(r, hint, u, omega, frame="world"):
     cert = solve_dual(DualProblem(Q=op_los, u=u_los))
     lift = recover_gram(cert, op_los, u_los)
     wf_j, wf_k = extract_waveforms(lift, cert.R_lambda, omega)
-    H = _wrench_hessians(Q_los)
-    m = _feasibility_polish(H, u_los.as_vector(), np.concatenate([wf_j.s, wf_k.s, wf_j.c, wf_k.c]))
-    s_j, s_k, c_j, c_k = m[0:3], m[3:6], m[6:9], m[9:12]
-    residual = 0.5 * (H @ m) @ m - u_los.as_vector()
+    s_j, s_k, c_j, c_k = wf_j.s, wf_k.s, wf_j.c, wf_k.c
+    bilinear = np.kron(s_k, s_j) + np.kron(c_k, c_j)
+    residual = MU0 / (8.0 * np.pi) * Q_los @ bilinear - u_los.as_vector()
     if frame == "world":
         s_j, s_k, c_j, c_k = C @ s_j, C @ s_k, C @ c_j, C @ c_k
         residual = np.concatenate([C @ residual[:3], C @ residual[3:]])

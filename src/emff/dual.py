@@ -1,60 +1,71 @@
-"""Lagrange dual of the two-coil dipole-allocation problem.
+"""Lagrange dual of the two-coil dipole-allocation problem, solved with its primal.
 
 The nonconvex allocation problem (minimize total squared dipole amplitude
 subject to a commanded time-averaged wrench) has the dual
 
     maximize  -(8 pi / mu0) lambda^T u
-    s.t.      P(lambda) = [[I, R], [R^T, I]] >= 0,   vec(R) = Q^T lambda,
+    s.t.      sigma_max(R) <= 1,   vec(R) = Q^T lambda,
 
-a linear objective over the preimage of the spectral-norm unit ball.  The
-block constraint is equivalent to sigma_max(R) <= 1, so the feasible set is
-compact (Q has full row rank) and lambda = 0 is a strict interior point:
-the solver converges for any finite command and the optimum is finite.
+whose conic dual is nuclear-norm minimization over an affine slice (Recht,
+Fazel & Parrilo 2010):
 
-Solved by damped-Newton path following on the log-det barrier
-phi_t = t * objective + log det(I - R^T R) with a geometric schedule on t
-(factor 100) until the barrier duality gap 6/t falls below DEFAULT_TOL
-relative to the optimum.  The central path moves like lambda* + a/t, so the
-Newton step at the raised t, taken from the old centre, overshoots by
-t_new/t_prev: the line search of each stage's first step starts at
-alpha = t_prev/t_new, which extrapolates along the path in 1/t
-(Fiacco-McCormick), instead of backtracking there from alpha = 1.
-Everything is vectorized over a batch axis so sweeps over time grids and
-satellite pairs amortize to dense 3x3/6x6 work.
+    minimize  (8 pi / mu0) ||X||_*   s.t.   Q vec X = -u.
 
-A batch shares one 6x9 operator.  M = I - R^T R is quadratic in lambda and
-S_i = -dM/dlambda_i is linear in it, so S comes from one product of lambda
-with a per-batch constant, and the Hessian term tr(M^-1 dS_i/dlambda_j) from
-one product of M^-1 with another.  M^-1 and log det M come from a closed-form
-LDL^T factorization of the 3x3 M; the barrier value of the accepted line-search
-trial is reused at the next iterate.  Each stage drops the rows that have
-finished centering, so a row costs only its own iterations.  Every per-row
-quantity is a stack of per-row products and each row keeps its own 6x6 solve,
-so a row's result is bit-for-bit independent of the batch it is solved in.
+Weak duality is -lambda^T u = <R, X> <= sigma_max(R) ||X||_*.  Q has full row
+rank, so the slice is X0 + sum_i z_i N_i with X0 the least-norm point and
+N_1..N_3 an orthonormal basis of the null space of Q (for the line-of-sight
+operator psi_stack(d) it spans I, diag(0, 1, -1) and E_23 + E_32).
+
+Each row is solved over z in R^3 by Newton's method on the smoothed objective
+f_mu(z) = sum_i sqrt(sigma_i(X)^2 + mu^2), with the analytic Hessian of a
+spectral function (Lewis & Sendov 2001), an Armijo line search and a damping
+of 1e-14 tr H (an axial-torque command has a flat optimal face, where the
+Hessian is singular).  mu starts at _MU_START |X0|_F and falls by _MU_FACTOR
+per stage down to _MU_FINAL |X0|_F; each stage starts from the tangent
+predictor of the smoothed minimizer path z(mu).  The last stage is centred
+until its squared Newton decrement is below _DECREMENT_FINAL, and one more
+Newton step follows.  Since z(mu) = z* + mu z'(mu) + O(mu^2), a tangent step
+to mu = 0 then lands on the optimum without driving mu to rounding, where the
+Hessian's 1/mu curvature would swamp the rest of it.
+
+From the SVD U S V^T of the optimum, a dual matrix of leading rank r is
+G = U_r V_r^T + U_0 W V_0^T, where W on the trailing block starts from the
+smoothed gradient and takes the least-norm correction that makes G
+orthogonal to every N_i.  Projecting G onto range(Q^T) gives lambda, scaled
+so that sigma_max(R) <= 1.  Every such lambda is dual feasible, so of the
+candidates r = 1, 2, 3 the one with the largest dual value is kept; the rank
+of the optimum is never guessed from a threshold.  J_p, J_d and the gap are
+measured from the two points.
+
+A batch shares one 6x9 operator.  Each row runs its own schedule, line search
+and stopping test, and every per-row quantity is a stack of per-row products
+or LAPACK calls, so a row's result is bit-for-bit independent of its batch.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .magnetics import MU0, InteractionOperator, Wrench
 
-#: Relative duality-gap target of the barrier schedule, for every solve.
+#: Relative duality gap every solve must certify.
 DEFAULT_TOL = 1.0e-10
 
-_BARRIER_NU = 6.0        # barrier parameter of the 6x6 log-det cone
-_NEWTON_EPS = 1.0e-13    # stop centering when decrement^2 / 2 falls below
+#: Newton systems a row may build over all stages before it counts as stalled.
 _MAX_NEWTON = 60
-_MIN_STEP = 1.0e-14
-_T_FACTOR = 100          # barrier weight raise per stage
-# stage k runs at t0 * _T_FACTOR**k and the last is the first to reach the
-# target 4 t0 / DEFAULT_TOL (an int power against a float compares exactly)
-_N_STAGES = 1 + min(k for k in range(64) if _T_FACTOR**k >= 4.0 / DEFAULT_TOL)
+_MU_START = 0.1
+_MU_FACTOR = 0.01
+_MU_FINAL = 1.0e-10
+#: Newton decrement^2 (|X0|_F = 1) below which the last stage takes its final step.
+_DECREMENT_FINAL = 1.0e-20
+#: Steps with decrement^2 below this multiple of mu are taken whole, without a line search.
+_FULL_STEP = 0.01
+_MAX_HALVINGS = 40
+_EYE3 = np.eye(3)
 
 
 class SolverError(RuntimeError):
-    """Newton centering failed to converge; carries the best iterate found."""
+    """A solve stalled or missed the gap DEFAULT_TOL; carries its certificate."""
 
     def __init__(self, message, best=None):
         super().__init__(message)
@@ -75,20 +86,24 @@ class DualProblem:
 
 @dataclass(frozen=True)
 class DualCertificate:
-    """Optimal multiplier with the quantities the recovery step consumes.
+    """Two-sided certificate of one instance.
 
-    lambda_      -- dual multiplier (6,)
-    R_lambda     -- 3x3 matrix with vec(R) = Q^T lambda (column-stacked)
-    J_d          -- dual optimal value, A^2*m^4
-    sigma_max    -- spectral norm of R_lambda (<= 1 + 1e-8; = 1 at optimum for u != 0)
-    kkt_residual -- relative first-order optimality bound delivered by the barrier
+    lambda_   -- dual multiplier (6,)
+    R_lambda  -- 3x3 matrix with vec(R) = Q^T lambda (column-stacked)
+    J_d       -- dual value -(8 pi/mu0) lambda^T u, A^2*m^4: a lower bound
+    sigma_max -- spectral norm of R_lambda (<= 1 up to rounding)
+    X         -- primal point with Q vec X = -u
+    J_p       -- primal value (8 pi/mu0) ||X||_*: an upper bound
+    gap       -- measured relative gap (J_p - J_d) / J_p (0 for u = 0)
     """
 
     lambda_: np.ndarray
     R_lambda: np.ndarray
     J_d: float
     sigma_max: float
-    kkt_residual: float
+    X: np.ndarray
+    J_p: float
+    gap: float
 
     def __post_init__(self):
         if self.sigma_max > 1.0 + 1.0e-8:
@@ -111,126 +126,71 @@ def unvec_columns(q):
     return q.reshape(q.shape[:-1] + (3, 3)).swapaxes(-1, -2)
 
 
-#: The identity as the distinct entries (m00, m01, m02, m11, m12, m22) of a
-#: symmetric 3x3 matrix, the form _ldl3 takes.
-_EYE6 = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 1.0])
-#: Row-major positions in R of R[k, a] and R[k, b], k = 0..2, for each entry
-#: (a, b) of R^T R in _EYE6 order.
-_RTR_A = np.array([[3 * k + a for a in (0, 0, 0, 1, 1, 2)] for k in range(3)])
-_RTR_B = np.array([[3 * k + b for b in (0, 1, 2, 1, 2, 2)] for k in range(3)])
-#: V[(j, z), x] -> V[(x, z), j] over the (6*3, 3) stack of 3x3 blocks.
-_SWAP = np.arange(54).reshape(6, 3, 3).transpose(2, 1, 0).ravel()
+def _spectral(X, N, mu):
+    """SVD U s V^T of X (b, 3, 3), h = sqrt(s^2 + mu^2), the damped Hessian H
+    of f_mu(z) = sum_i h_i and, as the columns of rhs (b, 3, 2), its gradient
+    g and d g / d mu.  With Nt[b, k] = U^T N_k V and the divided differences
+    a_ij = (h'_i - h'_j)/(s_i - s_j), b_ij = (h'_i + h'_j)/(s_i + s_j),
+        H_kl = sum_ij (a_ij + b_ij)/2 Nt_kij Nt_lij + (a_ij - b_ij)/2 Nt_kij Nt_lji;
+    a_ii = h''_i, so the i = j terms are the diagonal part h''_i Nt_kii Nt_lii."""
+    U, s, Vt = np.linalg.svd(X)
+    Nt = _rotated(U, N, Vt)
+    m = mu[:, None]
+    h = np.sqrt(s * s + m * m)
+    si, sj, hi, hj = s[:, :, None], s[:, None, :], h[:, :, None], h[:, None, :]
+    ssum = si + sj
+    # rho = (s_i h_j + s_j h_i)/(s_i + s_j) is a weighted mean of h_i and h_j,
+    # so at least mu; it is mu when s_i = s_j = 0
+    rho = np.maximum((si * hj + hi * sj) / (ssum + (ssum == 0.0)), m[:, :, None])
+    hh = hi * hj
+    a = (m * m)[:, :, None] / (hh * rho)
+    b = rho / hh
+    W = (0.5 * (a + b))[:, None] * Nt + (0.5 * (a - b))[:, None] * Nt.swapaxes(2, 3)
+    H = Nt.reshape(-1, 3, 9) @ W.reshape(-1, 3, 9).swapaxes(1, 2)
+    H += (1.0e-14 * np.trace(H, axis1=1, axis2=2))[:, None, None] * _EYE3
+    d = np.stack([s / h, -s * m / (h * h * h)], axis=1)
+    rhs = np.einsum("bci,bkii->bkc", d, Nt)
+    return U, s, Vt, h, H, rhs
 
 
-class _Maps(NamedTuple):
-    """Constants of one shared operator that the Newton iteration uses.
-
-    D      -- (6, 3, 3) blocks with R = sum_i lambda_i D_i
-    R_map  -- (6, 9): lambda @ R_map is R row-major
-    S_map  -- (6, 54): lambda @ S_map stacks the six row-major 3x3 matrices
-              S_i = D_i^T R + R^T D_i = sum_k lambda_k (D_i^T D_k + D_k^T D_i)
-    H2_map -- (9, 36): vec(M^-1) @ H2_map = [tr(M^-1 (D_i^T D_j + D_j^T D_i))]_ij
-    """
-
-    D: np.ndarray
-    R_map: np.ndarray
-    S_map: np.ndarray
-    H2_map: np.ndarray
+def _rotated(U, N, Vt):
+    """The null directions in the singular bases of each row: U^T N_k V (b, 3, 3, 3)."""
+    return (U.swapaxes(1, 2)[:, None] @ N) @ Vt.swapaxes(1, 2)[:, None]
 
 
-def _maps(Q):
-    D = unvec_columns(Q)
-    TT = np.einsum("iyx,jyz->ijxz", D, D)
-    Tsym = TT + TT.transpose(1, 0, 2, 3)
-    # Tsym[i, k] = Tsym[k, i] and every Tsym[i, k] is a symmetric 3x3
-    return _Maps(
-        D=D,
-        R_map=D.reshape(6, 9),
-        S_map=Tsym.reshape(6, 54),
-        H2_map=np.ascontiguousarray(Tsym.reshape(36, 9).T),
-    )
+def _smoothed(X, mu):
+    s = np.linalg.svd(X, compute_uv=False)
+    return np.sqrt(s * s + (mu * mu)[:, None]).sum(axis=1)
 
 
-def _ldl3(m):
-    """Closed-form M = L diag(d) L^T of symmetric 3x3 matrices given by their
-    distinct entries m (b, 6).  Returns (d0, d1, d2, l10, l20, l21); M is
-    positive definite iff every pivot d is positive."""
-    m00, m01, m02, m11, m12, m22 = m.T
-    l10 = m01 / m00
-    l20 = m02 / m00
-    d1 = m11 - l10 * m01
-    a = m12 - l20 * m01
-    l21 = a / d1
-    d2 = m22 - l20 * m02 - l21 * a
-    return m00, d1, d2, l10, l20, l21
+def _smoothed_gradient(U, s, Vt, mu):
+    """The gradient U diag(s / sqrt(s^2 + mu^2)) V^T of f_mu in X."""
+    return (U * (s / np.sqrt(s * s + (mu * mu)[:, None]))[:, None, :]) @ Vt
 
 
-def _sym_inverse(f):
-    """(b, 3, 3) inverses from _ldl3 factors: M^-1 = L^-T diag(1/d) L^-1.
-    The factorization is backward stable for the positive definite M of the
-    iteration, which matters when M is within rounding of singular."""
-    d0, d1, d2, l10, l20, l21 = f
-    i1 = 1.0 / d1
-    x22 = 1.0 / d2
-    n20 = l10 * l21 - l20  # (2, 0) entry of L^-1
-    x12 = -l21 * x22
-    x02 = n20 * x22
-    x11 = i1 - l21 * x12
-    x01 = n20 * x12 - l10 * i1
-    x00 = 1.0 / d0 + l10 * l10 * i1 + n20 * x02
-    X = np.array((x00, x01, x02, x01, x11, x12, x02, x12, x22))
-    return np.ascontiguousarray(X.T).reshape(-1, 3, 3)
-
-
-def _barrier(maps, lam, t, cbar):
-    """Barrier phi_t = t cbar.lambda + log det(I - R^T R) per row (-inf
-    outside the feasible set), with the _ldl3 factors of I - R^T R."""
-    R = (lam[:, None, :] @ maps.R_map)[:, 0]
-    f = _ldl3(_EYE6 - (R[:, _RTR_A] * R[:, _RTR_B]).sum(axis=1))
-    d0, d1, d2 = f[:3]
-    ok = (d0 > 0.0) & (d1 > 0.0) & (d2 > 0.0)
-    val = t * np.einsum("bi,bi->b", cbar, lam) + np.log(d0 * d1 * d2)
-    return np.where(ok, val, -np.inf), f
-
-
-def _newton_system(maps, lam, t, cbar, f):
-    """Gradient g and negated Hessian H of phi_t at feasible lambda, given the
-    _ldl3 factors f of M = I - R^T R there.  With dM/dlambda_i = -S_i:
-        g_i  = t cbar_i - tr(M^-1 S_i)
-        H_ij = tr(M^-1 S_i M^-1 S_j) + tr(M^-1 (D_i^T D_j + D_j^T D_i)).
-    Every product is a stack of per-row matrix products, so no row's result
-    depends on the others."""
-    b = len(lam)
-    Minv = _sym_inverse(f)
-    S = (lam[:, None, :] @ maps.S_map).reshape(b, 18, 3)
-    # V[(i, y), x] = (S_i M^-1)[y, x] = (M^-1 S_i)[x, y]
-    V = S @ Minv
-    grad = t[:, None] * cbar - np.einsum("bixx->bi", V.reshape(b, 6, 3, 3))
-    # tr(M^-1 S_i M^-1 S_j) as one (6 x 9)(9 x 6) product per row
-    H1 = V.reshape(b, 6, 9) @ V.reshape(b, 54)[:, _SWAP].reshape(b, 9, 6)
-    H2 = (Minv.reshape(b, 1, 9) @ maps.H2_map).reshape(b, 6, 6)
-    return grad, H1 + H2
-
-
-def _newton_step(H, grad):
-    """Newton steps H^-1 grad, one LAPACK solve per row.  A row whose H is
-    singular to working precision gets a NaN step; the other rows are then
-    solved one at a time with the same call, so their steps do not change."""
-    try:
-        return np.linalg.solve(H, grad[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        step = np.full_like(grad, np.nan)
-        for i in range(len(H)):
-            try:
-                step[i] = np.linalg.solve(H[i : i + 1], grad[i : i + 1, :, None])[0, :, 0]
-            except np.linalg.LinAlgError:
-                pass
-        return step
+def _dual_matrices(X, N, G_mu):
+    """Nuclear norms of the rows of X (b, 3, 3) and, for each leading rank
+    r = 1, 2, 3, dual matrices G (3, b, 3, 3) with <G, N_k> = 0: U_r V_r^T on
+    the leading singular block and, on the trailing block, the smoothed
+    gradient G_mu plus its least-norm correction."""
+    U, s, Vt = np.linalg.svd(X)
+    Nt = _rotated(U, N, Vt)
+    lead = np.broadcast_to((np.arange(3) < np.arange(1, 4)[:, None])[:, None], (3, len(X), 3))
+    trail = ~lead[..., :, None] & ~lead[..., None, :]
+    Gt = np.where(trail, np.swapaxes(U, 1, 2) @ G_mu @ np.swapaxes(Vt, 1, 2), 0.0)
+    Gt += lead[..., :, None] * _EYE3
+    res = np.einsum("rbij,bkij->rbk", Gt, Nt)
+    A = np.where(trail[:, :, None], Nt, 0.0).reshape(3, -1, 3, 9)
+    AA = A @ np.swapaxes(A, -1, -2)
+    damping = 1.0e-14 * np.trace(AA, axis1=-2, axis2=-1) + np.finfo(float).tiny
+    AA += damping[..., None, None] * _EYE3
+    y = np.linalg.solve(AA, res[..., None])[..., 0]
+    Gt -= np.einsum("rbkp,rbk->rbp", A, y).reshape(Gt.shape)
+    return s.sum(axis=1), U @ Gt @ Vt
 
 
 def solve_dual_batch(Q, u):
-    """Solve a batch of dual problems sharing the barrier schedule, each to
-    the relative duality gap DEFAULT_TOL.
+    """Solve a batch of instances sharing one operator, each with a measured gap.
 
     Parameters
     ----------
@@ -241,12 +201,11 @@ def solve_dual_batch(Q, u):
 
     Returns
     -------
-    dict with lambda_ (B,6), R (B,3,3), J_d (B,), sigma_max (B,), kkt (B,),
-    newton_iters (B,) -- Newton iterations summed over the barrier stages --,
-    phi_evals (B,) -- barrier evaluations: one at each stage start plus every
-    line-search trial the row needed -- and stalled (B,) -- whether the row was
-    still centering when some stage ran out of its _MAX_NEWTON iterations, or
-    met a Newton system singular to working precision.
+    dict with, per row: J_p (B,), J_d (B,), gap (B,) -- (J_p - J_d)/J_p --,
+    X (B,3,3) -- the primal point, Q vec X = -u --, lambda_ (B,6), R (B,3,3),
+    sigma_max (B,), newton_iters (B,) -- Newton systems built over all stages
+    -- and stalled (B,) -- whether the row ran out of its _MAX_NEWTON
+    iterations or its gap exceeds DEFAULT_TOL.
     """
     u = np.atleast_2d(np.asarray(u, dtype=float))
     bad = np.flatnonzero(~np.isfinite(u).all(axis=1))
@@ -256,126 +215,106 @@ def solve_dual_batch(Q, u):
     Q = np.asarray(Q, dtype=float)
     if Q.shape != (6, 9):
         raise ValueError(f"Q must be one shared 6x9 operator, got shape {Q.shape}")
-    maps = _maps(Q)
-    D = maps.D
+    Uq, sq, Vq = np.linalg.svd(Q)
+    pinv = (Vq[:6].T / sq) @ Uq.T
+    N = unvec_columns(Vq[6:])
 
-    unorm = np.linalg.norm(u, axis=1)
-    live = unorm > 0.0
-    lam = np.zeros((B, 6))
+    X0 = -unvec_columns((u[:, None, :] @ pinv.T)[:, 0])
+    scale = np.sqrt(np.einsum("bxy,bxy->b", X0, X0))
+    live = scale > 0.0
+    X0[live] /= scale[live, None, None]
+    z = np.zeros((B, 3))
+    G_mu = np.zeros((B, 3, 3))
     iters = np.zeros(B, dtype=int)
-    evals = np.zeros(B, dtype=int)
     stalled = np.zeros(B, dtype=bool)
-    out = {
+
+    # the rows still iterating, with their null-space coordinates and mu
+    idx = np.flatnonzero(live)
+    X0a, za, ma = X0[idx], z[idx], np.full(idx.size, _MU_START)
+    for _ in range(_MAX_NEWTON):
+        if not idx.size:
+            break
+        U, s, Vt, h, H, rhs = _spectral(X0a + np.einsum("bk,kxy->bxy", za, N), N, ma)
+        iters[idx] += 1
+        sol = np.linalg.solve(H, rhs)
+        step, tangent = -sol[..., 0], -sol[..., 1]
+        dec2 = -np.einsum("bk,bk->b", rhs[..., 0], step)
+        final = ma <= _MU_FINAL
+        # done: one last Newton step, then the tangent step to mu = 0;
+        # centred: shrink mu and start the next stage at the tangent predictor
+        done = final & (dec2 <= _DECREMENT_FINAL)
+        centred = ~final & (dec2 <= ma * ma)
+        whole = ~centred & (dec2 <= _FULL_STEP * ma)
+        nxt = np.where(centred, np.maximum(ma * _MU_FACTOR, _MU_FINAL), np.where(done, 0.0, ma))
+        if done.any():
+            G_mu[idx[done]] = _smoothed_gradient(U[done], s[done], Vt[done], ma[done])
+        za = np.where(whole[:, None], za + step, za) + (nxt - ma)[:, None] * tangent
+        # the others: Armijo backtracking on f_mu along the Newton step
+        search = np.flatnonzero(~whole & ~centred)
+        f0 = h[search].sum(axis=1)
+        alpha = np.ones(search.size)
+        for _ in range(_MAX_HALVINGS):
+            if not search.size:
+                break
+            trial = za[search] + alpha[:, None] * step[search]
+            X = X0a[search] + np.einsum("bk,kxy->bxy", trial, N)
+            ok = _smoothed(X, ma[search]) <= f0 - 0.25 * alpha * dec2[search]
+            za[search[ok]] = trial[ok]
+            search, f0, alpha = search[~ok], f0[~ok], 0.5 * alpha[~ok]
+        ma = nxt
+        if done.any():
+            z[idx[done]] = za[done]
+            keep = ~done
+            idx, X0a, za, ma = idx[keep], X0a[keep], za[keep], ma[keep]
+    else:
+        # out of iterations: the remaining rows are certified from where they are
+        stalled[idx] = True
+        z[idx] = za
+        if idx.size:
+            X = X0a + np.einsum("bk,kxy->bxy", za, N)
+            G_mu[idx] = _smoothed_gradient(*np.linalg.svd(X), ma)
+
+    X = np.zeros((B, 3, 3))
+    G = np.zeros((3, B, 3, 3))
+    nuclear = np.zeros(B)
+    rows = np.flatnonzero(live)
+    if rows.size:
+        X[rows] = X0[rows] + np.einsum("bk,kxy->bxy", z[rows], N)
+        nuclear[rows], G[:, rows] = _dual_matrices(X[rows], N, G_mu[rows])
+    # each vec G projected onto range(Q^T), then scaled into sigma_max(R) <= 1;
+    # every candidate is dual feasible, so the best one is kept
+    lam = (G.swapaxes(-1, -2).reshape(3, B, 1, 9) @ pinv)[..., 0, :]
+    R = unvec_columns((lam[..., None, :] @ Q)[..., 0, :])
+    smax = np.linalg.svd(R, compute_uv=False)[..., 0]
+    shrink = np.maximum(smax, 1.0)
+    c = 8.0 * np.pi / MU0
+    J_d = -c * np.einsum("rbi,bi->rb", lam, u) / shrink
+    best = np.argmax(J_d, axis=0)
+    pick = (best, np.arange(B))
+    J_d, smax, shrink = J_d[pick], smax[pick], shrink[pick]
+    lam = lam[pick] / shrink[:, None]
+    R = R[pick] / shrink[:, None, None]
+    J_p = c * scale * nuclear
+    gap = np.where(live, (J_p - J_d) / np.where(live, J_p, 1.0), 0.0)
+    return {
+        "J_p": J_p,
+        "J_d": J_d,
+        "gap": gap,
+        "X": X * scale[:, None, None],
         "lambda_": lam,
-        "R": np.zeros((B, 3, 3)),
-        "J_d": np.zeros(B),
-        "sigma_max": np.zeros(B),
-        "kkt": np.zeros(B),
+        "R": R,
+        "sigma_max": smax / shrink,
         "newton_iters": iters,
-        "phi_evals": evals,
-        "stalled": stalled,
+        "stalled": stalled | (gap > DEFAULT_TOL),
     }
-    if not live.any():
-        return out
-
-    cbar = np.zeros_like(u)
-    cbar[live] = -u[live] / unorm[live, None]
-
-    # Scale estimate: push the Gram-preconditioned objective direction to the
-    # spectral boundary; its objective value lower-bounds the optimum and sets
-    # both the initial barrier weight and the stage count.
-    gram = np.einsum("ixy,jxy->ij", D, D)
-    # one LAPACK solve per row keeps each row independent of its batch
-    lam_dir = np.linalg.solve(np.broadcast_to(gram, (B, 6, 6)), cbar[..., None])[..., 0]
-    R_dir = np.einsum("bi,ixy->bxy", lam_dir, D)
-    s_dir = np.linalg.svd(R_dir, compute_uv=False)[..., 0]
-    jbar_est = np.einsum("bi,bi->b", cbar, lam_dir) / np.where(live, s_dir, 1.0)
-    jbar_est = np.where(live, jbar_est, 1.0)
-
-    # safety factor 4 keeps the certified gap strictly under DEFAULT_TOL even
-    # when the scale estimate already equals the optimum
-    t = _BARRIER_NU / jbar_est
-    t_target = 4.0 * t / DEFAULT_TOL
-    first_alpha = np.ones(B)
-
-    # infeasible trial points divide by zero pivots; their phi is -inf anyway
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for stage in range(_N_STAGES):
-            if stage:
-                t_new = t_target if stage == _N_STAGES - 1 else t * _T_FACTOR
-                # the 1/t predictor: the Newton step from the old centre is
-                # (t_new - t) dlambda/dt, so its first trial is scaled by t/t_new
-                first_alpha = t / t_new
-                t = t_new
-            # the rows still centering; finished rows are written back and dropped
-            idx = np.flatnonzero(live)
-            lam_a, cbar_a, t_a = lam[idx], cbar[idx], t[idx]
-            phi0, f = _barrier(maps, lam_a, t_a, cbar_a)
-            evals[idx] += 1
-            for it in range(_MAX_NEWTON):
-                grad, H = _newton_system(maps, lam_a, t_a, cbar_a, f)
-                step = _newton_step(H, grad)
-                dec2 = np.einsum("bi,bi->b", grad, step)
-                going = dec2 / 2.0 > _NEWTON_EPS
-                if not going.all():
-                    # a singular Newton system gives a NaN decrement: the row
-                    # stays where it is and counts as stalled
-                    stalled[idx[~np.isfinite(dec2)]] = True
-                    iters[idx[~going]] += it + 1
-                    lam[idx] = lam_a
-                    idx = idx[going]
-                    if not idx.size:
-                        break
-                    lam_a, cbar_a, t_a, phi0 = lam_a[going], cbar_a[going], t_a[going], phi0[going]
-                    step, dec2 = step[going], dec2[going]
-                # Armijo backtracking; phi of the accepted trial is the next phi0
-                alpha = first_alpha[idx] if it == 0 else np.ones(len(idx))
-                slope = 0.25 * dec2
-                trials = np.ones(len(idx), dtype=int)
-                for _ in range(50):
-                    trial = lam_a + alpha[:, None] * step
-                    phi_trial, f = _barrier(maps, trial, t_a, cbar_a)
-                    need = ~(phi_trial >= phi0 + alpha * slope) & (alpha > _MIN_STEP)
-                    if not need.any():
-                        break
-                    alpha = np.where(need, 0.5 * alpha, alpha)
-                    trials += need
-                evals[idx] += trials
-                accepted = alpha > _MIN_STEP
-                # near the noise floor the computed decrement plateaus while the
-                # objective stops moving; treat stalled improvement as centered
-                going = accepted & (phi_trial - phi0 > 1.0e-12 * (1.0 + np.abs(phi0)))
-                if going.all():
-                    lam_a, phi0 = trial, phi_trial
-                    continue
-                iters[idx[~going]] += it + 1
-                lam[idx] = np.where(accepted[:, None], trial, lam_a)
-                idx = idx[going]
-                if not idx.size:
-                    break
-                lam_a, cbar_a, t_a = trial[going], cbar_a[going], t_a[going]
-                phi0, f = phi_trial[going], tuple(x[going] for x in f)
-            else:
-                iters[idx] += _MAX_NEWTON
-                stalled[idx] = True
-                lam[idx] = lam_a
-    t_final = t
-
-    R = np.einsum("bi,ixy->bxy", lam, D)
-    jbar = np.einsum("bi,bi->b", cbar, lam)
-    out["R"] = R
-    out["J_d"] = np.where(live, (8.0 * np.pi / MU0) * unorm * jbar, 0.0)
-    out["sigma_max"] = np.where(live, np.linalg.svd(R, compute_uv=False)[..., 0], 0.0)
-    out["kkt"] = np.where(live, _BARRIER_NU / (t_final * np.maximum(jbar, 1e-300)), 0.0)
-    return out
 
 
 def solve_dual(problem):
-    """Certified solve of one dual instance.
+    """Certified solve of one instance.
 
-    Raises SolverError (carrying the best iterate) when a barrier stage stalls
-    or the barrier path fails to reach the relative gap DEFAULT_TOL;
-    u = 0 short-circuits to the exact certificate lambda = 0.
+    Raises SolverError (carrying the certificate) when the solve runs out of
+    Newton iterations or its measured gap exceeds DEFAULT_TOL; u = 0 gives
+    the exact certificate lambda = 0, X = 0.
     """
     res = solve_dual_batch(problem.Q.Q, problem.u.as_vector()[None, :])
     cert = DualCertificate(
@@ -383,17 +322,15 @@ def solve_dual(problem):
         R_lambda=res["R"][0],
         J_d=float(res["J_d"][0]),
         sigma_max=float(res["sigma_max"][0]),
-        kkt_residual=float(res["kkt"][0]),
+        X=res["X"][0],
+        J_p=float(res["J_p"][0]),
+        gap=float(res["gap"][0]),
     )
     if res["stalled"][0]:
         raise SolverError(
-            f"dual solve stalled: a barrier stage ran out of its {_MAX_NEWTON} Newton"
-            " iterations or met a singular Newton system",
-            best=cert,
-        )
-    if problem.u.norm > 0.0 and cert.kkt_residual > DEFAULT_TOL:
-        raise SolverError(
-            f"dual solve stalled at relative gap {cert.kkt_residual:.3e} > {DEFAULT_TOL:.3e}",
+            f"dual solve stalled at relative gap {cert.gap:.3e} after"
+            f" {res['newton_iters'][0]} Newton iterations (limit {_MAX_NEWTON},"
+            f" gap target {DEFAULT_TOL:.0e})",
             best=cert,
         )
     return cert

@@ -24,9 +24,10 @@ value (8 pi/mu0)|v|, and a primal point X with Psi(1) vec X = -u' has the same
 cost whenever a 2x2 matrix S built from the row is positive semidefinite, so
 weak duality certifies the value (Boyd & Vandenberghe, sec. 5).  The rows
 that fail the certificate, for every pair index together, go to one batched
-barrier solve against psi_stack(1), always to the relative gap
-dual.DEFAULT_TOL.  pair_power_w_star is the same path at one time;
-peak_power, total_power and dipole_metric each read one field of the report.
+primal-dual solve (dual.solve_dual_batch) against psi_stack(1), each
+certified by its measured gap at dual.DEFAULT_TOL.  pair_power_w_star is the
+same path at one time; peak_power, total_power and dipole_metric each read
+one field of the report.
 """
 
 from dataclasses import dataclass
@@ -50,11 +51,11 @@ class PowerReport:
     pair index j = 2..n+1, one column per time sample.  peak_pair_violation is
     the largest amount (same units) by which any w*(j>2, t) exceeds w*(2, t);
     nonpositive means the peak-at-j=2 rule held on every sample.
-    barrier_rows counts the rows of that table (two per entry, at t and
-    t + T/4) that failed the closed-form certificate and went to the barrier
-    solver.  vertex_margin is the smallest lambda_min(S)/tr S over the
-    certified nonzero rows, how far the scenario is from leaving the
-    closed-form region (nan when no such row exists).
+    uncertified_rows counts the rows of that table (two per entry, at t and
+    t + T/4) that failed the closed-form certificate and went to
+    dual.solve_dual_batch.  vertex_margin is the smallest lambda_min(S)/tr S
+    over the certified nonzero rows, how far the scenario is from leaving
+    the closed-form region (nan when no such row exists).
     """
 
     n: int
@@ -67,7 +68,7 @@ class PowerReport:
     M: float
     gamma_S: float
     peak_pair_violation: float
-    barrier_rows: int
+    uncertified_rows: int
     vertex_margin: float
 
 
@@ -125,8 +126,8 @@ def _row_costs(rows):
     """Optimal dual costs of line-of-sight rows (B, 6) against psi_stack(1).
 
     Certified rows keep their closed-form cost; all the others go to one
-    solve_dual_batch call.  Returns (J, number of barrier rows, smallest
-    certified vertex margin or nan); raises SolverError if a barrier row
+    solve_dual_batch call.  Returns (J, number of uncertified rows, smallest
+    certified vertex margin or nan); raises SolverError if one of those rows
     stalls.
     """
     Q = psi_stack(1.0)
@@ -135,7 +136,10 @@ def _row_costs(rows):
     if fallback.size:
         res = solve_dual_batch(Q, rows[fallback])
         if res["stalled"].any():
-            raise SolverError(f"{res['stalled'].sum()} of {fallback.size} barrier dual solves stalled")
+            raise SolverError(
+                f"{res['stalled'].sum()} of {fallback.size} dual solves stalled"
+                f" (largest gap {res['gap'].max():.3e})"
+            )
         J[fallback] = res["J_d"]
     margin = margin[certified & ~np.isnan(margin)]
     return J, int(fallback.size), float(margin.min()) if margin.size else float("nan")
@@ -143,7 +147,7 @@ def _row_costs(rows):
 
 def _pair_costs(cfg, field, pairs, t_grid):
     """Coil-independent pair costs w*(j, t) (A^2*m^4), one row per pair index
-    in pairs, one column per time in t_grid, with _row_costs's barrier row
+    in pairs, one column per time in t_grid, with _row_costs's uncertified row
     count and vertex margin.
 
     The field is sampled once at every t and t + T/4.  The pair separation is
@@ -166,11 +170,11 @@ def _pair_costs(cfg, field, pairs, t_grid):
     weights = np.array([np.diag(weighting(cfg.n, j)) for j in pairs]) * ([d**4] * 3 + [d**3] * 3)
     rows = (weights[:, None, :] * u_los).reshape(-1, 6)
     try:
-        J, barrier_rows, margin = _row_costs(rows)
+        J, uncertified, margin = _row_costs(rows)
     except SolverError as exc:
         raise SolverError(f"{exc} at n = {cfg.n}") from exc
     J = J.reshape(len(pairs), 2 * n_t)
-    return 2.0 * (J[:, :n_t] + J[:, n_t:]), barrier_rows, margin
+    return 2.0 * (J[:, :n_t] + J[:, n_t:]), uncertified, margin
 
 
 def pair_power_w_star(cfg, field, coil, j, t):
@@ -218,7 +222,7 @@ def compute_power_report(cfg, field, coil, t_grid):
     t_grid = np.asarray(t_grid, dtype=float)
     if len(t_grid) == 0:
         raise ValueError("empty time grid")
-    w, barrier_rows, vertex_margin = _pair_costs(cfg, field, range(2, cfg.n + 2), t_grid)
+    w, uncertified, vertex_margin = _pair_costs(cfg, field, range(2, cfg.n + 2), t_grid)
     scale = 1.0 if coil is None else coil.power_scale
     i = int(np.argmax(w[0]))
     dt = field.period / len(t_grid)
@@ -243,7 +247,7 @@ def compute_power_report(cfg, field, coil, t_grid):
         M=float(M),
         gamma_S=surface_ratio(cfg.n_line),
         peak_pair_violation=violation,
-        barrier_rows=barrier_rows,
+        uncertified_rows=uncertified,
         vertex_margin=vertex_margin,
     )
 

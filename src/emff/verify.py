@@ -100,8 +100,8 @@ def suite_duality(cases=100, seed=0):
 
 
 def suite_bruteforce(cases=10, seed=0, restarts=20):
-    """Global-optimality oracle: augmented-Lagrangian multistart never beats
-    the dual bound by more than 1e-4 relative."""
+    """Global-optimality oracle: the batched multistart Newton search on the
+    constraint manifold never beats the dual bound by more than 1e-4 relative."""
     rng = _suite_rng(seed, "bruteforce")
     failures = []
     for case in range(cases):

@@ -14,8 +14,8 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-#: A brigade-spaced (n = 3, d = 1000/7) LOS command whose 6x6 Newton system
-#: becomes singular to working precision on the barrier path.
+#: A brigade-spaced (n = 3, d = 1000/7) LOS command that once stalled the dual
+#: solve on a Newton system singular to working precision.
 SINGULAR_D = 142.85714285714283
 SINGULAR_U = [
     1.2038213335472343e-07, 7.205873880531521e-08, -2.152318386863755e-07,

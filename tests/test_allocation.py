@@ -112,7 +112,7 @@ class TestRecoverGram:
         u = Wrench.from_vector([1e-5, 0, 0, 0, 0, 0])
         fake = DualCertificate(
             lambda_=np.zeros(6), R_lambda=np.zeros((3, 3)), J_d=0.0,
-            sigma_max=0.0, kkt_residual=1.0,
+            sigma_max=0.0, X=np.zeros((3, 3)), J_p=0.0, gap=1.0,
         )
         with pytest.raises(RecoveryError):
             recover_gram(fake, op, u)

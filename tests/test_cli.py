@@ -17,7 +17,7 @@ SCENARIO = {
 }
 
 #: Inclination 60 deg, theta_p 15 deg: some rows of every report fail the
-#: closed-form certificate and go to the barrier solver.
+#: closed-form certificate and go to dual.solve_dual_batch.
 OFF_REGION = {
     **SCENARIO,
     "orbit": {**SCENARIO["orbit"], "inclination_deg": 60.0},
@@ -32,14 +32,17 @@ def scenario_path(tmp_path):
     return str(path)
 
 
-def run_module(*args):
-    """`python -m emff ARGS` in a subprocess that imports this checkout's src."""
+def run_python(*args):
+    """`python ARGS` in a subprocess that imports this checkout's src."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "emff", *args], env=env, capture_output=True, text=True
-    )
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def run_module(*args):
+    """`python -m emff ARGS` in a subprocess that imports this checkout's src."""
+    return run_python("-m", "emff", *args)
 
 
 def read_csv(path):
@@ -81,13 +84,28 @@ class TestAllocateCmd:
     def test_tol_flag_is_usage_error(self):
         assert main(["allocate", "--r", "1,0,0", "--force", "1e-5,0,0", "--tol", "1e-8"]) == 1
 
-    def test_singular_newton_system_numeric_failure(self):
+    def test_singular_newton_system_numeric_failure(self, tmp_path):
+        # a stall reproducer: this well-posed command once exited 2
         from conftest import SINGULAR_D, SINGULAR_U
 
         force, torque = (",".join(map(repr, v)) for v in (SINGULAR_U[:3], SINGULAR_U[3:]))
+        out = tmp_path / "alloc.json"
         args = ["allocate", "--frame", "los", "--r", f"{SINGULAR_D!r},0,0",
-                "--force", force, "--torque", torque]
-        assert main(args) == 2
+                "--force", force, "--torque", torque, "--out", str(out)]
+        assert main(args) == 0
+        assert abs(json.loads(out.read_text())["gap"]) <= 1e-10
+
+    def test_k2_brigade_row(self, tmp_path):
+        # a brigade row at k = 2 just off the closed form (f_x != 0), with a
+        # rank-one optimum; a stall reproducer that once exited 2
+        out = tmp_path / "alloc.json"
+        args = ["allocate", "--frame", "los", "--r", "1,0,0",
+                "--force", "8.498707952101829e-08,9.42307558520019e-06,0.0",
+                "--torque", "0.0,0.0,-6.282050390133461e-06", "--out", str(out)]
+        assert main(args) == 0
+        data = json.loads(out.read_text())
+        assert abs(data["J_d_A2m4"] - 62.8211426495) <= 1e-10
+        assert abs(data["gap"]) <= 1e-10
 
 
 class TestOrbitCmd:
@@ -144,16 +162,16 @@ class TestScanCmd:
     def test_stalled_solve_exit_code(self, tmp_path, monkeypatch):
         import emff.dual
 
-        # one Newton iteration per barrier stage leaves every solve stalled;
-        # the reference scenario is closed form throughout, so the scan leg
-        # runs a scenario with barrier rows
+        # one Newton iteration leaves every solve stalled; the reference
+        # scenario is closed form throughout, so the scan leg runs a scenario
+        # with uncertified rows
         path = tmp_path / "off.json"
         path.write_text(json.dumps(OFF_REGION))
         monkeypatch.setattr(emff.dual, "_MAX_NEWTON", 1)
         assert main(["allocate", "--r", "1,0,0", "--force", "1e-5,0,0"]) == 2
         assert main(["scan", "--scenario", str(path)]) == 2
 
-    def test_barrier_calls_per_report(self, tmp_path, monkeypatch):
+    def test_solver_calls_per_report(self, tmp_path, monkeypatch):
         import emff.power
         from emff.magnetics import psi_stack
 
@@ -177,11 +195,11 @@ class TestScanCmd:
             reports.clear()
             assert main(["scan", "--scenario", str(path), "--out", str(tmp_path / "o.csv")]) == 0
             if scenario is SCENARIO:
-                assert calls == [] and [r.barrier_rows for r in reports] == [0, 0]
+                assert calls == [] and [r.uncertified_rows for r in reports] == [0, 0]
                 continue
-            # one barrier call per report, holding exactly its uncertified rows
-            assert [len(u) for u in calls] == [r.barrier_rows for r in reports]
-            assert all(r.barrier_rows > 0 for r in reports)
+            # one solver call per report, holding exactly its uncertified rows
+            assert [len(u) for u in calls] == [r.uncertified_rows for r in reports]
+            assert all(r.uncertified_rows > 0 for r in reports)
             for u in calls:
                 assert not emff.power._vertex_costs(u, psi_stack(1.0))[1].any()
 
@@ -324,6 +342,13 @@ class TestEntryPoint:
         proc = run_module("allocate", "--r", "1,0,0", "--force", "1e-5,0,0")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["gap"] <= 1e-6
+
+    def test_import_loads_no_scipy(self):
+        # scipy is only a benchmark dependency (the `bench` extra)
+        code = "import sys, emff; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_usage_exit_code_via_module(self):
         proc = run_module("allocate")

@@ -242,32 +242,31 @@ class TestVertexCertificate:
         rows = np.array(rows)
         sent = []
 
-        def barrier_stub(Q, u):
+        def solver_stub(Q, u):
             sent.append(np.array(u))
             return {"J_d": -1.0 - np.arange(len(u)), "stalled": np.zeros(len(u), dtype=bool)}
 
-        with mock.patch.object(power, "solve_dual_batch", barrier_stub):
-            J, n_barrier, _ = power._row_costs(rows.copy())
+        with mock.patch.object(power, "solve_dual_batch", solver_stub):
+            J, n_sent, _ = power._row_costs(rows.copy())
         certified = J >= 0.0
-        # exactly the uncertified rows, in order, went to one barrier call
-        assert len(sent) == (1 if n_barrier else 0) and n_barrier == (~certified).sum()
-        if n_barrier:
+        # exactly the uncertified rows, in order, went to one solver call
+        assert len(sent) == (1 if n_sent else 0) and n_sent == (~certified).sum()
+        if n_sent:
             assert np.array_equal(sent[0], rows[~certified])
-            assert np.array_equal(J[~certified], -1.0 - np.arange(n_barrier))
+            assert np.array_equal(J[~certified], -1.0 - np.arange(n_sent))
         for ok, want in zip(certified, expected):
             assert want is None or ok == want
         if certified.any():
-            # the scale identity: the unscaled rows against psi_stack(d)
+            # the scale identity: the unscaled rows against psi_stack(d), solved
+            # by the primal-dual oracle, whose two points are checked directly
+            Q = psi_stack(d)
             unscaled = rows[certified] / np.array([d**4] * 3 + [d**3] * 3)
-            ref = solve_dual_batch(psi_stack(d), unscaled)
-            done = ~ref["stalled"]
-            assert np.allclose(J[certified][done], ref["J_d"][done], rtol=1e-9, atol=0.0)
-            # the barrier stalls only near k = 2, where two dual vertices tie
-            # (about 1.7e-9 short of the optimum at k = 2); its feasible
-            # iterate still bounds the exact optimum from below
-            ks = np.array([draw[1] for draw in draws])[certified]
-            assert np.all(ks[~done] < 2.01)
-            assert np.all(ref["J_d"][~done] <= J[certified][~done] * (1.0 + 1e-12))
+            ref = solve_dual_batch(Q, unscaled)
+            for u, X, R in zip(unscaled, ref["X"], ref["R"]):
+                assert np.linalg.norm(Q @ X.ravel(order="F") + u) <= 1e-12 * np.linalg.norm(u)
+                assert np.linalg.svd(R, compute_uv=False)[0] <= 1.0 + 1e-15
+            assert not ref["stalled"].any()
+            assert np.allclose(J[certified], ref["J_d"], rtol=1e-10, atol=0.0)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(row=_los_rows)
@@ -314,8 +313,8 @@ class TestVertexCertificate:
         assert J[0] == 0.0 and np.isnan(margin[0])
 
 
-def _barrier_pair_costs(cfg, field, t_grid):
-    """w*(j, t) with every row on the barrier: LOS frames from build_los_frame,
+def _solver_pair_costs(cfg, field, t_grid):
+    """w*(j, t) with every row on solve_dual_batch: LOS frames from build_los_frame,
     then one solve_dual_batch(psi_stack(d), u_los L) per pair index."""
     n_t = len(t_grid)
     ts = np.concatenate([t_grid, t_grid + field.period / 4.0])
@@ -337,8 +336,8 @@ class TestRouting:
         for n in (1, 2, 3):
             cfg = GridConfig.from_line_length(n, 100.0, 1000.0)
             rep = compute_power_report(cfg, OFF_FIELD, None, grid)
-            assert rep.barrier_rows > 0
-            ref = _barrier_pair_costs(cfg, OFF_FIELD, grid)
+            assert rep.uncertified_rows > 0
+            ref = _solver_pair_costs(cfg, OFF_FIELD, grid)
             assert np.allclose(rep.w_star_unit, ref, rtol=1e-10, atol=0.0)
 
     def test_barrier_rows_and_vertex_margin(self):
@@ -347,11 +346,11 @@ class TestRouting:
         rep = compute_power_report(cfg, FIELD, None, grid)
         # the reference scenario is closed form throughout; its tightest rows
         # (pair j = n + 1, k = 3) keep lambda_min(S)/tr S near 0.007
-        assert rep.barrier_rows == 0
+        assert rep.uncertified_rows == 0
         assert 0.005 <= rep.vertex_margin <= 0.01
         rep = compute_power_report(cfg, OFF_FIELD, None, orbit_time_grid(OFF_CTX.period, 96))
-        assert 0 < rep.barrier_rows < 2 * 96 * cfg.n
+        assert 0 < rep.uncertified_rows < 2 * 96 * cfg.n
         assert 0.0 <= rep.vertex_margin < 0.05
         # a zero field has only zero rows: certified, and no margin to report
         rep = compute_power_report(cfg, zero_field(), None, grid)
-        assert rep.barrier_rows == 0 and np.isnan(rep.vertex_margin)
+        assert rep.uncertified_rows == 0 and np.isnan(rep.vertex_margin)
