@@ -66,6 +66,7 @@ from .brigade import (
 from .power import (
     PowerReport,
     compute_power_report,
+    compute_power_reports,
     dipole_metric,
     orbit_time_grid,
     pair_power_w_star,

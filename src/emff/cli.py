@@ -5,10 +5,11 @@ r_l_m, ...) because unit mistakes dominate failure modes in this domain.
 Numeric output is CSV (scan/orbit) or JSON (allocate/verify) at 17
 significant digits, and the output bytes are deterministic (verify: for a
 fixed seed).  `scan` runs serially in one process: it builds the orbit field,
-coil and time grid once and computes one power report per distinct n, in
-ascending order.  Every dual is solved at dual.DEFAULT_TOL (1e-10); a
-scenario may still say so as sampling.dual_tol, but no other value.  Exit
-codes: 0 ok, 1 usage error, 2 numeric failure.
+coil and time grid once and computes the power reports of every distinct n,
+in ascending order, in one power.compute_power_reports call.  Every dual is
+solved at dual.DEFAULT_TOL (1e-10); a scenario may still say so as
+sampling.dual_tol, but no other value.  Exit codes: 0 ok, 1 usage error,
+2 numeric failure.
 """
 
 import argparse
@@ -206,10 +207,8 @@ def cmd_scan(args):
     field = brigade.DisturbanceField.from_orbit(ctx, _plane_from(scenario))
     coil = _coil_from(scenario)
     grid = power.orbit_time_grid(ctx.period, scenario["sampling"]["time_samples"])
-    reports = [
-        power.compute_power_report(_grid_config(scenario, n), field, coil, grid)
-        for n in sorted(set(scenario["grid"]["n_list"]))
-    ]
+    cfgs = [_grid_config(scenario, n) for n in sorted(set(scenario["grid"]["n_list"]))]
+    reports = power.compute_power_reports(cfgs, field, coil, grid)
     header = "n,N_l,r_l_m,chi_sys_kg,W_bar_W,W_oint_W,M_A2m4_per_kg,gamma_S"
     failed = False
     with _open_out(args.out) as fh:

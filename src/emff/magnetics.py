@@ -186,6 +186,12 @@ def psi_stack(d):
     return np.vstack([PSI_FORCE / d**4, PSI_TORQUE / d**3])
 
 
+def check_separation(d):
+    """Raise ZeroSeparationError when any separation in d is at most MIN_SEPARATION."""
+    if np.any(np.asarray(d) <= MIN_SEPARATION):
+        raise ZeroSeparationError(f"separation {np.min(d):.3e} m <= {MIN_SEPARATION} m")
+
+
 def build_los_frame(r, hint):
     """Rotations whose columns are the line-of-sight axes of separations r.
 
@@ -198,8 +204,7 @@ def build_los_frame(r, hint):
     """
     r, hint = np.broadcast_arrays(_validate_stack3(r, "r"), _validate_stack3(hint, "hint"))
     d = np.linalg.norm(r, axis=-1)
-    if np.any(d <= MIN_SEPARATION):
-        raise ZeroSeparationError(f"separation {d.min():.3e} m <= {MIN_SEPARATION} m")
+    check_separation(d)
     ex = r / d[..., None]
     cross = np.cross(r, hint)
     parallel = np.linalg.norm(cross, axis=-1) <= TOL_PARALLEL * d * np.maximum(
@@ -257,8 +262,7 @@ def dipole_field_wrench(r, mu_j, mu_k):
     mu_j = _validate_vec3(mu_j, "mu_j")
     mu_k = _validate_vec3(mu_k, "mu_k")
     d = np.linalg.norm(r)
-    if d <= MIN_SEPARATION:
-        raise ZeroSeparationError(f"separation {d:.3e} m <= {MIN_SEPARATION} m")
+    check_separation(d)
     rh = r / d
     B = MU0 / (4.0 * np.pi) * (3.0 * (mu_k @ rh) * rh - mu_k) / d**3
     force = (

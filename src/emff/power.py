@@ -12,31 +12,32 @@ doubled for the mirrored half-line:
 evaluated at separation -d_sat p_hat.  Peak power is chi_sys sup_t w*(2, t);
 the orbit-averaged total sums all pairs over one period.
 
-compute_power_report is the one computation.  It samples the field once, at
-every grid time t and t + T/4 together (the field callables take time
-arrays), and rotates the stacked commands into line-of-sight frames from
-magnetics.build_los_frame.  In that frame a brigade command is
-(f_x, f_y, 0, 0, 0, tau_z), and pair j at separation d is the row
-u' = (a d^4 f, b d^3 tau) against psi_stack(1), with a, b the force and torque
-weights of L(n, j).  Each row is costed in closed form (_vertex_costs): the
-dual point lambda* = -sign(v) (0, 1, 0, 0, 0, 2), v = f_y' + 2 tau_z', has
-value (8 pi/mu0)|v|, and a primal point X with Psi(1) vec X = -u' has the same
-cost whenever a 2x2 matrix S built from the row is positive semidefinite, so
-weak duality certifies the value (Boyd & Vandenberghe, sec. 5).  The rows
-that fail the certificate, for every pair index together, go to one batched
-primal-dual solve (dual.solve_dual_batch) against psi_stack(1), each
-certified by its measured gap at dual.DEFAULT_TOL.  pair_power_w_star is the
-same path at one time; peak_power, total_power and dipole_metric each read
-one field of the report.
+compute_power_reports is the one computation, for every grid of a scan
+together.  It samples the field once, at every grid time t and t + T/4 and at
+r_l = 1, and rotates the commands into line-of-sight frames
+(magnetics.build_los_frame), where a brigade command is
+(f_x, f_y, 0, 0, 0, tau_z).  That sample serves every n: the force block of
+U_hat scales with r_l, the torque block with r_l^2, and the frame depends
+only on directions.  Pair j of a grid with separation d is then the row
+u' = (a d^4 r_l f, b d^3 r_l^2 tau) against psi_stack(1), with a, b the
+weights of L(n, j).  A row is costed in closed form where a dual vertex and a
+primal point of equal cost certify it (_vertex_costs; weak duality, Boyd &
+Vandenberghe sec. 5); the other rows of every n go to one batched primal-dual
+solve (dual.solve_dual_batch), each certified by its measured gap at
+dual.DEFAULT_TOL.  sup_t w*(2, t) is refined for every n in one more
+evaluation, at the vertex of the parabola through the grid argmax and its
+two periodic neighbours.  compute_power_report is the one-element view,
+pair_power_w_star one entry of a one-sample report, and peak_power,
+total_power and dipole_metric each read one field of the report.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .brigade import unit_wrench, weighting
+from .brigade import _check_j, unit_wrench, weighting
 from .dual import SolverError, solve_dual_batch
-from .magnetics import MU0, build_los_frame, psi_stack
+from .magnetics import MU0, build_los_frame, check_separation, psi_stack
 
 #: Relative bound on the out-of-plane part of a row and on the primal
 #: residual |Psi(1) vec X + u'| for the closed form to count as certified.
@@ -123,66 +124,56 @@ def _vertex_costs(u, Q):
 
 
 def _row_costs(rows):
-    """Optimal dual costs of line-of-sight rows (B, 6) against psi_stack(1).
+    """Optimal dual costs of line-of-sight rows (..., B, 6) against psi_stack(1).
 
     Certified rows keep their closed-form cost; all the others go to one
-    solve_dual_batch call.  Returns (J, number of uncertified rows, smallest
-    certified vertex margin or nan); raises SolverError if one of those rows
-    stalls.
+    solve_dual_batch call, and a row whose solve stalls costs nan.  Returns
+    J (..., B) and, per leading index, the number of uncertified rows and the
+    smallest certified vertex margin (nan when there is none).
     """
     Q = psi_stack(1.0)
-    J, certified, margin = _vertex_costs(rows, Q)
+    flat = rows.reshape(-1, 6)
+    J, certified, margin = _vertex_costs(flat, Q)
     fallback = np.flatnonzero(~certified)
     if fallback.size:
-        res = solve_dual_batch(Q, rows[fallback])
-        if res["stalled"].any():
-            raise SolverError(
-                f"{res['stalled'].sum()} of {fallback.size} dual solves stalled"
-                f" (largest gap {res['gap'].max():.3e})"
-            )
-        J[fallback] = res["J_d"]
-    margin = margin[certified & ~np.isnan(margin)]
-    return J, int(fallback.size), float(margin.min()) if margin.size else float("nan")
+        res = solve_dual_batch(Q, flat[fallback])
+        J[fallback] = np.where(res["stalled"], np.nan, res["J_d"])
+    shape = rows.shape[:-1]
+    margin = np.where(certified, margin, np.nan).reshape(shape)
+    return J.reshape(shape), (~certified).reshape(shape).sum(axis=-1), np.fmin.reduce(margin, axis=-1)
 
 
-def _pair_costs(cfg, field, pairs, t_grid):
-    """Coil-independent pair costs w*(j, t) (A^2*m^4), one row per pair index
-    in pairs, one column per time in t_grid, with _row_costs's uncertified row
-    count and vertex margin.
+def _unit_rows(field, t):
+    """Unit brigade commands U_hat (r_l = 1) in their line-of-sight frames at
+    every time of t, then at each a quarter period later: (2 len(t), 6).
 
-    The field is sampled once at every t and t + T/4.  The pair separation is
-    -d_sat p_hat(t) and the frame hint the commanded force direction; L(n, j)
-    scales each block by a positive number, so one frame serves every j.
+    The separation is -p_hat and the frame hint the commanded force direction;
+    a grid scales them by positive numbers, so the frames serve every grid.
     """
     # the disturbance generator is not exactly orbit-periodic (its argument
     # advances at omega_z, not omega_xy), so the shifted times are sampled
     # outright rather than reusing wrapped grid values
-    n_t = len(t_grid)
-    ts = np.concatenate([t_grid, t_grid + field.period / 4.0])
-    p = field.direction(ts)
-    u = unit_wrench(field.k_orb(ts), cfg.r_l * p)
-    r = -cfg.d_sat * p
+    ts = np.concatenate([t, t + field.period / 4.0])
+    r = -field.direction(ts)
+    u = unit_wrench(field.k_orb(ts), -r)
     C = build_los_frame(r, np.cross(u[:, :3], r))
     # force and torque blocks rotated into the line-of-sight frame: C^T f, C^T tau
-    u_los = np.einsum("bxy,bkx->bky", C, u.reshape(-1, 2, 3)).reshape(-1, 6)
-    # pair j at separation d is the row (a d^4 f, b d^3 tau) against psi_stack(1)
-    d = cfg.d_sat
-    weights = np.array([np.diag(weighting(cfg.n, j)) for j in pairs]) * ([d**4] * 3 + [d**3] * 3)
-    rows = (weights[:, None, :] * u_los).reshape(-1, 6)
-    try:
-        J, uncertified, margin = _row_costs(rows)
-    except SolverError as exc:
-        raise SolverError(f"{exc} at n = {cfg.n}") from exc
-    J = J.reshape(len(pairs), 2 * n_t)
-    return 2.0 * (J[:, :n_t] + J[:, n_t:]), uncertified, margin
+    return np.einsum("bxy,bkx->bky", C, u.reshape(-1, 2, 3)).reshape(-1, 6)
+
+
+def _pair_scales(cfg):
+    """Row scales (a d^4 r_l, b d^3 r_l^2) of pairs j = 2..n+1, one row per j."""
+    L = np.array([np.diag(weighting(cfg.n, j)) for j in range(2, cfg.n + 2)])
+    return L * ([cfg.d_sat**4 * cfg.r_l] * 3 + [cfg.d_sat**3 * cfg.r_l**2] * 3)
 
 
 def pair_power_w_star(cfg, field, coil, j, t):
     """Coil-scaled pair cost w*(r_l, n, j, t): the dual costs at t and a
     quarter period later, doubled for the mirrored pair.  coil=None gives the
-    coil-independent value in A^2*m^4."""
+    coil-independent value in A^2*m^4.  Entry j of the one-sample report at t."""
+    _check_j(cfg.n, j)
     scale = 1.0 if coil is None else coil.power_scale
-    return float(scale * _pair_costs(cfg, field, [j], np.array([float(t)]))[0][0, 0])
+    return float(scale * compute_power_report(cfg, field, None, [float(t)]).w_star_unit[j - 2, 0])
 
 
 def orbit_time_grid(period, n_samples=720):
@@ -192,64 +183,69 @@ def orbit_time_grid(period, n_samples=720):
     return np.linspace(0.0, period, n_samples, endpoint=False)
 
 
-def _golden_max(fun, a, b, tol):
-    # deterministic golden-section maximization on [a, b]
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = fun(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = fun(x1)
-    return max(f1, f2)
+def compute_power_reports(cfgs, field, coil, t_grid):
+    """Power reports of the grid configs cfgs over one orbit, computed together.
 
-
-def compute_power_report(cfg, field, coil, t_grid):
-    """Full per-pair cost table plus every summary metric in one sweep.
-
-    W_bar = chi_sys sup_t w*(2, t): the grid maximum, sharpened by
-    golden-section refinement (tolerance 1e-3 of the period) around the grid
-    argmax.  W_oint = chi_sys (2n+1) (1/T) integral sum_{j=2..n+1} w*(j, t) dt
-    by the periodic trapezoid rule on the uniform grid, and M = W_oint /
-    (m_sys R/gamma^2).
+    Each report equals the one computed for its config alone.  W_bar =
+    chi_sys sup_t w*(2, t): the grid maximum, or the value at the vertex of
+    the parabola through the grid argmax and its periodic neighbours (moved
+    at most dt = T/len(t_grid)) when those three points are concave and the
+    vertex is higher.  W_oint = chi_sys (2n+1) (1/T) integral sum_j w*(j, t) dt
+    by the periodic trapezoid rule, and M = W_oint / (m_sys R/gamma^2).
+    Raises ZeroSeparationError when a d_sat is at most MIN_SEPARATION, and
+    SolverError naming every n with a stalled dual solve.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if len(t_grid) == 0:
         raise ValueError("empty time grid")
-    w, uncertified, vertex_margin = _pair_costs(cfg, field, range(2, cfg.n + 2), t_grid)
+    check_separation([cfg.d_sat for cfg in cfgs])
+    n_t = len(t_grid)
+    scales = np.concatenate([_pair_scales(cfg) for cfg in cfgs])
+    starts = np.cumsum([0] + [cfg.n for cfg in cfgs[:-1]])
+    J, uncertified, margin = _row_costs(scales[:, None, :] * _unit_rows(field, t_grid))
+    w = 2.0 * (J[:, :n_t] + J[:, n_t:])
+
+    # parabola through each grid argmax of w*(2, t) and its periodic neighbours
+    top = w[starts]
+    i = top.argmax(axis=1)
+    a, peak, c = (top[np.arange(len(cfgs)), (i + s) % n_t] for s in (-1, 0, 1))
+    curv = a - 2.0 * peak + c
+    (bent,) = np.nonzero(curv < 0.0)
+    if bent.size:
+        shift = np.clip(0.5 * (a - c)[bent] / curv[bent], -1.0, 1.0)
+        u = _unit_rows(field, t_grid[i[bent]] + shift * (field.period / n_t))
+        J = _row_costs(scales[starts[bent], None, :] * u.reshape(2, -1, 6).transpose(1, 0, 2))[0]
+        peak[bent] = np.maximum(peak[bent], 2.0 * (J[:, 0] + J[:, 1]))
+
+    costs = np.split(w, starts[1:])
+    stalled = [str(cfg.n) for cfg, wk, p in zip(cfgs, costs, peak) if np.isnan(p) or np.isnan(wk).any()]
+    if stalled:
+        raise SolverError(f"dual solves stalled at n = {', '.join(stalled)}")
     scale = 1.0 if coil is None else coil.power_scale
-    i = int(np.argmax(w[0]))
-    dt = field.period / len(t_grid)
-    refined = _golden_max(
-        lambda s: pair_power_w_star(cfg, field, None, 2, s),
-        t_grid[i] - dt,
-        t_grid[i] + dt,
-        1.0e-3 * field.period,
-    )
-    W_bar = cfg.chi_sys * scale * max(w[0].max(), refined)
-    W_oint = cfg.chi_sys * scale * cfg.n_line * w.sum(axis=0).mean()
-    M = cfg.chi_sys * cfg.n_line * w.sum(axis=0).mean() / cfg.m_sys
-    violation = float((w[1:] - w[0]).max()) if cfg.n > 1 else 0.0
-    return PowerReport(
-        n=cfg.n,
-        r_l=cfg.r_l,
-        chi_sys=cfg.chi_sys,
-        samples=t_grid,
-        w_star_unit=w,
-        W_bar=float(W_bar),
-        W_oint=float(W_oint),
-        M=float(M),
-        gamma_S=surface_ratio(cfg.n_line),
-        peak_pair_violation=violation,
-        uncertified_rows=uncertified,
-        vertex_margin=vertex_margin,
-    )
+    counts, margins = np.add.reduceat(uncertified, starts), np.fmin.reduceat(margin, starts)
+    return [
+        PowerReport(
+            n=cfg.n,
+            r_l=cfg.r_l,
+            chi_sys=cfg.chi_sys,
+            samples=t_grid,
+            w_star_unit=w,
+            W_bar=float(cfg.chi_sys * scale * w_bar),
+            W_oint=float(cfg.chi_sys * scale * cfg.n_line * w.sum(axis=0).mean()),
+            M=float(cfg.chi_sys * cfg.n_line * w.sum(axis=0).mean() / cfg.m_sys),
+            gamma_S=surface_ratio(cfg.n_line),
+            peak_pair_violation=float((w[1:] - w[0]).max()) if cfg.n > 1 else 0.0,
+            uncertified_rows=int(count),
+            vertex_margin=float(vertex_margin),
+        )
+        for cfg, w, w_bar, count, vertex_margin in zip(cfgs, costs, peak, counts, margins)
+    ]
+
+
+def compute_power_report(cfg, field, coil, t_grid):
+    """Full per-pair cost table plus every summary metric for one config:
+    the one-element view of compute_power_reports."""
+    return compute_power_reports([cfg], field, coil, t_grid)[0]
 
 
 def peak_power(cfg, field, coil, t_grid):

@@ -84,7 +84,7 @@ class TestAllocateCmd:
     def test_tol_flag_is_usage_error(self):
         assert main(["allocate", "--r", "1,0,0", "--force", "1e-5,0,0", "--tol", "1e-8"]) == 1
 
-    def test_singular_newton_system_numeric_failure(self, tmp_path):
+    def test_singular_newton_system_succeeds(self, tmp_path):
         # a stall reproducer: this well-posed command once exited 2
         from conftest import SINGULAR_D, SINGULAR_U
 
@@ -156,7 +156,7 @@ class TestScanCmd:
         def fail(*args, **kwargs):
             raise SolverError("stalled")
 
-        monkeypatch.setattr(emff.power, "compute_power_report", fail)
+        monkeypatch.setattr(emff.power, "compute_power_reports", fail)
         assert main(["scan", "--scenario", scenario_path]) == 2
 
     def test_stalled_solve_exit_code(self, tmp_path, monkeypatch):
@@ -176,18 +176,18 @@ class TestScanCmd:
         from emff.magnetics import psi_stack
 
         calls, reports = [], []
-        solve, report = emff.power.solve_dual_batch, emff.power.compute_power_report
+        solve, compute = emff.power.solve_dual_batch, emff.power.compute_power_reports
 
         def counting_solve(Q, u):
             calls.append(np.array(u))
             return solve(Q, u)
 
-        def recording_report(*args, **kwargs):
-            reports.append(report(*args, **kwargs))
-            return reports[-1]
+        def recording_reports(*args, **kwargs):
+            reports.extend(compute(*args, **kwargs))
+            return reports
 
         monkeypatch.setattr(emff.power, "solve_dual_batch", counting_solve)
-        monkeypatch.setattr(emff.power, "compute_power_report", recording_report)
+        monkeypatch.setattr(emff.power, "compute_power_reports", recording_reports)
         for scenario in (SCENARIO, OFF_REGION):
             path = tmp_path / "s.json"
             path.write_text(json.dumps(scenario))
@@ -197,11 +197,18 @@ class TestScanCmd:
             if scenario is SCENARIO:
                 assert calls == [] and [r.uncertified_rows for r in reports] == [0, 0]
                 continue
-            # one solver call per report, holding exactly its uncertified rows
-            assert [len(u) for u in calls] == [r.uncertified_rows for r in reports]
+            # one solver call per scan, holding exactly the uncertified rows
+            # of every report
+            assert [len(u) for u in calls] == [sum(r.uncertified_rows for r in reports)]
             assert all(r.uncertified_rows > 0 for r in reports)
-            for u in calls:
-                assert not emff.power._vertex_costs(u, psi_stack(1.0))[1].any()
+            assert not emff.power._vertex_costs(calls[0], psi_stack(1.0))[1].any()
+
+    def test_zero_separation_exit_code(self, tmp_path):
+        # a 2.5 mm side puts the pairs 0.83 mm (n = 1) and 0.5 mm (n = 2) apart
+        scen = dict(SCENARIO, grid={"n_list": [1, 2], "m_sys_kg": 100.0, "r_l_m": 2.5e-3})
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scen))
+        assert main(["scan", "--scenario", str(path)]) == 2
 
     def test_zero_j2_override_zero_power(self, tmp_path):
         scen = dict(SCENARIO, overrides={"k_j2": 0.0})

@@ -139,7 +139,7 @@ class TestBatch:
         assert cert.J_d == batch["J_d"][0]
         assert np.array_equal(cert.lambda_, batch["lambda_"][0])
 
-    def test_singular_newton_system_stalls_its_row(self, rng):
+    def test_singular_newton_system_solves_its_row(self, rng):
         # a stall reproducer: this command once left its row stalled
         Q = psi_stack(SINGULAR_D)
         alone = solve_dual_batch(Q, [SINGULAR_U])

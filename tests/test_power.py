@@ -12,6 +12,7 @@ from emff import (
     GridConfig,
     StablePlane,
     compute_power_report,
+    compute_power_reports,
     dipole_metric,
     make_context,
     orbit_time_grid,
@@ -22,8 +23,8 @@ from emff import (
     total_power,
 )
 from emff.brigade import unit_wrench, weighting
-from emff.dual import solve_dual_batch
-from emff.magnetics import build_los_frame, psi_stack
+from emff.dual import SolverError, solve_dual_batch
+from emff.magnetics import ZeroSeparationError, build_los_frame, psi_stack
 
 CTX = make_context(500e3, np.deg2rad(45.0), 0.0)
 PLANE = StablePlane(theta_p=np.deg2rad(30.0), theta_z_xy=0.0, r_xyd=100.0)
@@ -228,7 +229,7 @@ _los_rows = st.tuples(
 class TestVertexCertificate:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(draws=st.lists(_los_rows, min_size=1, max_size=8), d=st.floats(0.5, 50.0))
-    def test_closed_form_matches_barrier(self, draws, d):
+    def test_closed_form_matches_solver(self, draws, d):
         rows, expected = [], []
         for rho, k, log_fy, sx, sign in draws:
             fy = 10.0**log_fy
@@ -291,7 +292,7 @@ class TestVertexCertificate:
             nuclear = np.linalg.svd(X, compute_uv=False).sum()
             assert np.isclose(nuclear, abs(fy + 2.0 * tz), rtol=1e-14)
 
-    def test_out_of_plane_rows_go_to_the_barrier(self):
+    def test_out_of_plane_rows_go_to_the_solver(self):
         u = _vertex_row(0.5, 1.0, 5.0)
         Q = psi_stack(1.0)
         for i in (2, 3, 4):
@@ -331,7 +332,7 @@ def _solver_pair_costs(cfg, field, t_grid):
 
 
 class TestRouting:
-    def test_off_region_matches_all_barrier_reference(self):
+    def test_off_region_matches_all_solver_reference(self):
         grid = orbit_time_grid(OFF_CTX.period, 96)
         for n in (1, 2, 3):
             cfg = GridConfig.from_line_length(n, 100.0, 1000.0)
@@ -340,7 +341,7 @@ class TestRouting:
             ref = _solver_pair_costs(cfg, OFF_FIELD, grid)
             assert np.allclose(rep.w_star_unit, ref, rtol=1e-10, atol=0.0)
 
-    def test_barrier_rows_and_vertex_margin(self):
+    def test_uncertified_rows_and_vertex_margin(self):
         cfg = GridConfig.from_line_length(3, 100.0, 1000.0)
         grid = orbit_time_grid(CTX.period, 96)
         rep = compute_power_report(cfg, FIELD, None, grid)
@@ -354,3 +355,68 @@ class TestRouting:
         # a zero field has only zero rows: certified, and no margin to report
         rep = compute_power_report(cfg, zero_field(), None, grid)
         assert rep.uncertified_rows == 0 and np.isnan(rep.vertex_margin)
+
+
+def _assert_same_report(a, b):
+    assert a.n == b.n
+    assert np.array_equal(a.w_star_unit, b.w_star_unit)
+    for name in ("W_bar", "W_oint", "M", "uncertified_rows", "vertex_margin"):
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
+
+
+class TestScanBatch:
+    @pytest.mark.parametrize("field", [FIELD, OFF_FIELD], ids=["reference", "off-region"])
+    def test_reports_independent_of_split(self, field):
+        grid = orbit_time_grid(field.period, 96)
+        cfgs = {n: GridConfig.from_line_length(n, 100.0, 1000.0) for n in range(1, 11)}
+        scan = compute_power_reports(list(cfgs.values()), field, COIL, grid)
+        for n, rep in zip(cfgs, scan):
+            _assert_same_report(rep, compute_power_report(cfgs[n], field, COIL, grid))
+        for rep, n in zip(compute_power_reports([cfgs[7], cfgs[3]], field, COIL, grid), (7, 3)):
+            _assert_same_report(rep, scan[n - 1])
+
+    def test_stalled_solve_names_every_n(self, monkeypatch):
+        import emff.dual
+
+        # one Newton iteration leaves every uncertified row stalled, and every
+        # off-region report has some
+        monkeypatch.setattr(emff.dual, "_MAX_NEWTON", 1)
+        cfgs = [GridConfig.from_line_length(n, 100.0, 1000.0) for n in (1, 2, 3)]
+        with pytest.raises(SolverError, match=r"stalled at n = 1, 2, 3$"):
+            compute_power_reports(cfgs, OFF_FIELD, None, GRID)
+
+    def test_zero_separation_rejected(self):
+        cfgs = [GridConfig(n=1, m_sys=100.0, d_sat=10.0), GridConfig(n=2, m_sys=100.0, d_sat=1e-3)]
+        with pytest.raises(ZeroSeparationError):
+            compute_power_reports(cfgs, FIELD, None, GRID)
+
+
+class TestPeakRefinement:
+    @pytest.mark.parametrize("field", [FIELD, OFF_FIELD], ids=["reference", "off-region"])
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_matches_dense_search(self, field, n):
+        # the dense search reads pair_power_w_star's values as one
+        # 2 001-sample report on [t_i - dt, t_i + dt]
+        cfg = GridConfig.from_line_length(n, 100.0, 1000.0)
+        grid = orbit_time_grid(field.period, 720)
+        rep = compute_power_report(cfg, field, None, grid)
+        t_i = grid[np.argmax(rep.w_star_unit[0])]
+        dt = field.period / len(grid)
+        dense = compute_power_report(cfg, field, None, np.linspace(t_i - dt, t_i + dt, 2001))
+        best = dense.w_star_unit[0].max()
+        assert abs(rep.W_bar / cfg.chi_sys - best) <= 1e-9 * best
+        assert rep.W_bar >= cfg.chi_sys * rep.w_star_unit[0].max()
+
+    @pytest.mark.parametrize("field", [FIELD, OFF_FIELD], ids=["reference", "off-region"])
+    def test_never_below_grid_maximum(self, field):
+        cfgs = [GridConfig.from_line_length(n, 100.0, 1000.0) for n in (1, 2, 5)]
+        for n_t in (3, 5, 7, 48, 97):
+            for rep in compute_power_reports(cfgs, field, None, orbit_time_grid(field.period, n_t)):
+                assert rep.W_bar >= rep.chi_sys * rep.w_star_unit[0].max()
+
+    @pytest.mark.parametrize("n_t", [1, 2])
+    def test_short_grids_keep_grid_maximum(self, n_t):
+        cfgs = [GridConfig.from_line_length(n, 100.0, 1000.0) for n in (1, 4)]
+        for field in (FIELD, OFF_FIELD, zero_field()):
+            for rep in compute_power_reports(cfgs, field, None, orbit_time_grid(field.period, n_t)):
+                assert rep.W_bar == rep.chi_sys * rep.w_star_unit[0].max()
