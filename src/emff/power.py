@@ -14,16 +14,17 @@ the orbit-averaged total sums all pairs over one period.
 
 compute_power_reports is the one computation, for every grid of a scan
 together.  It samples the field once, at every grid time t and t + T/4 and at
-r_l = 1, and rotates the commands into line-of-sight frames
-(magnetics.build_los_frame), where a brigade command is
-(f_x, f_y, 0, 0, 0, tau_z).  That sample serves every n: the force block of
-U_hat scales with r_l, the torque block with r_l^2, and the frame depends
-only on directions.  Pair j of a grid with separation d is then the row
-u' = (a d^4 r_l f, b d^3 r_l^2 tau) against psi_stack(1), with a, b the
-weights of L(n, j).  A row is costed in closed form where a dual vertex and a
-primal point of equal cost certify it (_vertex_costs; weak duality, Boyd &
-Vandenberghe sec. 5); the other rows of every n go to one batched primal-dual
-solve (dual.solve_dual_batch), each certified by its measured gap at
+r_l = 1, in line-of-sight frames (magnetics.build_los_frame), where a brigade
+command is (f_x, f_y, 0, 0, 0, tau_z).  That sample serves every n: the force
+block of U_hat scales with r_l, the torque block with r_l^2, and the frame
+depends only on directions.  Pair j of a grid with separation d is then the
+row u' = (alpha f, beta tau) against psi_stack(1), alpha = a d^4 r_l and
+beta = b d^3 r_l^2 with a, b the weights of L(n, j).  A row is costed in
+closed form where a dual vertex and a primal point of equal cost certify it
+(_pair_costs; weak duality, Boyd & Vandenberghe sec. 5), each test evaluated
+per row from per-sample vectors and the two scales, so no certified row is
+formed; the other rows of every n go to one batched primal-dual solve
+(dual.solve_dual_batch), each certified by its measured gap at
 dual.DEFAULT_TOL.  sup_t w*(2, t) is refined for every n in one more
 evaluation, at the vertex of the parabola through the grid argmax and its
 two periodic neighbours.  compute_power_report is the one-element view,
@@ -35,13 +36,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brigade import _check_j, unit_wrench, weighting
+from .brigade import _check_j, force_weight, torque_weight, unit_wrench
 from .dual import SolverError, solve_dual_batch
 from .magnetics import MU0, build_los_frame, check_separation, psi_stack
 
 #: Relative bound on the out-of-plane part of a row and on the primal
 #: residual |Psi(1) vec X + u'| for the closed form to count as certified.
 VERTEX_RTOL = 1.0e-12
+
+# vec X = (f_x/9, tau_z + f_y/3, -(tau_z + 2 f_y/3), -f_x/9) of a row's vertex point
+_VERTEX_POINT = np.array([[1, 0, 0, -1], [0, 3, -6, 0], [0] * 4, [0] * 4, [0] * 4, [0, 9, -9, 0]]) / 9
 
 
 @dataclass(frozen=True)
@@ -87,60 +91,53 @@ def surface_ratio(n_line):
     return float(n_line) ** (2.0 / 3.0)
 
 
-def _vertex_costs(u, Q):
-    """Closed-form dual costs of line-of-sight rows u (B, 6) against
-    Q = psi_stack(1).  Returns (J, certified, margin).
+def _pair_costs(scales, unit):
+    """Optimal dual costs (J, certified, margin) of the line-of-sight rows
+    u' = (alpha f, beta tau) against Q = psi_stack(1), from per-pair scales
+    (..., 2) = (alpha, beta) >= 0 and unit rows (..., 6) = (f, tau) that broadcast.
 
-    J = (8 pi/mu0)|v|, v = f_y + 2 tau_z, is the value of the dual point
-    lambda* = -sign(v) (0, 1, 0, 0, 0, 2), feasible for every row, so J never
-    exceeds the optimum.  With sigma = -sign(v) and
-        S = sigma [[-(tau_z + f_y/3), f_x/9], [f_x/9, -(tau_z + 2 f_y/3)]],
-    the primal point X = sigma J2 S in the x-y block, J2 = [[0, 1], [-1, 0]],
-    costs (8 pi/mu0) tr S = J when S >= 0.  A row is certified when
-    lambda_min(S) >= 0, its out-of-plane part (f_z, tau_x, tau_y) and the
-    residual Q vec X + u are both within VERTEX_RTOL |u|; then J is the
-    optimum.  margin is lambda_min(S)/tr S (nan where tr S = 0).
-    """
-    u = np.ascontiguousarray(u.T)  # one contiguous row per component
-    fx, fy, tz = u[0], u[1], u[5]
-    v = fy + 2.0 * tz
-    sigma = -np.sign(v)
-    p = -sigma * (tz + fy / 3.0)
-    q = sigma * fx / 9.0
-    r = -sigma * (tz + 2.0 * fy / 3.0)
-    lam_min = 0.5 * (p + r) - np.hypot(0.5 * (p - r), q)
-    # the column-stacked entries X00, X10, X01, X11 of vec X
-    x = sigma * np.array([q, -p, r, -q])
-    residual = Q[:, [0, 1, 3, 4]] @ x + u
-    bound = VERTEX_RTOL * np.sqrt(np.einsum("ib,ib->b", u, u))
-    certified = (
-        (lam_min >= 0.0)
-        & (np.sqrt(np.einsum("ib,ib->b", u[2:5], u[2:5])) <= bound)
-        & (np.sqrt(np.einsum("ib,ib->b", residual, residual)) <= bound)
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        margin = lam_min / (p + r)
-    return (8.0 * np.pi / MU0) * np.abs(v), certified, margin
-
-
-def _row_costs(rows):
-    """Optimal dual costs of line-of-sight rows (..., B, 6) against psi_stack(1).
-
-    Certified rows keep their closed-form cost; all the others go to one
-    solve_dual_batch call, and a row whose solve stalls costs nan.  Returns
-    J (..., B) and, per leading index, the number of uncertified rows and the
-    smallest certified vertex margin (nan when there is none).
+    J = (8 pi/mu0)|v|, v = f_y' + 2 tau_z', is the value of the dual point
+    -sign(v) (0, 1, 0, 0, 0, 2), feasible for every row.  With a = tau_z' +
+    f_y'/3, b = tau_z' + 2 f_y'/3 and sigma = -sign(v), the primal point
+    X = sigma J2 S in the x-y block, S = sigma [[-a, f_x'/9], [f_x'/9, -b]],
+    J2 = [[0, 1], [-1, 0]], costs (8 pi/mu0) tr S = J when S >= 0.  A row is
+    certified, J its optimum, when lambda_min(S) >= 0 (from its own a and b)
+    and its out-of-plane part and residual Q vec X + u' are within
+    VERTEX_RTOL |u'|.  vec X = u' _VERTEX_POINT (0 at v = 0, where only u' = 0
+    passes) is linear, so both are alpha (force part) + beta (torque part) of
+    the unit row's.  Only the other rows are formed, for one solve_dual_batch
+    call; a stalled row costs nan.  margin is lambda_min(S)/tr S if certified.
     """
     Q = psi_stack(1.0)
-    flat = rows.reshape(-1, 6)
-    J, certified, margin = _vertex_costs(flat, Q)
-    fallback = np.flatnonzero(~certified)
-    if fallback.size:
-        res = solve_dual_batch(Q, flat[fallback])
-        J[fallback] = np.where(res["stalled"], np.nan, res["J_d"])
-    shape = rows.shape[:-1]
-    margin = np.where(certified, margin, np.nan).reshape(shape)
-    return J.reshape(shape), (~certified).reshape(shape).sum(axis=-1), np.fmin.reduce(margin, axis=-1)
+    alpha, beta = scales[..., 0], scales[..., 1]
+    f_y, t_z = alpha * unit[..., 1], beta * unit[..., 5]
+    v = f_y + 2.0 * t_z
+    a, b = t_z + f_y / 3.0, t_z + 2.0 * (f_y / 3.0)
+    trace = np.abs(a + b)
+    d, q = 0.5 * (a - b), alpha * (unit[..., 0] / 9.0)
+    lam_min = 0.5 * trace - np.sqrt(d * d + q * q)  # np.hypot is several times slower
+
+    # |part|^2 - VERTEX_RTOL^2 |u'|^2 as a quadratic form in (alpha, beta)
+    G = _VERTEX_POINT @ Q[:, [0, 1, 3, 4]].T + np.eye(6)
+    f, t = unit[..., :3], unit[..., 3:]
+    r_f, r_t = f @ G[:3], t @ G[3:]
+    bound_f, bound_t = VERTEX_RTOL**2 * np.vecdot(f, f), VERTEX_RTOL**2 * np.vecdot(t, t)
+    a2, b2 = alpha * alpha, beta * beta
+    out_of_plane = a2 * (f[..., 2] ** 2 - bound_f) + b2 * (np.vecdot(t[..., :2], t[..., :2]) - bound_t)
+    residual = a2 * (np.vecdot(r_f, r_f) - bound_f) + b2 * (np.vecdot(r_t, r_t) - bound_t)
+    residual += 2.0 * alpha * beta * np.vecdot(r_f, r_t)
+    certified = (lam_min >= 0.0) & (out_of_plane <= 0.0) & (residual <= 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        margin = lam_min / trace
+
+    J = (8.0 * np.pi / MU0) * np.abs(v)
+    if not certified.all():
+        pair = np.broadcast_to(scales, certified.shape + (2,))[~certified]
+        rows = np.repeat(pair, 3, axis=-1) * np.broadcast_to(unit, certified.shape + (6,))[~certified]
+        res = solve_dual_batch(Q, rows)
+        J[~certified] = np.where(res["stalled"], np.nan, res["J_d"])
+        margin[~certified] = np.nan
+    return J, certified, margin
 
 
 def _unit_rows(field, t):
@@ -162,9 +159,9 @@ def _unit_rows(field, t):
 
 
 def _pair_scales(cfg):
-    """Row scales (a d^4 r_l, b d^3 r_l^2) of pairs j = 2..n+1, one row per j."""
-    L = np.array([np.diag(weighting(cfg.n, j)) for j in range(2, cfg.n + 2)])
-    return L * ([cfg.d_sat**4 * cfg.r_l] * 3 + [cfg.d_sat**3 * cfg.r_l**2] * 3)
+    """Row scales (alpha, beta) = (a d^4 r_l, b d^3 r_l^2) of pairs j = 2..n+1."""
+    ab = [[float(force_weight(cfg.n, j)), float(torque_weight(cfg.n, j))] for j in range(2, cfg.n + 2)]
+    return np.array(ab) * [cfg.d_sat**4 * cfg.r_l, cfg.d_sat**3 * cfg.r_l**2]
 
 
 def pair_power_w_star(cfg, field, coil, j, t):
@@ -199,10 +196,12 @@ def compute_power_reports(cfgs, field, coil, t_grid):
     if len(t_grid) == 0:
         raise ValueError("empty time grid")
     check_separation([cfg.d_sat for cfg in cfgs])
+    if not cfgs:
+        return []
     n_t = len(t_grid)
     scales = np.concatenate([_pair_scales(cfg) for cfg in cfgs])
     starts = np.cumsum([0] + [cfg.n for cfg in cfgs[:-1]])
-    J, uncertified, margin = _row_costs(scales[:, None, :] * _unit_rows(field, t_grid))
+    J, certified, margin = _pair_costs(scales[:, None, :], _unit_rows(field, t_grid))
     w = 2.0 * (J[:, :n_t] + J[:, n_t:])
 
     # parabola through each grid argmax of w*(2, t) and its periodic neighbours
@@ -214,7 +213,7 @@ def compute_power_reports(cfgs, field, coil, t_grid):
     if bent.size:
         shift = np.clip(0.5 * (a - c)[bent] / curv[bent], -1.0, 1.0)
         u = _unit_rows(field, t_grid[i[bent]] + shift * (field.period / n_t))
-        J = _row_costs(scales[starts[bent], None, :] * u.reshape(2, -1, 6).transpose(1, 0, 2))[0]
+        J = _pair_costs(scales[starts[bent], None, :], u.reshape(2, -1, 6).transpose(1, 0, 2))[0]
         peak[bent] = np.maximum(peak[bent], 2.0 * (J[:, 0] + J[:, 1]))
 
     costs = np.split(w, starts[1:])
@@ -222,7 +221,8 @@ def compute_power_reports(cfgs, field, coil, t_grid):
     if stalled:
         raise SolverError(f"dual solves stalled at n = {', '.join(stalled)}")
     scale = 1.0 if coil is None else coil.power_scale
-    counts, margins = np.add.reduceat(uncertified, starts), np.fmin.reduceat(margin, starts)
+    counts = np.add.reduceat((~certified).sum(axis=1), starts)
+    margins = np.fmin.reduceat(np.fmin.reduce(margin, axis=1), starts)
     return [
         PowerReport(
             n=cfg.n,

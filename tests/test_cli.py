@@ -173,7 +173,6 @@ class TestScanCmd:
 
     def test_solver_calls_per_report(self, tmp_path, monkeypatch):
         import emff.power
-        from emff.magnetics import psi_stack
 
         calls, reports = [], []
         solve, compute = emff.power.solve_dual_batch, emff.power.compute_power_reports
@@ -201,7 +200,7 @@ class TestScanCmd:
             # of every report
             assert [len(u) for u in calls] == [sum(r.uncertified_rows for r in reports)]
             assert all(r.uncertified_rows > 0 for r in reports)
-            assert not emff.power._vertex_costs(calls[0], psi_stack(1.0))[1].any()
+            assert not emff.power._pair_costs(np.ones(2), calls[0])[1].any()
 
     def test_zero_separation_exit_code(self, tmp_path):
         # a 2.5 mm side puts the pairs 0.83 mm (n = 1) and 0.5 mm (n = 2) apart

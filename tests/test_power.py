@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -24,7 +25,7 @@ from emff import (
 )
 from emff.brigade import unit_wrench, weighting
 from emff.dual import SolverError, solve_dual_batch
-from emff.magnetics import ZeroSeparationError, build_los_frame, psi_stack
+from emff.magnetics import MU0, ZeroSeparationError, build_los_frame, psi_stack
 
 CTX = make_context(500e3, np.deg2rad(45.0), 0.0)
 PLANE = StablePlane(theta_p=np.deg2rad(30.0), theta_z_xy=0.0, r_xyd=100.0)
@@ -215,6 +216,77 @@ def _vertex_row(fx, fy, k):
     return np.array([fx, fy, 0.0, 0.0, 0.0, -k * fy / 3.0])
 
 
+def _reference_vertex_costs(u, Q):
+    """The per-row vertex certificate over materialised rows u (B, 6) against
+    Q = psi_stack(1): (J, certified, margin), margin lambda_min(S)/tr S on
+    every row.  The oracle for power._pair_costs, which never forms the rows."""
+    u = np.ascontiguousarray(u.T)  # one contiguous row per component
+    fx, fy, tz = u[0], u[1], u[5]
+    v = fy + 2.0 * tz
+    sigma = -np.sign(v)
+    p = -sigma * (tz + fy / 3.0)
+    q = sigma * fx / 9.0
+    r = -sigma * (tz + 2.0 * fy / 3.0)
+    lam_min = 0.5 * (p + r) - np.hypot(0.5 * (p - r), q)
+    # the column-stacked entries X00, X10, X01, X11 of vec X
+    x = sigma * np.array([q, -p, r, -q])
+    residual = Q[:, [0, 1, 3, 4]] @ x + u
+    bound = power.VERTEX_RTOL * np.sqrt(np.einsum("ib,ib->b", u, u))
+    certified = (
+        (lam_min >= 0.0)
+        & (np.sqrt(np.einsum("ib,ib->b", u[2:5], u[2:5])) <= bound)
+        & (np.sqrt(np.einsum("ib,ib->b", residual, residual)) <= bound)
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        margin = lam_min / (p + r)
+    return (8.0 * np.pi / MU0) * np.abs(v), certified, margin
+
+
+def _stubbed_pair_costs(scales, unit):
+    """power._pair_costs with the solver stubbed out: every uncertified row
+    costs -1, so rows the solver would reject (NaN) reach no solve."""
+
+    def solver_stub(Q, u):
+        return {"J_d": np.full(len(u), -1.0), "stalled": np.zeros(len(u), dtype=bool)}
+
+    with mock.patch.object(power, "solve_dual_batch", solver_stub):
+        return power._pair_costs(np.asarray(scales, dtype=float), np.asarray(unit, dtype=float))
+
+
+# per-pair scales (alpha, k = beta/alpha), k across the certificate's
+# boundaries at k = 1, 2 and 3 and near them
+_scale_draws = st.tuples(
+    st.floats(-3.0, 12.0).map(lambda e: 10.0**e),
+    st.one_of(
+        st.floats(0.1, 25.0),
+        st.builds(lambda k, e: k * (1.0 + e), st.sampled_from([1.0, 2.0, 3.0]), st.floats(-1e-6, 1e-6)),
+    ),
+)
+
+
+@st.composite
+def _unit_row_draws(draw):
+    """Unit LOS rows (f, tau): brigade-shaped (tau_z = -f_y/3), with an
+    out-of-plane entry 1e-13 or 1e-11 relative, with a free tau_z, with
+    v = f_y + 2 tau_z = 0, zero or NaN."""
+    kind = draw(st.sampled_from(["brigade", "out-of-plane", "torque", "v = 0", "zero", "nan"]))
+    fy = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-6.0, 3.0))
+    fx = fy * draw(st.one_of(st.just(0.0), st.just(3.0 * np.sqrt(2.0)), st.floats(-10.0, 10.0)))
+    row = _vertex_row(fx, fy, 1.0)
+    if kind == "out-of-plane":
+        rel = draw(st.sampled_from([1e-13, 1e-11]))
+        row[draw(st.sampled_from([2, 3, 4]))] = rel * np.linalg.norm(row)
+    elif kind == "torque":
+        row[5] = fy * draw(st.floats(-10.0, 10.0))
+    elif kind == "v = 0":
+        row[[1, 5]] = 0.0
+    elif kind == "zero":
+        row[:] = 0.0
+    elif kind == "nan":
+        row[draw(st.integers(0, 5))] = np.nan
+    return row
+
+
 # rho is |f_x| over the certificate boundary 3 f_y sqrt((k-1)(k-2)); at k = 2
 # the boundary is f_x = 0 and rho is |f_x|/f_y itself
 _los_rows = st.tuples(
@@ -248,7 +320,8 @@ class TestVertexCertificate:
             return {"J_d": -1.0 - np.arange(len(u)), "stalled": np.zeros(len(u), dtype=bool)}
 
         with mock.patch.object(power, "solve_dual_batch", solver_stub):
-            J, n_sent, _ = power._row_costs(rows.copy())
+            J, kept, _ = power._pair_costs(np.ones(2), rows.copy())
+        n_sent = (~kept).sum()
         certified = J >= 0.0
         # exactly the uncertified rows, in order, went to one solver call
         assert len(sent) == (1 if n_sent else 0) and n_sent == (~certified).sum()
@@ -294,13 +367,12 @@ class TestVertexCertificate:
 
     def test_out_of_plane_rows_go_to_the_solver(self):
         u = _vertex_row(0.5, 1.0, 5.0)
-        Q = psi_stack(1.0)
         for i in (2, 3, 4):
             off = u.copy()
             off[i] = 1e-9
-            _, certified, _ = power._vertex_costs(off[None], Q)
+            _, certified, _ = power._pair_costs(np.ones(2), off[None])
             assert not certified[0]
-        _, certified, _ = power._vertex_costs(u[None], Q)
+        _, certified, _ = power._pair_costs(np.ones(2), u[None])
         assert certified[0]
 
     def test_degenerate_rows_never_raise(self):
@@ -308,10 +380,33 @@ class TestVertexCertificate:
             np.zeros(6), _vertex_row(1.0, 1.0, 1.5), _vertex_row(np.nan, 1.0, 5.0),
             _vertex_row(1.0, 1.0, 5.0),
         ])
-        J, certified, margin = power._vertex_costs(rows, psi_stack(1.0))
+        J, certified, margin = _stubbed_pair_costs(np.ones(2), rows)
         # u = 0 is certified at J = 0; v = 0 with u != 0 and a NaN row are not
         assert certified.tolist() == [True, False, False, True]
         assert J[0] == 0.0 and np.isnan(margin[0])
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        pairs=st.lists(_scale_draws, min_size=1, max_size=5),
+        units=st.lists(_unit_row_draws(), min_size=1, max_size=8),
+    )
+    def test_matches_materialised_rows(self, pairs, units):
+        scales = np.array([(alpha, k * alpha) for alpha, k in pairs])
+        unit = np.array(units)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            J, certified, margin = _stubbed_pair_costs(scales[:, None, :], unit)
+        rows = np.repeat(scales, 3, axis=1)[:, None, :] * unit
+        J_ref, certified_ref, margin_ref = (
+            a.reshape(J.shape) for a in _reference_vertex_costs(rows.reshape(-1, 6), psi_stack(1.0))
+        )
+        # the certificates differ only where rounding decides lambda_min >= 0
+        near = np.abs(margin_ref) <= 1e-9
+        assert np.array_equal(certified[~near], certified_ref[~near])
+        both = certified & certified_ref
+        assert np.array_equal(J[both], J_ref[both])
+        assert np.allclose(margin[both], margin_ref[both], rtol=0.0, atol=1e-15, equal_nan=True)
+        assert (J[~certified] == -1.0).all() and np.isnan(margin[~certified]).all()
 
 
 def _solver_pair_costs(cfg, field, t_grid):
@@ -384,6 +479,34 @@ class TestScanBatch:
         cfgs = [GridConfig.from_line_length(n, 100.0, 1000.0) for n in (1, 2, 3)]
         with pytest.raises(SolverError, match=r"stalled at n = 1, 2, 3$"):
             compute_power_reports(cfgs, OFF_FIELD, None, GRID)
+
+    @pytest.mark.parametrize(
+        "field, make_cfg",
+        [
+            (FIELD, lambda n: GridConfig.from_line_length(n, 100.0, 1000.0)),
+            (FIELD, lambda n: GridConfig(n=n, m_sys=100.0, d_sat=30.0)),
+            (OFF_FIELD, lambda n: GridConfig.from_line_length(n, 100.0, 1000.0)),
+        ],
+        ids=["reference", "d_sat", "off-region"],
+    )
+    def test_reports_match_materialised_rows(self, field, make_cfg):
+        # each report against the per-row certificate over its materialised
+        # rows, the uncertified ones solved one report at a time
+        grid = orbit_time_grid(field.period, 96)
+        cfgs = [make_cfg(n) for n in range(1, 11)]
+        unit = power._unit_rows(field, grid)
+        for cfg, rep in zip(cfgs, compute_power_reports(cfgs, field, None, grid)):
+            rows = (np.repeat(power._pair_scales(cfg), 3, axis=1)[:, None, :] * unit).reshape(-1, 6)
+            J, certified, margin = _reference_vertex_costs(rows, psi_stack(1.0))
+            if not certified.all():
+                J[~certified] = solve_dual_batch(psi_stack(1.0), rows[~certified])["J_d"]
+            J = J.reshape(cfg.n, -1)
+            assert np.array_equal(rep.w_star_unit, 2.0 * (J[:, : len(grid)] + J[:, len(grid) :]))
+            assert rep.uncertified_rows == (~certified).sum()
+            assert abs(rep.vertex_margin - np.fmin.reduce(np.where(certified, margin, np.nan))) <= 1e-15
+
+    def test_no_configs_no_reports(self):
+        assert compute_power_reports([], FIELD, COIL, GRID) == []
 
     def test_zero_separation_rejected(self):
         cfgs = [GridConfig(n=1, m_sys=100.0, d_sat=10.0), GridConfig(n=2, m_sys=100.0, d_sat=1e-3)]
