@@ -14,9 +14,8 @@ the centre; the torque balance closes everywhere except the centre, which is
 left carrying 2 chi_sys R_l x (K R_l) by the edge boundary conditions (the
 residual is reported, not hidden).
 
-The disturbance field and unit_wrench take stacks: the field callables accept
-an array of times and unit_wrench a stack of generators and line vectors, so
-a power scan samples the field once for a whole time grid.
+The field callables take an array of times, so a power scan samples the field
+once per time grid; it forms U_hat's line-of-sight rows in closed form.
 """
 
 from dataclasses import dataclass

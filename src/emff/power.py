@@ -14,20 +14,21 @@ the orbit-averaged total sums all pairs over one period.
 
 compute_power_reports is the one computation, for every grid of a scan
 together.  It samples the field once, at every grid time t and t + T/4 and at
-r_l = 1, in line-of-sight frames (magnetics.build_los_frame), where a brigade
-command is (f_x, f_y, 0, 0, 0, tau_z).  That sample serves every n: the force
-block of U_hat scales with r_l, the torque block with r_l^2, and the frame
-depends only on directions.  Pair j of a grid with separation d is then the
-row u' = (alpha f, beta tau) against psi_stack(1), alpha = a d^4 r_l and
-beta = b d^3 r_l^2 with a, b the weights of L(n, j).  A row is costed in
-closed form where a dual vertex and a primal point of equal cost certify it
-(_pair_costs; weak duality, Boyd & Vandenberghe sec. 5), each test evaluated
-per row from per-sample vectors and the two scales, so no certified row is
-formed; the other rows of every n go to one batched primal-dual solve
+r_l = 1, with no frame formed: for f = 3 K p_hat, tau = p_hat x f/3, the
+line-of-sight axes of separation -p_hat are -p_hat and f's part normal to it,
+so a unit command is (-p_hat.f, |p_hat x f|, 0, 0, 0, -|p_hat x f|/3), with
+f_z' = tau_x' = tau_y' = 0 and tau_z' = -f_y'/3 (_unit_rows).  It serves every
+n, as force scales with r_l, torque with r_l^2: pair j of a grid with
+separation d is the row u' = (alpha f, beta tau) against psi_stack(1), alpha =
+a d^4 r_l and beta = b d^3 r_l^2, a and b the weights of L(n, j).  A row is
+costed in closed form where a dual vertex and a primal point of equal cost
+certify it (_pair_costs; weak duality, Boyd & Vandenberghe sec. 5), each test
+evaluated per row from per-sample vectors and the two scales, so no certified
+row is formed; the other rows of every n go to one batched primal-dual solve
 (dual.solve_dual_batch), each certified by its measured gap at
 dual.DEFAULT_TOL.  sup_t w*(2, t) is refined for every n in one more
-evaluation, at the vertex of the parabola through the grid argmax and its
-two periodic neighbours.  compute_power_report is the one-element view,
+evaluation, at the vertex of the parabola through the grid argmax and its two
+periodic neighbours.  compute_power_report is the one-element view,
 pair_power_w_star one entry of a one-sample report, and peak_power,
 total_power and dipole_metric each read one field of the report.
 """
@@ -36,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brigade import _check_j, force_weight, torque_weight, unit_wrench
+from .brigade import _check_j, force_weight, torque_weight
 from .dual import SolverError, solve_dual_batch
-from .magnetics import MU0, build_los_frame, check_separation, psi_stack
+from .magnetics import MU0, check_separation, psi_stack
 
 #: Relative bound on the out-of-plane part of a row and on the primal
 #: residual |Psi(1) vec X + u'| for the closed form to count as certified.
@@ -141,21 +142,21 @@ def _pair_costs(scales, unit):
 
 
 def _unit_rows(field, t):
-    """Unit brigade commands U_hat (r_l = 1) in their line-of-sight frames at
-    every time of t, then at each a quarter period later: (2 len(t), 6).
-
-    The separation is -p_hat and the frame hint the commanded force direction;
-    a grid scales them by positive numbers, so the frames serve every grid.
+    """Unit brigade commands U_hat (r_l = 1) as line-of-sight rows at every
+    time of t, then at each a quarter period later: (2 len(t), 6).  A force
+    along the line gives (-p_hat.f, 0, 0, 0, 0, 0), as the fallback frame does.
     """
     # the disturbance generator is not exactly orbit-periodic (its argument
-    # advances at omega_z, not omega_xy), so the shifted times are sampled
-    # outright rather than reusing wrapped grid values
+    # advances at omega_z, not omega_xy), so the shifted times are sampled too
     ts = np.concatenate([t, t + field.period / 4.0])
-    r = -field.direction(ts)
-    u = unit_wrench(field.k_orb(ts), -r)
-    C = build_los_frame(r, np.cross(u[:, :3], r))
-    # force and torque blocks rotated into the line-of-sight frame: C^T f, C^T tau
-    return np.einsum("bxy,bkx->bky", C, u.reshape(-1, 2, 3)).reshape(-1, 6)
+    p = field.direction(ts)
+    f = 3.0 * np.einsum("...xy,...y->...x", field.k_orb(ts), p)
+    normal = np.cross(p, f)
+    rows = np.zeros((len(ts), 6))
+    rows[:, 0] = -np.vecdot(p, f)
+    rows[:, 1] = np.sqrt(np.vecdot(normal, normal))  # np.linalg.norm is slower
+    rows[:, 5] = rows[:, 1] / -3.0
+    return rows
 
 
 def _pair_scales(cfg):

@@ -459,6 +459,99 @@ def _assert_same_report(a, b):
         assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
 
 
+def _frame_unit_rows(field, t):
+    """Oracle for power._unit_rows: U_hat = unit_wrench(K, p_hat) rotated into
+    the frame build_los_frame(-p_hat, f x -p_hat) at t and t + T/4."""
+    ts = np.concatenate([t, t + field.period / 4.0])
+    r = -field.direction(ts)
+    u = unit_wrench(field.k_orb(ts), -r)
+    C = build_los_frame(r, np.cross(u[:, :3], r))
+    return np.einsum("bxy,bkx->bky", C, u.reshape(-1, 2, 3)).reshape(-1, 6)
+
+
+@st.composite
+def _generator_draws(draw):
+    """A unit p_hat and a generator K: general, symmetric, zero, or with
+    K p_hat parallel to p_hat exactly or to 1e-9; p_hat along a world axis
+    makes K p_hat x p_hat = 0 in floating point for a diagonal K."""
+    kind = draw(st.sampled_from(["general", "symmetric", "zero", "parallel", "near-parallel", "axis"]))
+    entries = st.floats(-1.0, 1.0, allow_subnormal=False)
+    A = np.array(draw(st.lists(entries, min_size=9, max_size=9))).reshape(3, 3)
+    A *= 10.0 ** draw(st.floats(-8.0, 2.0))
+    if kind == "axis":
+        p = np.eye(3)[draw(st.integers(0, 2))] * draw(st.sampled_from([1.0, -1.0]))
+        return p, np.diag(np.diag(A))
+    v = np.array(draw(st.lists(entries, min_size=3, max_size=3).filter(lambda x: np.linalg.norm(x) >= 0.1)))
+    p = v / np.linalg.norm(v)
+    if kind == "symmetric":
+        A = 0.5 * (A + A.T)
+    elif kind == "zero":
+        A = np.zeros((3, 3))
+    elif kind in ("parallel", "near-parallel"):
+        # K p_hat = lam p_hat in exact arithmetic, then 1e-9 |K| off the line
+        P = np.eye(3) - np.outer(p, p)
+        A = A[0, 0] * np.outer(p, p) + P @ A @ P
+        if kind == "near-parallel":
+            e = np.cross(p, np.eye(3)[np.argmin(np.abs(p))])
+            A = A + 1e-9 * np.abs(A).max() * np.outer(e / np.linalg.norm(e), p)
+    return p, A
+
+
+class TestUnitRows:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(draw=_generator_draws(), varying=st.booleans())
+    def test_closed_form_matches_frame_rows(self, draw, varying):
+        p, K = draw
+
+        def k_orb(t):
+            return np.multiply.outer(np.cos(2.0 * np.pi * t / CTX.period), K) if varying else K
+
+        field = DisturbanceField(k_orb=k_orb, p_hat=lambda t: p, period=CTX.period)
+        grid = orbit_time_grid(CTX.period, 5)
+        rows, ref = power._unit_rows(field, grid), _frame_unit_rows(field, grid)
+        assert rows.shape == ref.shape == (10, 6)
+        assert (rows[:, 2:5] == 0.0).all()
+        assert np.array_equal(rows[:, 5], rows[:, 1] / -3.0)
+        assert (rows[:, 1] >= 0.0).all()
+        eps = np.finfo(float).eps
+        assert (np.abs(rows - ref) <= 8.0 * eps * np.linalg.norm(ref, axis=1)[:, None]).all()
+
+    @pytest.mark.parametrize(
+        "field, make_cfg",
+        [
+            (FIELD, lambda n: GridConfig.from_line_length(n, 100.0, 1000.0)),
+            (FIELD, lambda n: GridConfig(n=n, m_sys=100.0, d_sat=30.0)),
+            (OFF_FIELD, lambda n: GridConfig.from_line_length(n, 100.0, 1000.0)),
+        ],
+        ids=["reference", "d_sat", "off-region"],
+    )
+    def test_scan_matches_frame_rows(self, field, make_cfg, monkeypatch):
+        grid = orbit_time_grid(field.period, 96)
+        cfgs = [make_cfg(n) for n in range(1, 11)]
+        with monkeypatch.context() as m:
+            m.setattr(power, "_unit_rows", _frame_unit_rows)
+            refs = compute_power_reports(cfgs, field, None, grid)
+        for rep, ref in zip(compute_power_reports(cfgs, field, None, grid), refs):
+            assert rep.uncertified_rows == ref.uncertified_rows
+            assert np.abs(rep.w_star_unit - ref.w_star_unit).max() <= 4e-15 * ref.w_star_unit.max()
+            assert abs(rep.vertex_margin - ref.vertex_margin) <= 1e-15
+            for name in ("W_bar", "W_oint", "M"):
+                assert np.isclose(getattr(rep, name), getattr(ref, name), rtol=2e-15, atol=0.0), name
+
+    def test_scan_forms_no_frame(self, monkeypatch):
+        import emff.magnetics
+
+        def no_frame(*args):
+            raise AssertionError("a scan formed a line-of-sight frame")
+
+        assert not hasattr(power, "build_los_frame") and not hasattr(power, "unit_wrench")
+        cfgs = [GridConfig.from_line_length(n, 100.0, 1000.0) for n in (1, 10)]
+        expected = compute_power_reports(cfgs, OFF_FIELD, None, GRID)
+        monkeypatch.setattr(emff.magnetics, "build_los_frame", no_frame)
+        for rep, ref in zip(compute_power_reports(cfgs, OFF_FIELD, None, GRID), expected):
+            _assert_same_report(rep, ref)
+
+
 class TestScanBatch:
     @pytest.mark.parametrize("field", [FIELD, OFF_FIELD], ids=["reference", "off-region"])
     def test_reports_independent_of_split(self, field):
