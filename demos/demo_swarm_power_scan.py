@@ -3,7 +3,7 @@
 A square grid of (2n+1)^2 satellites with fixed total mass and fixed array
 side length rides a stable relative orbit.  Each line of the grid cancels
 its J2 residual disturbance pairwise (bucket brigade), every pair command is
-costed by the convex dual bound, and the swarm totals follow.  Increasing n
+costed by its optimal dual cost, in closed form, and the swarm totals follow.  Increasing n
 shrinks both the mass prefactor chi_sys and the pair separations, so the
 normalized power metric M falls steeply while the available surface area
 grows as N_l^(2/3).
@@ -38,7 +38,9 @@ for cfg, rep in zip(cfgs, rows):
 Ms = [r.M for r in rows]
 print("normalized metric strictly decreasing:", all(a > b for a, b in zip(Ms, Ms[1:])))
 print("peak pair rule (w*(2) dominates) held:", all(r.peak_pair_violation <= 0 for r in rows))
-print(f"pair-cost rows outside the closed form: {sum(r.uncertified_rows for r in rows)}, "
+# every pair cost is closed form: rows off its vertex branch carry a measured gap
+print(f"pair-cost rows on the root branch: {sum(r.root_rows for r in rows)}, "
+      f"largest measured gap {max(r.gap for r in rows):.1e}, "
       f"smallest vertex margin {min(r.vertex_margin for r in rows):.4f}")
 
 with open("swarm_power_scan.csv", "w", newline="") as fh:

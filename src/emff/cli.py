@@ -6,10 +6,10 @@ Numeric output is CSV (scan/orbit) or JSON (allocate/verify) at 17
 significant digits, and the output bytes are deterministic (verify: for a
 fixed seed).  `scan` runs serially in one process: it builds the orbit field,
 coil and time grid once and computes the power reports of every distinct n,
-in ascending order, in one power.compute_power_reports call.  Every dual is
-solved at dual.DEFAULT_TOL (1e-10); a scenario may still say so as
-sampling.dual_tol, but no other value.  Exit codes: 0 ok, 1 usage error,
-2 numeric failure.
+in ascending order, in one power.compute_power_reports call.  Every gap, of
+a dual solve or a scan row, is held to dual.DEFAULT_TOL (1e-10); a scenario
+may still say so as sampling.dual_tol, but no other value.  Exit codes: 0 ok,
+1 usage error, 2 numeric failure.
 """
 
 import argparse

@@ -1,36 +1,29 @@
 """Formation-keeping power metrics for grid-structured swarms.
 
-Every brigade pair command is costed by the convex dual bound J_d; the coil
+Every brigade pair command is costed by its optimal dual cost J; the coil
 design enters only through the multiplicative scale R_coil/gamma^2 (ohm/m^4),
 so the normalized metric M is coil-independent.  Each satellite belongs to
 two orthogonal line families, the second realized as the same line a quarter
-period later, so one pair cost sums the dual bound at t and t + T/4 and is
+period later, so one pair cost sums the optimal cost at t and t + T/4 and is
 doubled for the mirrored half-line:
 
-    w*(j, t) = 2 (R/gamma^2) [J_d(L(n,j) U_hat(t)) + J_d(L(n,j) U_hat(t + T/4))]
+    w*(j, t) = 2 (R/gamma^2) [J(L(n,j) U_hat(t)) + J(L(n,j) U_hat(t + T/4))]
 
 evaluated at separation -d_sat p_hat.  Peak power is chi_sys sup_t w*(2, t);
 the orbit-averaged total sums all pairs over one period.
 
-compute_power_reports is the one computation, for every grid of a scan
-together.  It samples the field once, at every grid time t and t + T/4 and at
-r_l = 1, with no frame formed: for f = 3 K p_hat, tau = p_hat x f/3, the
-line-of-sight axes of separation -p_hat are -p_hat and f's part normal to it,
-so a unit command is (-p_hat.f, |p_hat x f|, 0, 0, 0, -|p_hat x f|/3), with
-f_z' = tau_x' = tau_y' = 0 and tau_z' = -f_y'/3 (_unit_rows).  It serves every
-n, as force scales with r_l, torque with r_l^2: pair j of a grid with
-separation d is the row u' = (alpha f, beta tau) against psi_stack(1), alpha =
-a d^4 r_l and beta = b d^3 r_l^2, a and b the weights of L(n, j).  A row is
-costed in closed form where a dual vertex and a primal point of equal cost
-certify it (_pair_costs; weak duality, Boyd & Vandenberghe sec. 5), each test
-evaluated per row from per-sample vectors and the two scales, so no certified
-row is formed; the other rows of every n go to one batched primal-dual solve
-(dual.solve_dual_batch), each certified by its measured gap at
-dual.DEFAULT_TOL.  sup_t w*(2, t) is refined for every n in one more
-evaluation, at the vertex of the parabola through the grid argmax and its two
-periodic neighbours.  compute_power_report is the one-element view,
-pair_power_w_star one entry of a one-sample report, and peak_power,
-total_power and dipole_metric each read one field of the report.
+compute_power_reports costs every grid of a scan together from one field
+sample, at every grid time t and t + T/4 and at r_l = 1, with no frame formed
+(_unit_rows).  Force scales with r_l and torque with r_l^2, so pair j of a grid
+with separation d is the row u' = (alpha f, beta tau) against psi_stack(1),
+alpha = a d^4 r_l and beta = b d^3 r_l^2 (a, b the weights of L(n, j)).  Every
+such in-plane row is costed exactly in closed form, with no solver
+(_pair_costs; nuclear-norm minimization over an affine slice, Recht, Fazel &
+Parrilo 2010); rows off its vertex branch carry a measured gap to a
+closed-form dual point (weak duality, Boyd & Vandenberghe sec. 5).  sup_t
+w*(2, t) is refined at the vertex of the parabola through each grid argmax and
+its periodic neighbours.  compute_power_report, pair_power_w_star, peak_power,
+total_power and dipole_metric are views of one report.
 """
 
 from dataclasses import dataclass
@@ -38,15 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .brigade import _check_j, force_weight, torque_weight
-from .dual import SolverError, solve_dual_batch
-from .magnetics import MU0, check_separation, psi_stack
-
-#: Relative bound on the out-of-plane part of a row and on the primal
-#: residual |Psi(1) vec X + u'| for the closed form to count as certified.
-VERTEX_RTOL = 1.0e-12
-
-# vec X = (f_x/9, tau_z + f_y/3, -(tau_z + 2 f_y/3), -f_x/9) of a row's vertex point
-_VERTEX_POINT = np.array([[1, 0, 0, -1], [0, 3, -6, 0], [0] * 4, [0] * 4, [0] * 4, [0, 9, -9, 0]]) / 9
+# perfbench/tracing.py patches solve_dual_batch and psi_stack here; the scan calls neither
+from .dual import DEFAULT_TOL, SolverError, solve_dual_batch  # noqa: F401
+from .magnetics import MU0, check_separation, psi_stack  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -56,12 +43,11 @@ class PowerReport:
     w_star_unit holds the coil-independent pair costs (A^2*m^4), one row per
     pair index j = 2..n+1, one column per time sample.  peak_pair_violation is
     the largest amount (same units) by which any w*(j>2, t) exceeds w*(2, t);
-    nonpositive means the peak-at-j=2 rule held on every sample.
-    uncertified_rows counts the rows of that table (two per entry, at t and
-    t + T/4) that failed the closed-form certificate and went to
-    dual.solve_dual_batch.  vertex_margin is the smallest lambda_min(S)/tr S
-    over the certified nonzero rows, how far the scenario is from leaving
-    the closed-form region (nan when no such row exists).
+    nonpositive means the peak-at-j=2 rule held on every sample.  root_rows
+    counts the table's rows (two per entry, at t and t + T/4) off the vertex
+    branch, gap is the largest measured relative gap of those and the peak
+    refinement's rows (0.0 if none), and vertex_margin the smallest
+    lambda_min(S)/tr S of the nonzero vertex-branch rows (nan if none).
     """
 
     n: int
@@ -74,7 +60,8 @@ class PowerReport:
     M: float
     gamma_S: float
     peak_pair_violation: float
-    uncertified_rows: int
+    root_rows: int
+    gap: float
     vertex_margin: float
 
 
@@ -92,70 +79,78 @@ def surface_ratio(n_line):
     return float(n_line) ** (2.0 / 3.0)
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _pair_costs(scales, unit):
-    """Optimal dual costs (J, certified, margin) of the line-of-sight rows
-    u' = (alpha f, beta tau) against Q = psi_stack(1), from per-pair scales
-    (..., 2) = (alpha, beta) >= 0 and unit rows (..., 6) = (f, tau) that broadcast.
+    """Optimal costs (J, vertex, margin, gap) of the rows u' = (alpha f_x',
+    alpha f_y', 0, 0, 0, beta f_y'/-3) against psi_stack(1), from per-pair
+    scales (..., 2) = (alpha, beta) >= 0 and unit rows (..., 2) = (f_x', f_y').
 
-    J = (8 pi/mu0)|v|, v = f_y' + 2 tau_z', is the value of the dual point
-    -sign(v) (0, 1, 0, 0, 0, 2), feasible for every row.  With a = tau_z' +
-    f_y'/3, b = tau_z' + 2 f_y'/3 and sigma = -sign(v), the primal point
-    X = sigma J2 S in the x-y block, S = sigma [[-a, f_x'/9], [f_x'/9, -b]],
-    J2 = [[0, 1], [-1, 0]], costs (8 pi/mu0) tr S = J when S >= 0.  A row is
-    certified, J its optimum, when lambda_min(S) >= 0 (from its own a and b)
-    and its out-of-plane part and residual Q vec X + u' are within
-    VERTEX_RTOL |u'|.  vec X = u' _VERTEX_POINT (0 at v = 0, where only u' = 0
-    passes) is linear, so both are alpha (force part) + beta (torque part) of
-    the unit row's.  Only the other rows are formed, for one solve_dual_batch
-    call; a stalled row costs nan.  margin is lambda_min(S)/tr S if certified.
+    With s = f_y + 2 tau_z, t = -f_y/3, c = f_x/3 of the row, some optimum is
+    block-diagonal (z -> -z maps the slice to itself), with x-y block
+    ([[P, -s], [s, P]] + [[D, t], [t, -D]])/2, so J/(8 pi/mu0) is the least
+    h = max(hypot(P, s), hypot(D, t)) with P + 3D = 2c.  Vertex branch,
+    9(s^2 - t^2) >= 4c^2, i.e. margin = lambda_min(S)/tr S >= 0, or u' = 0:
+    h = |s|, J = (8 pi/mu0)|v| with no row formed.  Root branch: h = hypot(t, y),
+    y = (3|c| - q)/4, q = sqrt(c^2 + 2(t-s)(t+s)), at D = sign(c) y,
+    P = 2c - 3D; gap measures it against the dual point theta C + (1-theta) A,
+    C and A the block's two parts normalized, theta = y/(2q), g22 = -g11/2,
+    scaled into sigma_max <= 1.  gap is 0 on the vertex branch, margin nan off it.
     """
-    Q = psi_stack(1.0)
     alpha, beta = scales[..., 0], scales[..., 1]
-    f_y, t_z = alpha * unit[..., 1], beta * unit[..., 5]
-    v = f_y + 2.0 * t_z
-    a, b = t_z + f_y / 3.0, t_z + 2.0 * (f_y / 3.0)
-    trace = np.abs(a + b)
-    d, q = 0.5 * (a - b), alpha * (unit[..., 0] / 9.0)
-    lam_min = 0.5 * trace - np.sqrt(d * d + q * q)  # np.hypot is several times slower
-
-    # |part|^2 - VERTEX_RTOL^2 |u'|^2 as a quadratic form in (alpha, beta)
-    G = _VERTEX_POINT @ Q[:, [0, 1, 3, 4]].T + np.eye(6)
-    f, t = unit[..., :3], unit[..., 3:]
-    r_f, r_t = f @ G[:3], t @ G[3:]
-    bound_f, bound_t = VERTEX_RTOL**2 * np.vecdot(f, f), VERTEX_RTOL**2 * np.vecdot(t, t)
-    a2, b2 = alpha * alpha, beta * beta
-    out_of_plane = a2 * (f[..., 2] ** 2 - bound_f) + b2 * (np.vecdot(t[..., :2], t[..., :2]) - bound_t)
-    residual = a2 * (np.vecdot(r_f, r_f) - bound_f) + b2 * (np.vecdot(r_t, r_t) - bound_t)
-    residual += 2.0 * alpha * beta * np.vecdot(r_f, r_t)
-    certified = (lam_min >= 0.0) & (out_of_plane <= 0.0) & (residual <= 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        margin = lam_min / trace
-
+    f_x, f_y = unit[..., 0], unit[..., 1]
+    v = alpha * f_y + 2.0 * (beta * (f_y / -3.0))
     J = (8.0 * np.pi / MU0) * np.abs(v)
-    if not certified.all():
-        pair = np.broadcast_to(scales, certified.shape + (2,))[~certified]
-        rows = np.repeat(pair, 3, axis=-1) * np.broadcast_to(unit, certified.shape + (6,))[~certified]
-        res = solve_dual_batch(Q, rows)
-        J[~certified] = np.where(res["stalled"], np.nan, res["J_d"])
-        margin[~certified] = np.nan
-    return J, certified, margin
+    g = np.sqrt(1.0 / 36.0 + (f_x / (9.0 * f_y)) ** 2)  # hypot(f_y'/6, f_x'/9)/|f_y'|, no square of f
+    margin = 0.5 - alpha / np.abs(alpha - 2.0 * beta / 3.0) * g
+    vertex = margin >= 0.0
+    gap = np.zeros(J.shape)
+    if vertex.all():
+        return J, vertex, margin, gap
+    root = ~vertex
+    a, fx, fy = (np.broadcast_to(z, root.shape)[root] for z in (alpha, f_x, f_y))
+    s, fx, fy = v[root], a * fx, a * fy
+    # each row scaled by a power of two (exactly), so that no square leaves range
+    m = np.ldexp(1.0, np.frexp(np.maximum(np.maximum(np.abs(s), np.abs(fx)), np.abs(fy)))[1])
+    s, t, c = s / m, (fy / m) / -3.0, (fx / m) / 3.0
+    q = np.sqrt(np.maximum(c * c + 2.0 * (t - s) * (t + s), 0.0))
+    # |D|, clipped to [0, 2|c|/3] for rows that rounding put past the |t| or vertex side
+    y = np.minimum(np.maximum(3.0 * np.abs(c) - q, 0.0) / 4.0, 2.0 * np.abs(c) / 3.0)
+    h = np.maximum(np.hypot(t, y), np.abs(s))
+    D = np.copysign(y, c)
+    P = 2.0 * c - 3.0 * D
+    rho_P, rho_D = np.hypot(P, s), np.hypot(D, t)
+    theta = np.where(y > 0.0, np.minimum(y / (2.0 * q), 1.0), 0.0)
+    k_P, k_D = np.where(theta > 0.0, theta / rho_P, 0.0), (1.0 - theta) / rho_D
+    # G = [[g11, k_D t - k_P s], [k_P s + k_D t, -g11/2]]: sigma_max = conformal + anti-conformal norm
+    g11 = k_P * P + k_D * D
+    smax = np.hypot(0.25 * g11, k_P * s) + np.hypot(0.75 * g11, k_D * t)
+    dual = (0.5 * g11 * c + k_P * s * s + k_D * t * t) / np.maximum(smax, 1.0)
+    primal = np.maximum(rho_P, rho_D) + np.abs(0.5 * (P + 3.0 * D) - c)
+    gap[root] = np.where(primal == 0.0, 0.0, (primal - dual) / primal)
+    J[root] = m * ((8.0 * np.pi / MU0) * h)
+    margin[root] = np.nan
+    vertex[root] = h == 0.0
+    return J, vertex, margin, gap
 
 
 def _unit_rows(field, t):
-    """Unit brigade commands U_hat (r_l = 1) as line-of-sight rows at every
-    time of t, then at each a quarter period later: (2 len(t), 6).  A force
-    along the line gives (-p_hat.f, 0, 0, 0, 0, 0), as the fallback frame does.
-    """
+    """Unit brigade commands U_hat (r_l = 1) as line-of-sight rows (f_x', f_y')
+    at every time of t, then a quarter period later: (2 len(t), 2).  With
+    f = 3 K p_hat, tau = p_hat x f/3, the frame's axes are -p_hat and f's part
+    normal to it, so a full row is (-p_hat.f, |p_hat x f|, 0, 0, 0, -|p_hat x f|/3)."""
     # the disturbance generator is not exactly orbit-periodic (its argument
     # advances at omega_z, not omega_xy), so the shifted times are sampled too
     ts = np.concatenate([t, t + field.period / 4.0])
     p = field.direction(ts)
     f = 3.0 * np.einsum("...xy,...y->...x", field.k_orb(ts), p)
     normal = np.cross(p, f)
-    rows = np.zeros((len(ts), 6))
+    rows = np.empty((len(ts), 2))
     rows[:, 0] = -np.vecdot(p, f)
     rows[:, 1] = np.sqrt(np.vecdot(normal, normal))  # np.linalg.norm is slower
-    rows[:, 5] = rows[:, 1] / -3.0
+    out = ~((rows[:, 1] > 2.0**-480) & (rows[:, 1] < 2.0**480))  # the square left range
+    if out.any():
+        m = np.ldexp(1.0, np.frexp(np.abs(normal[out]).max(axis=-1, keepdims=True))[1])
+        rows[out, 1] = m[:, 0] * np.linalg.norm(normal[out] / m, axis=-1)
     return rows
 
 
@@ -166,7 +161,7 @@ def _pair_scales(cfg):
 
 
 def pair_power_w_star(cfg, field, coil, j, t):
-    """Coil-scaled pair cost w*(r_l, n, j, t): the dual costs at t and a
+    """Coil-scaled pair cost w*(r_l, n, j, t): the optimal costs at t and a
     quarter period later, doubled for the mirrored pair.  coil=None gives the
     coil-independent value in A^2*m^4.  Entry j of the one-sample report at t."""
     _check_j(cfg.n, j)
@@ -189,9 +184,9 @@ def compute_power_reports(cfgs, field, coil, t_grid):
     the parabola through the grid argmax and its periodic neighbours (moved
     at most dt = T/len(t_grid)) when those three points are concave and the
     vertex is higher.  W_oint = chi_sys (2n+1) (1/T) integral sum_j w*(j, t) dt
-    by the periodic trapezoid rule, and M = W_oint / (m_sys R/gamma^2).
-    Raises ZeroSeparationError when a d_sat is at most MIN_SEPARATION, and
-    SolverError naming every n with a stalled dual solve.
+    by the periodic trapezoid rule, and M = W_oint / (m_sys R/gamma^2).  Raises
+    ZeroSeparationError when a d_sat is at most MIN_SEPARATION, and SolverError
+    naming every n with a non-finite cost or a gap above dual.DEFAULT_TOL.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if len(t_grid) == 0:
@@ -202,8 +197,9 @@ def compute_power_reports(cfgs, field, coil, t_grid):
     n_t = len(t_grid)
     scales = np.concatenate([_pair_scales(cfg) for cfg in cfgs])
     starts = np.cumsum([0] + [cfg.n for cfg in cfgs[:-1]])
-    J, certified, margin = _pair_costs(scales[:, None, :], _unit_rows(field, t_grid))
+    J, vertex, margin, gap = _pair_costs(scales[:, None, :], _unit_rows(field, t_grid))
     w = 2.0 * (J[:, :n_t] + J[:, n_t:])
+    gaps = np.maximum.reduceat(gap.max(axis=1), starts)
 
     # parabola through each grid argmax of w*(2, t) and its periodic neighbours
     top = w[starts]
@@ -214,15 +210,18 @@ def compute_power_reports(cfgs, field, coil, t_grid):
     if bent.size:
         shift = np.clip(0.5 * (a - c)[bent] / curv[bent], -1.0, 1.0)
         u = _unit_rows(field, t_grid[i[bent]] + shift * (field.period / n_t))
-        J = _pair_costs(scales[starts[bent], None, :], u.reshape(2, -1, 6).transpose(1, 0, 2))[0]
+        J, _, _, g = _pair_costs(scales[starts[bent], None, :], u.reshape(2, -1, 2).transpose(1, 0, 2))
         peak[bent] = np.maximum(peak[bent], 2.0 * (J[:, 0] + J[:, 1]))
+        gaps[bent] = np.maximum(gaps[bent], g.max(axis=1))
 
     costs = np.split(w, starts[1:])
-    stalled = [str(cfg.n) for cfg, wk, p in zip(cfgs, costs, peak) if np.isnan(p) or np.isnan(wk).any()]
-    if stalled:
-        raise SolverError(f"dual solves stalled at n = {', '.join(stalled)}")
+    means = [wk.sum(axis=0).mean() for wk in costs]  # non-finite if any cost is
+    ok = [np.isfinite(m) and np.isfinite(p) and g <= DEFAULT_TOL for m, p, g in zip(means, peak, gaps)]
+    if not all(ok):
+        failed = ", ".join(str(cfg.n) for cfg, good in zip(cfgs, ok) if not good)
+        raise SolverError(f"pair costs non-finite or gap above {DEFAULT_TOL:.0e} at n = {failed}")
     scale = 1.0 if coil is None else coil.power_scale
-    counts = np.add.reduceat((~certified).sum(axis=1), starts)
+    counts = np.add.reduceat(vertex.shape[1] - np.count_nonzero(vertex, axis=1), starts)
     margins = np.fmin.reduceat(np.fmin.reduce(margin, axis=1), starts)
     return [
         PowerReport(
@@ -232,14 +231,15 @@ def compute_power_reports(cfgs, field, coil, t_grid):
             samples=t_grid,
             w_star_unit=w,
             W_bar=float(cfg.chi_sys * scale * w_bar),
-            W_oint=float(cfg.chi_sys * scale * cfg.n_line * w.sum(axis=0).mean()),
-            M=float(cfg.chi_sys * cfg.n_line * w.sum(axis=0).mean() / cfg.m_sys),
+            W_oint=float(cfg.chi_sys * scale * cfg.n_line * mean),
+            M=float(cfg.chi_sys * cfg.n_line * mean / cfg.m_sys),
             gamma_S=surface_ratio(cfg.n_line),
             peak_pair_violation=float((w[1:] - w[0]).max()) if cfg.n > 1 else 0.0,
-            uncertified_rows=int(count),
-            vertex_margin=float(vertex_margin),
+            root_rows=int(count),
+            gap=float(g),
+            vertex_margin=float(lowest),
         )
-        for cfg, w, w_bar, count, vertex_margin in zip(cfgs, costs, peak, counts, margins)
+        for cfg, w, mean, w_bar, count, g, lowest in zip(cfgs, costs, means, peak, counts, gaps, margins)
     ]
 
 

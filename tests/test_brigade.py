@@ -151,6 +151,17 @@ class TestDisturbanceField:
             with pytest.raises(ValueError):
                 field.direction(np.arange(10.0))
 
+    def test_direction_norm_bound(self):
+        # |norm - 1| <= 1e-9 passes; NaN and inf norms fail like any other
+        def field_of(norm):
+            p = np.array([norm, 0.0, 0.0])
+            return DisturbanceField(k_orb=lambda t: np.eye(3), p_hat=lambda t: p, period=6000.0)
+
+        for bad_norm in (np.nan, np.inf, 1.0 + 2e-9):
+            with pytest.raises(ValueError, match="unit vector"):
+                field_of(bad_norm).direction(np.arange(3.0))
+        assert field_of(1.0 + 5e-10).direction(np.arange(3.0)).shape == (3, 3)
+
 
 class TestPairCommand:
     def test_zero_generator_all_pairs(self, rng):

@@ -16,8 +16,8 @@ SCENARIO = {
     "sampling": {"time_samples": 24, "dual_tol": 1e-10},
 }
 
-#: Inclination 60 deg, theta_p 15 deg: some rows of every report fail the
-#: closed-form certificate and go to dual.solve_dual_batch.
+#: Inclination 60 deg, theta_p 15 deg: some rows of every report are off the
+#: vertex branch of the closed form.
 OFF_REGION = {
     **SCENARIO,
     "orbit": {**SCENARIO["orbit"], "inclination_deg": 60.0},
@@ -162,45 +162,61 @@ class TestScanCmd:
     def test_stalled_solve_exit_code(self, tmp_path, monkeypatch):
         import emff.dual
 
-        # one Newton iteration leaves every solve stalled; the reference
-        # scenario is closed form throughout, so the scan leg runs a scenario
-        # with uncertified rows
+        # one Newton iteration leaves every solve stalled: allocate fails,
+        # while a scan, whose rows are all costed in closed form, does not,
+        # even off-region
         path = tmp_path / "off.json"
         path.write_text(json.dumps(OFF_REGION))
         monkeypatch.setattr(emff.dual, "_MAX_NEWTON", 1)
         assert main(["allocate", "--r", "1,0,0", "--force", "1e-5,0,0"]) == 2
-        assert main(["scan", "--scenario", str(path)]) == 2
+        assert main(["scan", "--scenario", str(path), "--out", str(tmp_path / "o.csv")]) == 0
+
+    def test_non_finite_sample_exit_code(self, tmp_path, monkeypatch, capsys):
+        import emff.power
+
+        unit_rows = emff.power._unit_rows
+
+        def nan_sample(field, t):
+            rows = unit_rows(field, t)
+            rows[0, 1] = np.nan
+            return rows
+
+        monkeypatch.setattr(emff.power, "_unit_rows", nan_sample)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(SCENARIO))
+        assert main(["scan", "--scenario", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err.rstrip().endswith("at n = 1, 2")
 
     def test_solver_calls_per_report(self, tmp_path, monkeypatch):
+        import emff.dual
         import emff.power
 
         calls, reports = [], []
-        solve, compute = emff.power.solve_dual_batch, emff.power.compute_power_reports
+        compute = emff.power.compute_power_reports
 
         def counting_solve(Q, u):
             calls.append(np.array(u))
-            return solve(Q, u)
+            raise AssertionError("a scan called solve_dual_batch")
 
         def recording_reports(*args, **kwargs):
             reports.extend(compute(*args, **kwargs))
             return reports
 
         monkeypatch.setattr(emff.power, "solve_dual_batch", counting_solve)
+        monkeypatch.setattr(emff.dual, "solve_dual_batch", counting_solve)
         monkeypatch.setattr(emff.power, "compute_power_reports", recording_reports)
         for scenario in (SCENARIO, OFF_REGION):
             path = tmp_path / "s.json"
             path.write_text(json.dumps(scenario))
-            calls.clear()
             reports.clear()
             assert main(["scan", "--scenario", str(path), "--out", str(tmp_path / "o.csv")]) == 0
+            # no scan calls the solver: every row is costed in closed form,
+            # the off-region root rows each with a measured gap
+            assert calls == []
             if scenario is SCENARIO:
-                assert calls == [] and [r.uncertified_rows for r in reports] == [0, 0]
-                continue
-            # one solver call per scan, holding exactly the uncertified rows
-            # of every report
-            assert [len(u) for u in calls] == [sum(r.uncertified_rows for r in reports)]
-            assert all(r.uncertified_rows > 0 for r in reports)
-            assert not emff.power._pair_costs(np.ones(2), calls[0])[1].any()
+                assert [(r.root_rows, r.gap) for r in reports] == [(0, 0.0), (0, 0.0)]
+            else:
+                assert all(r.root_rows > 0 and 0.0 < r.gap <= 1e-10 for r in reports)
 
     def test_zero_separation_exit_code(self, tmp_path):
         # a 2.5 mm side puts the pairs 0.83 mm (n = 1) and 0.5 mm (n = 2) apart

@@ -1,5 +1,4 @@
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from emff import (
     total_power,
 )
 from emff.brigade import unit_wrench, weighting
-from emff.dual import SolverError, solve_dual_batch
+from emff.dual import DEFAULT_TOL, SolverError, solve_dual_batch
 from emff.magnetics import MU0, ZeroSeparationError, build_los_frame, psi_stack
 
 CTX = make_context(500e3, np.deg2rad(45.0), 0.0)
@@ -204,11 +203,15 @@ class TestReport:
             assert np.isclose(rep.w_star_unit[0, i], w, rtol=1e-9)
 
 
-# inclination 60 deg, theta_p 15 deg: some rows leave the closed-form region
+# inclination 60 deg, theta_p 15 deg: some rows leave the vertex branch
 OFF_CTX = make_context(500e3, np.deg2rad(60.0), 0.0)
 OFF_FIELD = DisturbanceField.from_orbit(
     OFF_CTX, StablePlane(theta_p=np.deg2rad(15.0), theta_z_xy=0.0, r_xyd=100.0)
 )
+
+#: Relative bound on a row's out-of-plane part and primal residual in the
+#: materialised-row certificate below.
+_VERTEX_RTOL = 1.0e-12
 
 
 def _vertex_row(fx, fy, k):
@@ -216,11 +219,33 @@ def _vertex_row(fx, fy, k):
     return np.array([fx, fy, 0.0, 0.0, 0.0, -k * fy / 3.0])
 
 
+def _materialise(scales, unit):
+    """The rows power._pair_costs costs without forming them: scales (..., 2) =
+    (alpha, beta) and unit rows (..., 2) = (f_x', f_y') that broadcast give
+    (..., 6) = (alpha f_x', alpha f_y', 0, 0, 0, beta (f_y'/-3))."""
+    scales, unit = np.broadcast_arrays(np.asarray(scales, dtype=float), np.asarray(unit, dtype=float))
+    rows = np.zeros(scales.shape[:-1] + (6,))
+    rows[..., 0] = scales[..., 0] * unit[..., 0]
+    rows[..., 1] = scales[..., 0] * unit[..., 1]
+    rows[..., 5] = scales[..., 1] * (unit[..., 1] / -3.0)
+    return rows
+
+
+def _pow2_scale(x, axis=-1):
+    """Per-row powers of two near the largest |entry| (1 for zero rows): dividing
+    by them is exact and leaves no square of an entry out of range."""
+    return np.ldexp(1.0, np.frexp(np.abs(x).max(axis=axis, keepdims=True))[1])
+
+
 def _reference_vertex_costs(u, Q):
     """The per-row vertex certificate over materialised rows u (B, 6) against
     Q = psi_stack(1): (J, certified, margin), margin lambda_min(S)/tr S on
-    every row.  The oracle for power._pair_costs, which never forms the rows."""
+    every row.  The oracle for the vertex branch of power._pair_costs, which
+    never forms the rows."""
     u = np.ascontiguousarray(u.T)  # one contiguous row per component
+    J = (8.0 * np.pi / MU0) * np.abs(u[1] + 2.0 * u[5])
+    # the certificate is homogeneous in the row: decided on the row scaled exactly
+    u = u / _pow2_scale(u, axis=0)
     fx, fy, tz = u[0], u[1], u[5]
     v = fy + 2.0 * tz
     sigma = -np.sign(v)
@@ -231,7 +256,7 @@ def _reference_vertex_costs(u, Q):
     # the column-stacked entries X00, X10, X01, X11 of vec X
     x = sigma * np.array([q, -p, r, -q])
     residual = Q[:, [0, 1, 3, 4]] @ x + u
-    bound = power.VERTEX_RTOL * np.sqrt(np.einsum("ib,ib->b", u, u))
+    bound = _VERTEX_RTOL * np.sqrt(np.einsum("ib,ib->b", u, u))
     certified = (
         (lam_min >= 0.0)
         & (np.sqrt(np.einsum("ib,ib->b", u[2:5], u[2:5])) <= bound)
@@ -239,55 +264,52 @@ def _reference_vertex_costs(u, Q):
     )
     with np.errstate(divide="ignore", invalid="ignore"):
         margin = lam_min / (p + r)
-    return (8.0 * np.pi / MU0) * np.abs(v), certified, margin
+    return J, certified, margin
 
 
-def _stubbed_pair_costs(scales, unit):
-    """power._pair_costs with the solver stubbed out: every uncertified row
-    costs -1, so rows the solver would reject (NaN) reach no solve."""
+def _assert_within_solver_bounds(J, rows):
+    """J of every row lies in [J_d, J_p] of solve_dual_batch on the rows
+    against psi_stack(1), to 2e-15; a stalled row's J_d and J_p still bound it.
+    The solve is homogeneous, so it runs on the rows scaled exactly to a largest
+    entry near 1 (it reads rows below about 1e-154 as zero)."""
+    m = _pow2_scale(rows)
+    ref = solve_dual_batch(psi_stack(1.0), rows / m)
+    m = m[:, 0]
+    assert (ref["J_d"] * m * (1.0 - 2e-15) <= J).all() and (J <= ref["J_p"] * m * (1.0 + 2e-15)).all()
 
-    def solver_stub(Q, u):
-        return {"J_d": np.full(len(u), -1.0), "stalled": np.zeros(len(u), dtype=bool)}
 
-    with mock.patch.object(power, "solve_dual_batch", solver_stub):
-        return power._pair_costs(np.asarray(scales, dtype=float), np.asarray(unit, dtype=float))
-
-
-# per-pair scales (alpha, k = beta/alpha), k across the certificate's
-# boundaries at k = 1, 2 and 3 and near them
-_scale_draws = st.tuples(
-    st.floats(-3.0, 12.0).map(lambda e: 10.0**e),
-    st.one_of(
-        st.floats(0.1, 25.0),
-        st.builds(lambda k, e: k * (1.0 + e), st.sampled_from([1.0, 2.0, 3.0]), st.floats(-1e-6, 1e-6)),
-    ),
+# k = beta/alpha over the in-plane family: anywhere in [0, 25], near the branch
+# boundaries k = 1, 3/2, 2 and 3, and in the band k = 2 (1 + O(1e-9)) where
+# solve_dual_batch can stall
+_k_draws = st.one_of(
+    st.floats(0.0, 25.0),
+    st.builds(lambda k, e: k * (1.0 + e), st.sampled_from([1.0, 1.5, 2.0, 3.0]), st.floats(-1e-6, 1e-6)),
+    st.floats(-3e-9, 3e-9).map(lambda e: 2.0 * (1.0 + e)),
 )
+# per-pair scales (alpha, k)
+_scale_draws = st.tuples(st.floats(-3.0, 12.0).map(lambda e: 10.0**e), _k_draws)
 
 
 @st.composite
 def _unit_row_draws(draw):
-    """Unit LOS rows (f, tau): brigade-shaped (tau_z = -f_y/3), with an
-    out-of-plane entry 1e-13 or 1e-11 relative, with a free tau_z, with
-    v = f_y + 2 tau_z = 0, zero or NaN."""
-    kind = draw(st.sampled_from(["brigade", "out-of-plane", "torque", "v = 0", "zero", "nan"]))
+    """Unit LOS rows (f_x', f_y'): f_x'/f_y' anywhere in [-10, 10], at the
+    k = 3 vertex boundary 3 sqrt(2), of size 1e-12..1e-2 (the k = 2 band), or
+    0; or rows with f_y' = 0, zero rows and rows with a NaN entry."""
+    kind = draw(st.sampled_from(["row", "row", "row", "f_y = 0", "zero", "nan"]))
     fy = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-6.0, 3.0))
-    fx = fy * draw(st.one_of(st.just(0.0), st.just(3.0 * np.sqrt(2.0)), st.floats(-10.0, 10.0)))
-    row = _vertex_row(fx, fy, 1.0)
-    if kind == "out-of-plane":
-        rel = draw(st.sampled_from([1e-13, 1e-11]))
-        row[draw(st.sampled_from([2, 3, 4]))] = rel * np.linalg.norm(row)
-    elif kind == "torque":
-        row[5] = fy * draw(st.floats(-10.0, 10.0))
-    elif kind == "v = 0":
-        row[[1, 5]] = 0.0
+    small = st.builds(lambda s, e: s * 10.0**e, st.sampled_from([1.0, -1.0]), st.floats(-12.0, -2.0))
+    ratio = draw(st.one_of(st.just(0.0), st.just(3.0 * np.sqrt(2.0)), st.floats(-10.0, 10.0), small))
+    row = np.array([fy * ratio, fy])
+    if kind == "f_y = 0":
+        row[1] = 0.0
     elif kind == "zero":
         row[:] = 0.0
     elif kind == "nan":
-        row[draw(st.integers(0, 5))] = np.nan
+        row[draw(st.integers(0, 1))] = np.nan
     return row
 
 
-# rho is |f_x| over the certificate boundary 3 f_y sqrt((k-1)(k-2)); at k = 2
+# rho is |f_x| over the vertex boundary 3 f_y sqrt((k-1)(k-2)); at k = 2
 # the boundary is f_x = 0 and rho is |f_x|/f_y itself
 _los_rows = st.tuples(
     st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 3.0)),
@@ -302,45 +324,36 @@ class TestVertexCertificate:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(draws=st.lists(_los_rows, min_size=1, max_size=8), d=st.floats(0.5, 50.0))
     def test_closed_form_matches_solver(self, draws, d):
-        rows, expected = [], []
+        scales, unit, expected = [], [], []
         for rho, k, log_fy, sx, sign in draws:
             fy = 10.0**log_fy
             edge = 1.0 if k == 2.0 else 3.0 * np.sqrt((k - 1.0) * (k - 2.0))
-            rows.append(sign * _vertex_row(sx * rho * edge * fy, fy, k))
-            # within rounding of the boundary either routing is right
+            scales.append((1.0, k))
+            unit.append((sign * sx * rho * edge * fy, sign * fy))
+            # within rounding of the boundary either branch is right; at k = 2
+            # the boundary is f_x = 0, where both give h = |s| = |t|
             if k > 2.0:
                 expected.append(None if abs(rho - 1.0) <= 1e-9 else rho < 1.0)
             else:
-                expected.append(None if 0.0 < rho <= 1e-7 else rho == 0.0)
-        rows = np.array(rows)
-        sent = []
-
-        def solver_stub(Q, u):
-            sent.append(np.array(u))
-            return {"J_d": -1.0 - np.arange(len(u)), "stalled": np.zeros(len(u), dtype=bool)}
-
-        with mock.patch.object(power, "solve_dual_batch", solver_stub):
-            J, kept, _ = power._pair_costs(np.ones(2), rows.copy())
-        n_sent = (~kept).sum()
-        certified = J >= 0.0
-        # exactly the uncertified rows, in order, went to one solver call
-        assert len(sent) == (1 if n_sent else 0) and n_sent == (~certified).sum()
-        if n_sent:
-            assert np.array_equal(sent[0], rows[~certified])
-            assert np.array_equal(J[~certified], -1.0 - np.arange(n_sent))
-        for ok, want in zip(certified, expected):
+                expected.append(None if rho <= 1e-7 else False)
+        scales, unit = np.array(scales), np.array(unit)
+        J, vertex, _, gap = power._pair_costs(scales, unit)
+        for ok, want in zip(vertex, expected):
             assert want is None or ok == want
-        if certified.any():
+        assert (gap[vertex] == 0.0).all() and (gap <= DEFAULT_TOL).all()
+        rows = _materialise(scales, unit)
+        _assert_within_solver_bounds(J, rows)
+        if vertex.any():
             # the scale identity: the unscaled rows against psi_stack(d), solved
             # by the primal-dual oracle, whose two points are checked directly
             Q = psi_stack(d)
-            unscaled = rows[certified] / np.array([d**4] * 3 + [d**3] * 3)
+            unscaled = rows[vertex] / np.array([d**4] * 3 + [d**3] * 3)
             ref = solve_dual_batch(Q, unscaled)
             for u, X, R in zip(unscaled, ref["X"], ref["R"]):
                 assert np.linalg.norm(Q @ X.ravel(order="F") + u) <= 1e-12 * np.linalg.norm(u)
                 assert np.linalg.svd(R, compute_uv=False)[0] <= 1.0 + 1e-15
             assert not ref["stalled"].any()
-            assert np.allclose(J[certified], ref["J_d"], rtol=1e-10, atol=0.0)
+            assert np.allclose(J[vertex], ref["J_d"], rtol=1e-10, atol=0.0)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(row=_los_rows)
@@ -365,25 +378,21 @@ class TestVertexCertificate:
             nuclear = np.linalg.svd(X, compute_uv=False).sum()
             assert np.isclose(nuclear, abs(fy + 2.0 * tz), rtol=1e-14)
 
-    def test_out_of_plane_rows_go_to_the_solver(self):
-        u = _vertex_row(0.5, 1.0, 5.0)
-        for i in (2, 3, 4):
-            off = u.copy()
-            off[i] = 1e-9
-            _, certified, _ = power._pair_costs(np.ones(2), off[None])
-            assert not certified[0]
-        _, certified, _ = power._pair_costs(np.ones(2), u[None])
-        assert certified[0]
-
     def test_degenerate_rows_never_raise(self):
-        rows = np.array([
-            np.zeros(6), _vertex_row(1.0, 1.0, 1.5), _vertex_row(np.nan, 1.0, 5.0),
-            _vertex_row(1.0, 1.0, 5.0),
-        ])
-        J, certified, margin = _stubbed_pair_costs(np.ones(2), rows)
-        # u = 0 is certified at J = 0; v = 0 with u != 0 and a NaN row are not
-        assert certified.tolist() == [True, False, False, True]
-        assert J[0] == 0.0 and np.isnan(margin[0])
+        # zero; v = 0 (k = 3/2) with u != 0; NaN; f_y' = 0; a vertex row
+        scales = np.array([[1.0, 5.0], [1.0, 1.5], [1.0, 5.0], [2.0, 5.0], [1.0, 5.0]])
+        unit = np.array([[0.0, 0.0], [1.0, 1.0], [np.nan, 1.0], [3.0, 0.0], [1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            J, vertex, margin, gap = power._pair_costs(scales, unit)
+        assert vertex.tolist() == [True, False, False, False, True]
+        # u = 0 costs 0 on the vertex branch, with no margin to report; an
+        # f_y' = 0 row costs |c|/2 = |f_x|/6 exactly, with gap 0
+        assert J[0] == 0.0 and np.isnan(margin[0]) and gap[0] == 0.0
+        assert J[3] == (8.0 * np.pi / MU0) * 1.0 and gap[3] == 0.0
+        assert np.isnan(J[2]) and np.isnan(gap[2])
+        assert np.isfinite(J[[0, 1, 3, 4]]).all() and (gap[[0, 1, 3, 4]] <= DEFAULT_TOL).all()
+        _assert_within_solver_bounds(J[[0, 1, 3, 4]], _materialise(scales, unit)[[0, 1, 3, 4]])
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(
@@ -395,18 +404,37 @@ class TestVertexCertificate:
         unit = np.array(units)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            J, certified, margin = _stubbed_pair_costs(scales[:, None, :], unit)
-        rows = np.repeat(scales, 3, axis=1)[:, None, :] * unit
+            J, vertex, margin, gap = power._pair_costs(scales[:, None, :], unit)
+        rows = _materialise(scales[:, None, :], unit)
         J_ref, certified_ref, margin_ref = (
             a.reshape(J.shape) for a in _reference_vertex_costs(rows.reshape(-1, 6), psi_stack(1.0))
         )
-        # the certificates differ only where rounding decides lambda_min >= 0
+        # the branches differ only where rounding decides lambda_min >= 0
         near = np.abs(margin_ref) <= 1e-9
-        assert np.array_equal(certified[~near], certified_ref[~near])
-        both = certified & certified_ref
+        assert np.array_equal(vertex[~near], certified_ref[~near])
+        both = vertex & certified_ref
         assert np.array_equal(J[both], J_ref[both])
         assert np.allclose(margin[both], margin_ref[both], rtol=0.0, atol=1e-15, equal_nan=True)
-        assert (J[~certified] == -1.0).all() and np.isnan(margin[~certified]).all()
+        assert np.isnan(margin[~vertex]).all() and (gap[vertex] == 0.0).all()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        pairs=st.lists(_scale_draws, min_size=1, max_size=5),
+        units=st.lists(_unit_row_draws(), min_size=1, max_size=8),
+    )
+    def test_closed_form_within_solver_bounds(self, pairs, units):
+        # every in-plane row, stalled solves included: J_d <= J <= J_p, and
+        # each root-branch row certifies its own gap
+        scales = np.array([(alpha, k * alpha) for alpha, k in pairs])
+        unit = np.array(units)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            J, vertex, margin, gap = power._pair_costs(scales[:, None, :], unit)
+        finite = np.isfinite(unit).all(axis=1)
+        assert np.isnan(J[:, ~finite]).all() and np.isnan(gap[:, ~finite]).all()
+        J, gap = J[:, finite].ravel(), gap[:, finite].ravel()
+        assert (gap <= DEFAULT_TOL).all()
+        _assert_within_solver_bounds(J, _materialise(scales[:, None, :], unit[finite]).reshape(-1, 6))
 
 
 def _solver_pair_costs(cfg, field, t_grid):
@@ -432,40 +460,45 @@ class TestRouting:
         for n in (1, 2, 3):
             cfg = GridConfig.from_line_length(n, 100.0, 1000.0)
             rep = compute_power_report(cfg, OFF_FIELD, None, grid)
-            assert rep.uncertified_rows > 0
+            assert rep.root_rows > 0
             ref = _solver_pair_costs(cfg, OFF_FIELD, grid)
             assert np.allclose(rep.w_star_unit, ref, rtol=1e-10, atol=0.0)
 
-    def test_uncertified_rows_and_vertex_margin(self):
+    def test_root_rows_gap_and_vertex_margin(self):
         cfg = GridConfig.from_line_length(3, 100.0, 1000.0)
         grid = orbit_time_grid(CTX.period, 96)
         rep = compute_power_report(cfg, FIELD, None, grid)
-        # the reference scenario is closed form throughout; its tightest rows
-        # (pair j = n + 1, k = 3) keep lambda_min(S)/tr S near 0.007
-        assert rep.uncertified_rows == 0
+        # the reference scenario is on the vertex branch throughout; its
+        # tightest rows (pair j = n + 1, k = 3) keep lambda_min(S)/tr S near 0.007
+        assert rep.root_rows == 0 and rep.gap == 0.0
         assert 0.005 <= rep.vertex_margin <= 0.01
         rep = compute_power_report(cfg, OFF_FIELD, None, orbit_time_grid(OFF_CTX.period, 96))
-        assert 0 < rep.uncertified_rows < 2 * 96 * cfg.n
+        assert 0 < rep.root_rows < 2 * 96 * cfg.n
+        assert 0.0 < rep.gap <= DEFAULT_TOL
         assert 0.0 <= rep.vertex_margin < 0.05
-        # a zero field has only zero rows: certified, and no margin to report
+        # a zero field has only zero rows: on the vertex branch, with no margin to report
         rep = compute_power_report(cfg, zero_field(), None, grid)
-        assert rep.uncertified_rows == 0 and np.isnan(rep.vertex_margin)
+        assert rep.root_rows == 0 and rep.gap == 0.0 and np.isnan(rep.vertex_margin)
 
 
 def _assert_same_report(a, b):
     assert a.n == b.n
     assert np.array_equal(a.w_star_unit, b.w_star_unit)
-    for name in ("W_bar", "W_oint", "M", "uncertified_rows", "vertex_margin"):
+    for name in ("W_bar", "W_oint", "M", "root_rows", "gap", "vertex_margin"):
         assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
 
 
 def _frame_unit_rows(field, t):
     """Oracle for power._unit_rows: U_hat = unit_wrench(K, p_hat) rotated into
-    the frame build_los_frame(-p_hat, f x -p_hat) at t and t + T/4."""
+    the frame build_los_frame(-p_hat, f x -p_hat) at t and t + T/4, all six entries."""
     ts = np.concatenate([t, t + field.period / 4.0])
     r = -field.direction(ts)
     u = unit_wrench(field.k_orb(ts), -r)
-    C = build_los_frame(r, np.cross(u[:, :3], r))
+    # the frame depends on the hint's direction only: scaled to a largest entry
+    # near 1, a hint below 1e-154 keeps it where its squared norm would underflow
+    hint = np.cross(u[:, :3], r)
+    hint /= np.maximum(np.abs(hint).max(axis=1, keepdims=True), 1e-300)
+    C = build_los_frame(r, hint)
     return np.einsum("bxy,bkx->bky", C, u.reshape(-1, 2, 3)).reshape(-1, 6)
 
 
@@ -509,12 +542,16 @@ class TestUnitRows:
         field = DisturbanceField(k_orb=k_orb, p_hat=lambda t: p, period=CTX.period)
         grid = orbit_time_grid(CTX.period, 5)
         rows, ref = power._unit_rows(field, grid), _frame_unit_rows(field, grid)
-        assert rows.shape == ref.shape == (10, 6)
-        assert (rows[:, 2:5] == 0.0).all()
-        assert np.array_equal(rows[:, 5], rows[:, 1] / -3.0)
+        assert rows.shape == (10, 2) and ref.shape == (10, 6)
         assert (rows[:, 1] >= 0.0).all()
+        # the frame row is (f_x', f_y', 0, 0, 0, -f_y'/3) to rounding
+        full = np.zeros((10, 6))
+        full[:, :2], full[:, 5] = rows, rows[:, 1] / -3.0
+        # |ref| from rows scaled to a largest entry of 1, so it does not underflow
+        top = np.maximum(np.abs(ref).max(axis=1), 1e-300)
+        size = top * np.linalg.norm(ref / top[:, None], axis=1)
         eps = np.finfo(float).eps
-        assert (np.abs(rows - ref) <= 8.0 * eps * np.linalg.norm(ref, axis=1)[:, None]).all()
+        assert (np.abs(full - ref) <= 8.0 * eps * size[:, None]).all()
 
     @pytest.mark.parametrize(
         "field, make_cfg",
@@ -529,10 +566,10 @@ class TestUnitRows:
         grid = orbit_time_grid(field.period, 96)
         cfgs = [make_cfg(n) for n in range(1, 11)]
         with monkeypatch.context() as m:
-            m.setattr(power, "_unit_rows", _frame_unit_rows)
+            m.setattr(power, "_unit_rows", lambda f, t: _frame_unit_rows(f, t)[:, :2])
             refs = compute_power_reports(cfgs, field, None, grid)
         for rep, ref in zip(compute_power_reports(cfgs, field, None, grid), refs):
-            assert rep.uncertified_rows == ref.uncertified_rows
+            assert rep.root_rows == ref.root_rows
             assert np.abs(rep.w_star_unit - ref.w_star_unit).max() <= 4e-15 * ref.w_star_unit.max()
             assert abs(rep.vertex_margin - ref.vertex_margin) <= 1e-15
             for name in ("W_bar", "W_oint", "M"):
@@ -563,15 +600,25 @@ class TestScanBatch:
         for rep, n in zip(compute_power_reports([cfgs[7], cfgs[3]], field, COIL, grid), (7, 3)):
             _assert_same_report(rep, scan[n - 1])
 
-    def test_stalled_solve_names_every_n(self, monkeypatch):
-        import emff.dual
-
-        # one Newton iteration leaves every uncertified row stalled, and every
-        # off-region report has some
-        monkeypatch.setattr(emff.dual, "_MAX_NEWTON", 1)
+    def test_non_finite_cost_or_gap_names_every_n(self, monkeypatch):
         cfgs = [GridConfig.from_line_length(n, 100.0, 1000.0) for n in (1, 2, 3)]
-        with pytest.raises(SolverError, match=r"stalled at n = 1, 2, 3$"):
+        unit_rows = power._unit_rows
+
+        def nan_sample(field, t):
+            rows = unit_rows(field, t)
+            rows[len(t) // 2, 0] = np.nan
+            return rows
+
+        # every pair of every n costs the NaN sample
+        with monkeypatch.context() as m:
+            m.setattr(power, "_unit_rows", nan_sample)
+            with pytest.raises(SolverError, match=r"at n = 1, 2, 3$"):
+                compute_power_reports(cfgs, FIELD, None, GRID)
+        # off-region root rows measure gaps near 1e-15, the reference scan none
+        monkeypatch.setattr(power, "DEFAULT_TOL", 1e-17)
+        with pytest.raises(SolverError, match=r"at n = 1, 2, 3$"):
             compute_power_reports(cfgs, OFF_FIELD, None, GRID)
+        assert [rep.gap for rep in compute_power_reports(cfgs, FIELD, None, GRID)] == [0.0] * 3
 
     @pytest.mark.parametrize(
         "field, make_cfg",
@@ -583,19 +630,25 @@ class TestScanBatch:
         ids=["reference", "d_sat", "off-region"],
     )
     def test_reports_match_materialised_rows(self, field, make_cfg):
-        # each report against the per-row certificate over its materialised
-        # rows, the uncertified ones solved one report at a time
+        # each report against the per-row vertex certificate over its
+        # materialised rows, and its other rows against the solver's bounds,
+        # one report at a time
         grid = orbit_time_grid(field.period, 96)
         cfgs = [make_cfg(n) for n in range(1, 11)]
         unit = power._unit_rows(field, grid)
         for cfg, rep in zip(cfgs, compute_power_reports(cfgs, field, None, grid)):
-            rows = (np.repeat(power._pair_scales(cfg), 3, axis=1)[:, None, :] * unit).reshape(-1, 6)
-            J, certified, margin = _reference_vertex_costs(rows, psi_stack(1.0))
-            if not certified.all():
-                J[~certified] = solve_dual_batch(psi_stack(1.0), rows[~certified])["J_d"]
-            J = J.reshape(cfg.n, -1)
+            scales = power._pair_scales(cfg)[:, None, :]
+            J, vertex, _, gap = power._pair_costs(scales, unit)
             assert np.array_equal(rep.w_star_unit, 2.0 * (J[:, : len(grid)] + J[:, len(grid) :]))
-            assert rep.uncertified_rows == (~certified).sum()
+            rows = _materialise(scales, unit).reshape(-1, 6)
+            J_ref, certified, margin = _reference_vertex_costs(rows, psi_stack(1.0))
+            J = J.ravel()
+            assert np.array_equal(vertex.ravel(), certified)
+            assert np.array_equal(J[certified], J_ref[certified])
+            assert rep.root_rows == (~certified).sum()
+            assert gap.max() <= rep.gap <= DEFAULT_TOL
+            if not certified.all():
+                _assert_within_solver_bounds(J[~certified], rows[~certified])
             assert abs(rep.vertex_margin - np.fmin.reduce(np.where(certified, margin, np.nan))) <= 1e-15
 
     def test_no_configs_no_reports(self):
