@@ -27,13 +27,11 @@ from .dual import (
 from .allocation import (
     AllocationSolution,
     GapViolationError,
-    GramLift,
     NoFeasiblePointError,
     RecoveryError,
     allocate,
     brute_force_allocate,
     extract_waveforms,
-    recover_gram,
 )
 from .orbit import (
     K_J2,

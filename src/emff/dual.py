@@ -220,7 +220,10 @@ def solve_dual_batch(Q, u):
     N = unvec_columns(Vq[6:])
 
     X0 = -unvec_columns((u[:, None, :] @ pinv.T)[:, 0])
-    scale = np.sqrt(np.einsum("bxy,bxy->b", X0, X0))
+    # |X0|_F of each row taken after an exact power-of-two scaling, so no square underflows
+    e = np.frexp(np.abs(X0).max(axis=(1, 2)))[1]
+    X0s = np.ldexp(X0, -e[:, None, None])
+    scale = np.ldexp(np.sqrt(np.einsum("bxy,bxy->b", X0s, X0s)), e)
     live = scale > 0.0
     X0[live] /= scale[live, None, None]
     z = np.zeros((B, 3))

@@ -203,13 +203,15 @@ def build_los_frame(r, hint):
     ZeroSeparationError when any separation is at most MIN_SEPARATION.
     """
     r, hint = np.broadcast_arrays(_validate_stack3(r, "r"), _validate_stack3(hint, "hint"))
+    # r and hint each scaled exactly by a power of two, so no square leaves range
+    e = np.frexp(np.abs(r).max(axis=-1))[1]
+    r = np.ldexp(r, -e[..., None])
+    hint = np.ldexp(hint, -np.frexp(np.abs(hint).max(axis=-1))[1][..., None])
     d = np.linalg.norm(r, axis=-1)
-    check_separation(d)
+    check_separation(np.ldexp(d, e))
     ex = r / d[..., None]
     cross = np.cross(r, hint)
-    parallel = np.linalg.norm(cross, axis=-1) <= TOL_PARALLEL * d * np.maximum(
-        np.linalg.norm(hint, axis=-1), 1e-300
-    )
+    parallel = np.linalg.norm(cross, axis=-1) <= TOL_PARALLEL * d * np.linalg.norm(hint, axis=-1)
     axis = np.eye(3)[np.argmin(np.abs(ex), axis=-1)]
     cross = np.where(parallel[..., None], np.cross(ex, axis), cross)
     ey = cross / np.linalg.norm(cross, axis=-1)[..., None]

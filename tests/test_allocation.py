@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emff import (
+    MU0,
     DisturbanceField,
     DualProblem,
-    GramLift,
     InteractionOperator,
     RecoveryError,
     StablePlane,
@@ -16,12 +20,10 @@ from emff import (
     interaction_operator,
     make_context,
     psi_stack,
-    recover_gram,
     solve_dual,
 )
 from emff.allocation import MAX_NEWTON_STEPS, _manifold_minima
 from emff.brigade import GridConfig, pair_command
-from emff.dual import DualCertificate
 from conftest import forward_command, random_geometry
 
 #: Reference scenario field (500 km, 45 deg, theta_p 30 deg) for brigade pair commands.
@@ -84,78 +86,115 @@ def los_setup(u_vec, d=1.0):
     return op, u, cert
 
 
+def _rank_two_primal(rank, entries, exponent):
+    """X' = L R^T with L, R (3, 2) from entries, columns past rank zeroed,
+    scaled by 2**exponent; returns X' and the primal point X = -(mu0/8pi) X'."""
+    L = np.reshape(entries[:6], (3, 2)) * (np.arange(2) < rank)
+    R = np.reshape(entries[6:], (3, 2))
+    Xp = np.ldexp(L @ R.T, exponent)
+    return Xp, -(MU0 / (8.0 * np.pi)) * Xp
+
+
+def _certificate_with(monkeypatch, X_of):
+    """Patches allocate's solve_dual to return the true certificate with X
+    replaced by X_of(certificate)."""
+    def fake(problem):
+        cert = solve_dual(problem)
+        return dataclasses.replace(cert, X=X_of(cert))
+
+    monkeypatch.setattr("emff.allocation.solve_dual", fake)
+
+
 class TestRecoverGram:
+    """Waveforms read off the certificate's primal point."""
+
     def test_zero_command(self):
-        op, u, cert = los_setup(np.zeros(6))
-        lift = recover_gram(cert, op, u)
-        assert np.array_equal(lift.G, np.zeros((3, 3)))
-        assert lift.residual == 0.0
+        _, _, cert = los_setup(np.zeros(6))
+        for wf in extract_waveforms(cert.X, omega=1.0):
+            assert np.array_equal(wf.s, np.zeros(3)) and np.array_equal(wf.c, np.zeros(3))
 
     def test_axial_force_rank_one_axial_support(self):
-        op, u, cert = los_setup([1e-5, 0, 0, 0, 0, 0])
-        lift = recover_gram(cert, op, u)
-        w = np.linalg.eigvalsh(lift.G)
-        assert w[1] <= 1e-9 * w[2]  # rank one
-        # supported on the separation axis
-        assert np.isclose(lift.G[0, 0], np.trace(lift.G), rtol=1e-9)
+        _, _, cert = los_setup([1e-5, 0, 0, 0, 0, 0])
+        for wf in extract_waveforms(cert.X, omega=1.0):
+            assert wf.c @ wf.c <= 1e-9 * (wf.s @ wf.s)  # rank one
+            # supported on the separation axis
+            assert np.isclose(wf.s[0] ** 2, wf.amplitude_squared, rtol=1e-9)
 
     def test_trace_equations_reproduce_command(self, rng):
         for _ in range(20):
             r, hint, u, _ = forward_command(rng)
             op = interaction_operator(r, hint)
             cert = solve_dual(DualProblem(Q=op, u=u))
-            lift = recover_gram(cert, op, u)
-            assert lift.residual <= 1e-8
+            wf_j, wf_k = extract_waveforms(cert.X, omega=1.0)
+            achieved = averaged_wrench(op, wf_j, wf_k).as_vector()
+            assert np.linalg.norm(achieved - u.as_vector()) <= 1e-12 * u.norm
 
-    def test_unconverged_certificate_rejected(self):
-        op = InteractionOperator(Q=psi_stack(1.0), separation=1.0, frame=np.eye(3))
-        u = Wrench.from_vector([1e-5, 0, 0, 0, 0, 0])
-        fake = DualCertificate(
-            lambda_=np.zeros(6), R_lambda=np.zeros((3, 3)), J_d=0.0,
-            sigma_max=0.0, X=np.zeros((3, 3)), J_p=0.0, gap=1.0,
-        )
+    def test_unconverged_certificate_rejected(self, monkeypatch):
+        _certificate_with(monkeypatch, lambda cert: np.zeros((3, 3)))
+        for size in (1e-5, 1e-205):  # also where |u|^2 underflows
+            with pytest.raises(RecoveryError):
+                allocate([1.0, 0, 0], [0, 0, -1.0], [size, 0, 0, 0, 0, 0], omega=1.0)
+
+    def test_full_rank_primal_rejected(self, monkeypatch):
+        # X + t I stays on the slice Q vec X = -u (I spans part of the null
+        # space of the line-of-sight operator), but its third singular value,
+        # which no waveform pair carries, is not zero
+        _certificate_with(monkeypatch, lambda cert: cert.X + 0.1 * np.abs(cert.X).max() * np.eye(3))
+        u = [2e-6, 1e-6, -3e-6, 5e-7, 0.0, -2e-7]
         with pytest.raises(RecoveryError):
-            recover_gram(fake, op, u)
+            allocate([1.0, 0, 0], [0, 0, -1.0], u, omega=1.0)
+
+
+_factor_entries = st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12)
 
 
 class TestExtractWaveforms:
     def test_single_axis(self):
         m = 4.0
-        lift = GramLift(G=np.diag([m**2, 0.0, 0.0]), residual=0.0)
-        wf_j, wf_k = extract_waveforms(lift, np.zeros((3, 3)), omega=2.0)
-        assert np.allclose(wf_j.s, [m, 0, 0])
-        assert np.allclose(wf_j.c, 0.0)
-        assert wf_j.omega == 2.0
+        X = -(MU0 / (8.0 * np.pi)) * np.diag([m**2, 0.0, 0.0])
+        wf_j, wf_k = extract_waveforms(X, omega=2.0)
+        assert np.allclose(np.abs(wf_j.s), [m, 0, 0]) and np.allclose(wf_k.s, wf_j.s)
+        assert np.allclose(wf_j.c, 0.0) and np.allclose(wf_k.c, 0.0)
+        assert wf_j.omega == wf_k.omega == 2.0
 
-    def test_outer_product_identity(self, rng):
-        for _ in range(20):
-            a, b = rng.normal(size=(2, 3)) * 5.0
-            G = np.outer(a, a) + np.outer(b, b)
-            lift = GramLift(G=G, residual=0.0)
-            wf_j, _ = extract_waveforms(lift, np.zeros((3, 3)), omega=1.0)
-            G_back = np.outer(wf_j.s, wf_j.s) + np.outer(wf_j.c, wf_j.c)
-            assert np.abs(G_back - G).max() <= 1e-10 * np.abs(G).max()
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(rank=st.integers(0, 2), entries=_factor_entries, exponent=st.integers(-300, 300))
+    def test_outer_product_identity(self, rank, entries, exponent):
+        # X' = s_j s_k^T + c_j c_k^T to rounding, at the least cost |X'|_*,
+        # split equally between the coils
+        Xp, X = _rank_two_primal(rank, entries, exponent)
+        wf_j, wf_k = extract_waveforms(X, omega=1.0)
+        back = np.outer(wf_j.s, wf_k.s) + np.outer(wf_j.c, wf_k.c)
+        assert np.linalg.norm(back - Xp) <= 1e-14 * np.linalg.norm(Xp)
+        a, b = wf_j.amplitude_squared, wf_k.amplitude_squared
+        nuclear = np.linalg.svd(Xp, compute_uv=False).sum()
+        assert abs(0.5 * (a + b) - nuclear) <= 1e-14 * nuclear
+        assert abs(a - b) <= 1e-14 * nuclear
 
     def test_component_amplitudes_match_diagonal(self, rng):
-        a, b = rng.normal(size=(2, 3)) * 5.0
-        G = np.outer(a, a) + np.outer(b, b)
-        wf_j, _ = extract_waveforms(GramLift(G=G, residual=0.0), np.zeros((3, 3)), omega=1.0)
-        amp = np.sqrt(wf_j.s**2 + wf_j.c**2)
-        assert np.allclose(amp, np.sqrt(np.diag(G)), rtol=1e-10)
+        # each coil's Gram matrix s s^T + c c^T is a polar factor of X':
+        # (X' X'^T)^(1/2) for coil j, (X'^T X')^(1/2) for coil k
+        for _ in range(20):
+            Xp, X = _rank_two_primal(2, rng.normal(size=12) * 5.0, 0)
+            wf_j, wf_k = extract_waveforms(X, omega=1.0)
+            for wf, M in ((wf_j, Xp @ Xp.T), (wf_k, Xp.T @ Xp)):
+                w, V = np.linalg.eigh(M)
+                root = (V * np.sqrt(np.where(w > 1e-12 * w[-1], w, 0.0))) @ V.T
+                amp = wf.s**2 + wf.c**2
+                assert np.allclose(amp, np.diag(root), rtol=1e-10, atol=1e-12 * np.trace(root))
 
     def test_partner_mirrored_through_r(self, rng):
-        r, hint, u, _ = forward_command(rng)
-        op = interaction_operator(r, hint)
-        cert = solve_dual(DualProblem(Q=op, u=u))
-        lift = recover_gram(cert, op, u)
-        R = cert.R_lambda
-        wf_j, wf_k = extract_waveforms(lift, R, omega=1.0)
-        assert np.allclose(wf_k.s, -R.T @ wf_j.s, atol=1e-12)
-        assert np.allclose(wf_k.c, -R.T @ wf_j.c, atol=1e-12)
-
-    def test_negative_eigenvalue_rejected(self):
-        with pytest.raises(ValueError):
-            GramLift(G=np.diag([1.0, -0.5, 0.0]), residual=0.0)
+        # the reader never sees R(lambda), yet at the optimum its partner is
+        # the mirror [s_k, c_k] = -R^T [s_j, c_j] (complementary slackness)
+        for _ in range(10):
+            r, hint, u, _ = forward_command(rng)
+            op = interaction_operator(r, hint)
+            cert = solve_dual(DualProblem(Q=op, u=u))
+            R = cert.R_lambda
+            wf_j, wf_k = extract_waveforms(cert.X, omega=1.0)
+            m_norm = np.sqrt(wf_j.amplitude_squared + wf_k.amplitude_squared)
+            assert np.linalg.norm(wf_k.s + R.T @ wf_j.s) <= 1e-7 * m_norm
+            assert np.linalg.norm(wf_k.c + R.T @ wf_j.c) <= 1e-7 * m_norm
 
 
 class TestAllocate:
@@ -192,11 +231,11 @@ class TestAllocate:
 
     def test_null_space_condition(self, rng):
         r, hint, u, _ = forward_command(rng)
-        op = interaction_operator(r, hint)
-        cert = solve_dual(DualProblem(Q=op, u=u))
-        lift = recover_gram(cert, op, u)
+        d = np.linalg.norm(r)
+        _, _, cert = los_setup(u.as_vector(), d)
+        sol = allocate(r, hint, u, omega=1.0, frame="los")
         R = cert.R_lambda
-        wf_j, wf_k = extract_waveforms(lift, R, omega=1.0)
+        wf_j, wf_k = sol.dipole_j, sol.dipole_k
         P = np.block([[np.eye(3), R], [R.T, np.eye(3)]])
         m_norm = np.sqrt(wf_j.amplitude_squared + wf_k.amplitude_squared)
         assert np.linalg.norm(P @ np.concatenate([wf_j.s, wf_k.s])) <= 1e-7 * m_norm
@@ -222,6 +261,16 @@ class TestAllocate:
             DipoleWaveform(s=s_k, c=c_k, omega=1.0),
         )
         assert np.linalg.norm(w_rot.as_vector() - u.as_vector()) <= 1e-10 * u.norm
+
+    def test_tiny_command_scales(self, rng):
+        # a command whose norm underflows is allocated, not taken for zero
+        for _ in range(5):
+            r, hint, u, _ = forward_command(rng)
+            sol = allocate(r, hint, u, omega=1.0)
+            tiny = allocate(r, hint, 1e-200 * u.as_vector(), omega=1.0)
+            assert abs(tiny.J_p / (1e-200 * sol.J_p) - 1.0) <= 2e-15
+            assert abs(tiny.J_d / (1e-200 * sol.J_d) - 1.0) <= 2e-15
+            assert np.linalg.norm(tiny.wrench_residual * 1e200) <= 1e-12 * u.norm
 
     def test_los_frame_flag(self, rng):
         r, hint = random_geometry(rng)

@@ -95,6 +95,14 @@ class TestAllocateCmd:
         assert main(args) == 0
         assert abs(json.loads(out.read_text())["gap"]) <= 1e-10
 
+    def test_tiny_hint(self, tmp_path):
+        # a hint whose squared norm underflows still orients the frame
+        out = tmp_path / "alloc.json"
+        args = ["allocate", "--r", "1,0,0", "--hint", "0,1e-160,0",
+                "--force", "1e-5,2e-6,0", "--out", str(out)]
+        assert main(args) == 0
+        assert json.loads(out.read_text())["gap"] <= 1e-10
+
     def test_k2_brigade_row(self, tmp_path):
         # a brigade row at k = 2 just off the closed form (f_x != 0), with a
         # rank-one optimum; a stall reproducer that once exited 2

@@ -31,7 +31,10 @@ class TestSolveDual:
         assert cert.J_d == 0.0
         assert cert.sigma_max == 0.0
 
-    @pytest.mark.parametrize("d,F", [(1.0, 1e-5), (2.0, 3e-6), (0.3, 1e-4)])
+    # the last two square to below the smallest double
+    @pytest.mark.parametrize(
+        "d,F", [(1.0, 1e-5), (2.0, 3e-6), (0.3, 1e-4), (1.0, 1.89e-240), (1.0, 1.89e-300)]
+    )
     def test_axial_force_closed_form(self, d, F):
         # axial command saturates the (1,1) singular direction: J_d = 4 pi d^4 F / (3 mu0)
         cert = solve_dual(los_problem([F, 0, 0, 0, 0, 0], d=d))
@@ -224,6 +227,18 @@ class TestBatch:
             us = np.vstack([good[:1], bad, good[1:], [-np.inf, 0, 0, 0, 0, 0]])
             with pytest.raises(ValueError, match="row 1 is not finite"):
                 solve_dual_batch(psi_stack(1.0), us)
+
+    @pytest.mark.parametrize("k", [-797, -997])
+    def test_tiny_rows_keep_their_cost(self, rng, k):
+        # rows of size about 1e-240 and 1e-300, whose squared entries
+        # underflow, are solved as their copies scaled by 2**-k are
+        us = rng.normal(size=(6, 6)) * 1e-5
+        Q = interaction_operator(*random_geometry(rng)).Q
+        ref, res = solve_dual_batch(Q, us), solve_dual_batch(Q, np.ldexp(us, k))
+        assert np.array_equal(res["J_p"], np.ldexp(ref["J_p"], k))
+        assert np.allclose(res["J_d"], np.ldexp(ref["J_d"], k), rtol=1e-15, atol=0.0)
+        assert np.array_equal(res["gap"] <= dual.DEFAULT_TOL, ref["gap"] <= dual.DEFAULT_TOL)
+        assert not res["stalled"].any()
 
     def test_batch_zero_rows(self):
         us = np.zeros((3, 6))

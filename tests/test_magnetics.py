@@ -45,6 +45,20 @@ class TestLosFrame:
             assert np.abs(C.T @ C - np.eye(3)).max() <= 1e-12
             assert abs(np.linalg.det(C) - 1.0) <= 1e-12
 
+    def test_hint_scale_invariance(self, rng):
+        # hints far outside the range whose squares are representable give
+        # the frame of the unscaled hint, bit for bit
+        for _ in range(20):
+            r, hint = random_geometry(rng)
+            C = build_los_frame(r, hint)
+            for k in (-600, -200, 0, 200, 600):
+                assert np.array_equal(build_los_frame(r, np.ldexp(hint, k)), C)
+        # a hint along world z, where the fallback would give -y instead
+        C = build_los_frame([1.0, 0, 0], [0, 0, 1e200])
+        assert np.array_equal(C[:, 1], [0.0, -1.0, 0.0])
+        op = interaction_operator([1.0, 0, 0], [0, 1e-160, 0])
+        assert np.array_equal(op.frame, build_los_frame([1.0, 0, 0], [0, 1.0, 0]))
+
     def test_zero_separation_rejected(self):
         with pytest.raises(ZeroSeparationError):
             build_los_frame([1e-4, 0, 0], [0, 1, 0])

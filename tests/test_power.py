@@ -494,11 +494,7 @@ def _frame_unit_rows(field, t):
     ts = np.concatenate([t, t + field.period / 4.0])
     r = -field.direction(ts)
     u = unit_wrench(field.k_orb(ts), -r)
-    # the frame depends on the hint's direction only: scaled to a largest entry
-    # near 1, a hint below 1e-154 keeps it where its squared norm would underflow
-    hint = np.cross(u[:, :3], r)
-    hint /= np.maximum(np.abs(hint).max(axis=1, keepdims=True), 1e-300)
-    C = build_los_frame(r, hint)
+    C = build_los_frame(r, np.cross(u[:, :3], r))
     return np.einsum("bxy,bkx->bky", C, u.reshape(-1, 2, 3)).reshape(-1, 6)
 
 
