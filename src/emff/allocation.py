@@ -33,9 +33,6 @@ from .magnetics import (
 #: Relative-gap ceiling certified by allocate().
 GAP_TOL = 1.0e-6
 
-#: Floor used in relative-gap computation for near-zero commands.
-GAP_FLOOR = 1.0e-12
-
 
 class RecoveryError(RuntimeError):
     """Primal recovery failed: the waveforms do not reproduce the command."""
@@ -49,7 +46,7 @@ class NoFeasiblePointError(RuntimeError):
     """Brute-force search found no feasible allocation in any restart."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AllocationSolution:
     """Certified allocation: waveforms, primal/dual costs, gap, wrench residual."""
 
@@ -69,11 +66,10 @@ def extract_waveforms(X, omega):
     up to S_3 at the least cost |X'|_* (Recht, Fazel & Parrilo 2010, Lemma 5.1).
     """
     A, S, Bt = np.linalg.svd(-(8.0 * np.pi / MU0) * np.asarray(X, dtype=float))
-    root = np.sqrt(S[:2])
-    L, R = A[:, :2] * root, Bt[:2].T * root
+    r1, r2 = np.sqrt(S[:2])
     return (
-        DipoleWaveform(s=L[:, 0], c=L[:, 1], omega=omega),
-        DipoleWaveform(s=R[:, 0], c=R[:, 1], omega=omega),
+        DipoleWaveform(s=A[:, 0] * r1, c=A[:, 1] * r2, omega=omega),
+        DipoleWaveform(s=Bt[0] * r1, c=Bt[1] * r2, omega=omega),
     )
 
 
@@ -110,7 +106,7 @@ def allocate(r, hint, u, omega, frame="world"):
     treats u as already expressed line-of-sight.  Raises RecoveryError if
     the waveforms reproduce u only to a relative residual above 1e-6 (the
     certificate is not optimal or its optimum has rank three), and
-    GapViolationError if the certified relative gap exceeds 1e-6.
+    GapViolationError if the gap (J_p - J_d) / J_d exceeds 1e-6.
     """
     if frame not in ("world", "los"):
         raise ValueError("frame must be 'world' or 'los'")
@@ -120,38 +116,35 @@ def allocate(r, hint, u, omega, frame="world"):
     u = u if isinstance(u, Wrench) else Wrench.from_vector(np.asarray(u, dtype=float))
     if not u.as_vector().any():
         return _zero_solution(omega)
-    if frame == "world":
-        u_los = Wrench(C.T @ u.force, C.T @ u.torque)
-    else:
-        u_los = u
+    F = C if frame == "world" else np.eye(3)
+    u_los = Wrench(F.T @ u.force, F.T @ u.torque)
     Q_los = psi_stack(d)
     op_los = InteractionOperator(Q=Q_los, separation=d, frame=np.eye(3))
     cert = solve_dual(DualProblem(Q=op_los, u=u_los))
-    wf_j, wf_k = extract_waveforms(cert.X, omega)
-    s_j, s_k, c_j, c_k = wf_j.s, wf_k.s, wf_j.c, wf_k.c
-    bilinear = np.kron(s_k, s_j) + np.kron(c_k, c_j)
+    wf_j, wf_k = extract_waveforms(F @ cert.X @ F.T, omega)
+    # s_k s_j^T + c_k c_j^T in the LOS frame: its row-major vec is kron(s_k, s_j) + kron(c_k, c_j)
+    M = F.T @ np.array([wf_k.s, wf_k.c]).T @ np.array([wf_j.s, wf_j.c]) @ F
     u_vec = u_los.as_vector()
-    residual = MU0 / (8.0 * np.pi) * Q_los @ bilinear - u_vec
+    residual = MU0 / (8.0 * np.pi) * Q_los @ M.ravel() - u_vec
     # both norms taken in units of the largest command entry, so neither underflows
     size = np.abs(u_vec).max()
     relative = np.linalg.norm(residual / size) / np.linalg.norm(u_vec / size)
     if relative > 1.0e-6:
         raise RecoveryError(f"waveforms reproduce the command only to {relative:.3e}")
-    if frame == "world":
-        s_j, s_k, c_j, c_k = C @ s_j, C @ s_k, C @ c_j, C @ c_k
-        residual = np.concatenate([C @ residual[:3], C @ residual[3:]])
-    J_p = 0.5 * (s_j @ s_j + s_k @ s_k + c_j @ c_j + c_k @ c_k)
-    gap = (J_p - cert.J_d) / max(cert.J_d, GAP_FLOOR)
+    residual = (residual.reshape(2, 3) @ F.T).flatten()
+    J_p = 0.5 * (wf_j.amplitude_squared + wf_k.amplitude_squared)
+    # u != 0, so a certified J_d is positive: J_d >= (1 - DEFAULT_TOL) J_p
+    gap = (J_p - cert.J_d) / cert.J_d
     if gap > GAP_TOL:
         raise GapViolationError(
             f"duality gap {gap:.3e} exceeds {GAP_TOL}; command not tightly realizable"
         )
     return AllocationSolution(
-        dipole_j=DipoleWaveform(s=s_j, c=c_j, omega=omega),
-        dipole_k=DipoleWaveform(s=s_k, c=c_k, omega=omega),
-        J_p=float(J_p),
+        dipole_j=wf_j,
+        dipole_k=wf_k,
+        J_p=J_p,
         J_d=cert.J_d,
-        gap=float(gap),
+        gap=gap,
         wrench_residual=residual,
     )
 

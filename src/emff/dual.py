@@ -26,7 +26,9 @@ predictor of the smoothed minimizer path z(mu).  The last stage is centred
 until its squared Newton decrement is below _DECREMENT_FINAL, and one more
 Newton step follows.  Since z(mu) = z* + mu z'(mu) + O(mu^2), a tangent step
 to mu = 0 then lands on the optimum without driving mu to rounding, where the
-Hessian's 1/mu curvature would swamp the rest of it.
+Hessian's 1/mu curvature would swamp the rest of it.  A row's next Newton
+system is built from the SVD of the trial point its line search accepted
+(the first trial is the whole step), which is its next iterate bit for bit.
 
 From the SVD U S V^T of the optimum, a dual matrix of leading rank r is
 G = U_r V_r^T + U_0 W V_0^T, where W on the trailing block starts from the
@@ -39,7 +41,8 @@ measured from the two points.
 
 A batch shares one 6x9 operator.  Each row runs its own schedule, line search
 and stopping test, and every per-row quantity is a stack of per-row products
-or LAPACK calls, so a row's result is bit-for-bit independent of its batch.
+or LAPACK calls, never a 2-D BLAS product over the batch axis (whose blocking
+depends on the batch size), so a row's result is bit-for-bit independent of its batch.
 """
 
 from dataclasses import dataclass
@@ -126,31 +129,28 @@ def unvec_columns(q):
     return q.reshape(q.shape[:-1] + (3, 3)).swapaxes(-1, -2)
 
 
-def _spectral(X, N, mu):
-    """SVD U s V^T of X (b, 3, 3), h = sqrt(s^2 + mu^2), the damped Hessian H
-    of f_mu(z) = sum_i h_i and, as the columns of rhs (b, 3, 2), its gradient
-    g and d g / d mu.  With Nt[b, k] = U^T N_k V and the divided differences
-    a_ij = (h'_i - h'_j)/(s_i - s_j), b_ij = (h'_i + h'_j)/(s_i + s_j),
-        H_kl = sum_ij (a_ij + b_ij)/2 Nt_kij Nt_lij + (a_ij - b_ij)/2 Nt_kij Nt_lji;
-    a_ii = h''_i, so the i = j terms are the diagonal part h''_i Nt_kii Nt_lii."""
-    U, s, Vt = np.linalg.svd(X)
-    Nt = _rotated(U, N, Vt)
+def _spectral(U, s, Vt, h, N, mu):
+    """From the SVD U s V^T of X (b, 3, 3) and h = sqrt(s^2 + mu^2): t = s / h,
+    the damped Hessian H of f_mu(z) = sum_i h_i and, as the columns of rhs
+    (b, 3, 2), its gradient g and d g / d mu.  With Nt[b, k] = U^T N_k V,
+        H_kl = sum_ij Nt_kij (a_ij (Nt_lij + Nt_lji) + b_ij (Nt_lij - Nt_lji)) / 2,
+    a_ij = (t_i - t_j)/(s_i - s_j) = (mu/(h_i h_j))^2 / b_ij, b_ij = (t_i + t_j)/(s_i + s_j):
+    a mean of 1/h_i and 1/h_j with weights s + tiny (s above 1e-292), so 1/mu at s_i = s_j = 0."""
     m = mu[:, None]
-    h = np.sqrt(s * s + m * m)
-    si, sj, hi, hj = s[:, :, None], s[:, None, :], h[:, :, None], h[:, None, :]
-    ssum = si + sj
-    # rho = (s_i h_j + s_j h_i)/(s_i + s_j) is a weighted mean of h_i and h_j,
-    # so at least mu; it is mu when s_i = s_j = 0
-    rho = np.maximum((si * hj + hi * sj) / (ssum + (ssum == 0.0)), m[:, :, None])
-    hh = hi * hj
-    a = (m * m)[:, :, None] / (hh * rho)
-    b = rho / hh
-    W = (0.5 * (a + b))[:, None] * Nt + (0.5 * (a - b))[:, None] * Nt.swapaxes(2, 3)
-    H = Nt.reshape(-1, 3, 9) @ W.reshape(-1, 3, 9).swapaxes(1, 2)
-    H += (1.0e-14 * np.trace(H, axis1=1, axis2=2))[:, None, None] * _EYE3
-    d = np.stack([s / h, -s * m / (h * h * h)], axis=1)
-    rhs = np.einsum("bci,bkii->bkc", d, Nt)
-    return U, s, Vt, h, H, rhs
+    hh = h[:, :, None] * h[:, None, :]
+    w = s + np.finfo(float).tiny
+    d = np.empty(s.shape + (2,))
+    t = np.divide(w, h, out=d[..., 0])
+    np.divide(-m * t, hh.diagonal(axis1=1, axis2=2), out=d[..., 1])
+    b = (t[:, :, None] + t[:, None, :]) / (w[:, :, None] + w[:, None, :])
+    a = np.square(m[:, :, None] / hh) / b
+    Nt = _rotated(U, N, Vt)
+    Nt9, NtT9 = Nt.reshape(-1, 3, 9), Nt.swapaxes(2, 3).reshape(-1, 3, 9)
+    W = a.reshape(-1, 1, 9) * (Nt9 + NtT9) + b.reshape(-1, 1, 9) * (Nt9 - NtT9)
+    H = 0.5 * (Nt9 @ W.swapaxes(1, 2))
+    diag = H.reshape(-1, 9)[:, ::4]
+    diag += 1.0e-14 * diag.sum(axis=1, keepdims=True)
+    return t, H, Nt.diagonal(axis1=2, axis2=3) @ d
 
 
 def _rotated(U, N, Vt):
@@ -159,13 +159,9 @@ def _rotated(U, N, Vt):
 
 
 def _smoothed(X, mu):
-    s = np.linalg.svd(X, compute_uv=False)
-    return np.sqrt(s * s + (mu * mu)[:, None]).sum(axis=1)
-
-
-def _smoothed_gradient(U, s, Vt, mu):
-    """The gradient U diag(s / sqrt(s^2 + mu^2)) V^T of f_mu in X."""
-    return (U * (s / np.sqrt(s * s + (mu * mu)[:, None]))[:, None, :]) @ Vt
+    """SVD U s V^T of X (b, 3, 3) and h = sqrt(s^2 + mu^2), whose row sums are f_mu(X)."""
+    U, s, Vt = np.linalg.svd(X)
+    return U, s, Vt, np.sqrt(s * s + (mu * mu)[:, None])
 
 
 def _dual_matrices(X, N, G_mu):
@@ -175,8 +171,9 @@ def _dual_matrices(X, N, G_mu):
     gradient G_mu plus its least-norm correction."""
     U, s, Vt = np.linalg.svd(X)
     Nt = _rotated(U, N, Vt)
-    lead = np.broadcast_to((np.arange(3) < np.arange(1, 4)[:, None])[:, None], (3, len(X), 3))
-    trail = ~lead[..., :, None] & ~lead[..., None, :]
+    # lead[r - 1, 0, i]: whether singular direction i is in the leading block of rank r
+    lead = (np.arange(3) < np.arange(1, 4)[:, None])[:, None]
+    trail = ~(lead[..., :, None] | lead[..., None, :])
     Gt = np.where(trail, np.swapaxes(U, 1, 2) @ G_mu @ np.swapaxes(Vt, 1, 2), 0.0)
     Gt += lead[..., :, None] * _EYE3
     res = np.einsum("rbij,bkij->rbk", Gt, Nt)
@@ -225,64 +222,65 @@ def solve_dual_batch(Q, u):
     X0s = np.ldexp(X0, -e[:, None, None])
     scale = np.ldexp(np.sqrt(np.einsum("bxy,bxy->b", X0s, X0s)), e)
     live = scale > 0.0
-    X0[live] /= scale[live, None, None]
+    X0 /= np.where(live, scale, 1.0)[:, None, None]
     z = np.zeros((B, 3))
     G_mu = np.zeros((B, 3, 3))
     iters = np.zeros(B, dtype=int)
     stalled = np.zeros(B, dtype=bool)
 
-    # the rows still iterating, with their null-space coordinates and mu
+    # the rows still iterating: z, mu, and the SVD and h of their point X0 + z.N
     idx = np.flatnonzero(live)
     X0a, za, ma = X0[idx], z[idx], np.full(idx.size, _MU_START)
-    for _ in range(_MAX_NEWTON):
+    U, s, Vt, h = _smoothed(X0a, ma)
+    for it in range(1, _MAX_NEWTON + 1):
         if not idx.size:
             break
-        U, s, Vt, h, H, rhs = _spectral(X0a + np.einsum("bk,kxy->bxy", za, N), N, ma)
-        iters[idx] += 1
+        t, H, rhs = _spectral(U, s, Vt, h, N, ma)
+        # Newton step -sol[..., 0] with decrement^2 g.H^-1 g; tangent dz/dmu = -sol[..., 1]
         sol = np.linalg.solve(H, rhs)
-        step, tangent = -sol[..., 0], -sol[..., 1]
-        dec2 = -np.einsum("bk,bk->b", rhs[..., 0], step)
+        dec2 = np.vecdot(rhs[..., 0], sol[..., 0])
         final = ma <= _MU_FINAL
+        ended = dec2 <= np.where(final, _DECREMENT_FINAL, ma * ma)
         # done: one last Newton step, then the tangent step to mu = 0;
         # centred: shrink mu and start the next stage at the tangent predictor
-        done = final & (dec2 <= _DECREMENT_FINAL)
-        centred = ~final & (dec2 <= ma * ma)
-        whole = ~centred & (dec2 <= _FULL_STEP * ma)
+        centred, done = ended & ~final, ended & final
+        no_search = ended | (dec2 <= _FULL_STEP * ma)
         nxt = np.where(centred, np.maximum(ma * _MU_FACTOR, _MU_FINAL), np.where(done, 0.0, ma))
-        if done.any():
-            G_mu[idx[done]] = _smoothed_gradient(U[done], s[done], Vt[done], ma[done])
-        za = np.where(whole[:, None], za + step, za) + (nxt - ma)[:, None] * tangent
-        # the others: Armijo backtracking on f_mu along the Newton step
-        search = np.flatnonzero(~whole & ~centred)
-        f0 = h[search].sum(axis=1)
-        alpha = np.ones(search.size)
-        for _ in range(_MAX_HALVINGS):
-            if not search.size:
+        z1 = np.where(centred[:, None], za, za - sol[..., 0]) + (ma - nxt)[:, None] * sol[..., 1]
+        U1, s1, Vt1, h1 = _smoothed(X0a + np.einsum("bk,kxy->bxy", z1, N), nxt)
+        # a searched row took the whole Newton step as its first Armijo trial on f_mu;
+        # if that fails it backtracks, keeping the SVD of the trial it accepts, or stays put
+        f0 = h.sum(axis=1)
+        fail = np.flatnonzero(~(no_search | (h1.sum(axis=1) <= f0 - 0.25 * dec2)))
+        for k in range(1, _MAX_HALVINGS):
+            if not fail.size:
                 break
-            trial = za[search] + alpha[:, None] * step[search]
-            X = X0a[search] + np.einsum("bk,kxy->bxy", trial, N)
-            ok = _smoothed(X, ma[search]) <= f0 - 0.25 * alpha * dec2[search]
-            za[search[ok]] = trial[ok]
-            search, f0, alpha = search[~ok], f0[~ok], 0.5 * alpha[~ok]
-        ma = nxt
+            zt = za[fail] - 0.5**k * sol[fail, :, 0]
+            Ut, st, Vtt, ht = _smoothed(X0a[fail] + np.einsum("bk,kxy->bxy", zt, N), ma[fail])
+            ok = ht.sum(axis=1) <= f0[fail] - 0.25 * 0.5**k * dec2[fail]
+            acc = fail[ok]
+            z1[acc], U1[acc], s1[acc], Vt1[acc], h1[acc] = zt[ok], Ut[ok], st[ok], Vtt[ok], ht[ok]
+            fail = fail[~ok]
+        else:
+            z1[fail], U1[fail], s1[fail], Vt1[fail] = za[fail], U[fail], s[fail], Vt[fail]
+            h1[fail] = h[fail]
         if done.any():
-            z[idx[done]] = za[done]
-            keep = ~done
-            idx, X0a, za, ma = idx[keep], X0a[keep], za[keep], ma[keep]
+            fin, keep = idx[done], ~done
+            iters[fin], z[fin] = it, z1[done]
+            G_mu[fin] = (U[done] * t[done][:, None, :]) @ Vt[done]
+            idx, X0a, z1, nxt = idx[keep], X0a[keep], z1[keep], nxt[keep]
+            U1, s1, Vt1, h1 = U1[keep], s1[keep], Vt1[keep], h1[keep]
+        za, U, s, Vt, h, ma = z1, U1, s1, Vt1, h1, nxt
     else:
         # out of iterations: the remaining rows are certified from where they are
-        stalled[idx] = True
-        z[idx] = za
-        if idx.size:
-            X = X0a + np.einsum("bk,kxy->bxy", za, N)
-            G_mu[idx] = _smoothed_gradient(*np.linalg.svd(X), ma)
+        stalled[idx], iters[idx], z[idx] = True, _MAX_NEWTON, za
+        G_mu[idx] = (U * (s / h)[:, None, :]) @ Vt
 
-    X = np.zeros((B, 3, 3))
+    X = X0 + np.einsum("bk,kxy->bxy", z, N)
     G = np.zeros((3, B, 3, 3))
     nuclear = np.zeros(B)
     rows = np.flatnonzero(live)
     if rows.size:
-        X[rows] = X0[rows] + np.einsum("bk,kxy->bxy", z[rows], N)
         nuclear[rows], G[:, rows] = _dual_matrices(X[rows], N, G_mu[rows])
     # each vec G projected onto range(Q^T), then scaled into sigma_max(R) <= 1;
     # every candidate is dual feasible, so the best one is kept

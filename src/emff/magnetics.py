@@ -99,7 +99,7 @@ class CoilDesign:
         return self.resistance / self.dipole_per_current**2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DipoleWaveform:
     """Sinusoidal dipole command mu(t) = s*sin(omega t) + c*cos(omega t), A*m^2."""
 
@@ -177,7 +177,7 @@ class InteractionOperator:
         if not self.separation > 0:
             raise ValueError("separation must be positive")
         C = self.frame
-        if not np.allclose(C.T @ C, np.eye(3), atol=1e-9) or np.linalg.det(C) < 0:
+        if not (np.abs(C.T @ C - np.eye(3)) <= 1e-9).all() or np.linalg.det(C) < 0:
             raise ValueError("frame must be a proper rotation")
 
 
@@ -192,6 +192,13 @@ def check_separation(d):
         raise ZeroSeparationError(f"separation {np.min(d):.3e} m <= {MIN_SEPARATION} m")
 
 
+def _cross(a, b):
+    """a x b over the last axis, with np.cross's products and differences in
+    its order: (a1 b2 - a2 b1, a2 b0 - a0 b2, a0 b1 - a1 b0)."""
+    a, b = np.concatenate([a, a], axis=-1), np.concatenate([b, b], axis=-1)
+    return a[..., 1:4] * b[..., 2:5] - a[..., 2:5] * b[..., 1:4]
+
+
 def build_los_frame(r, hint):
     """Rotations whose columns are the line-of-sight axes of separations r.
 
@@ -202,7 +209,9 @@ def build_los_frame(r, hint):
     to r; column 3 completes the right-handed triad.  Raises
     ZeroSeparationError when any separation is at most MIN_SEPARATION.
     """
-    r, hint = np.broadcast_arrays(_validate_stack3(r, "r"), _validate_stack3(hint, "hint"))
+    r, hint = _validate_stack3(r, "r"), _validate_stack3(hint, "hint")
+    if r.shape != hint.shape:
+        r, hint = np.broadcast_arrays(r, hint)
     # r and hint each scaled exactly by a power of two, so no square leaves range
     e = np.frexp(np.abs(r).max(axis=-1))[1]
     r = np.ldexp(r, -e[..., None])
@@ -210,13 +219,12 @@ def build_los_frame(r, hint):
     d = np.linalg.norm(r, axis=-1)
     check_separation(np.ldexp(d, e))
     ex = r / d[..., None]
-    cross = np.cross(r, hint)
+    cross = _cross(r, hint)
     parallel = np.linalg.norm(cross, axis=-1) <= TOL_PARALLEL * d * np.linalg.norm(hint, axis=-1)
     axis = np.eye(3)[np.argmin(np.abs(ex), axis=-1)]
-    cross = np.where(parallel[..., None], np.cross(ex, axis), cross)
+    cross = np.where(parallel[..., None], _cross(ex, axis), cross)
     ey = cross / np.linalg.norm(cross, axis=-1)[..., None]
-    ez = np.cross(ex, ey)
-    return np.stack([ex, ey, ez], axis=-1)
+    return np.stack([ex, ey, _cross(ex, ey)], axis=-1)
 
 
 def interaction_operator(r, hint):

@@ -9,6 +9,7 @@ from emff import (
     MU0,
     DisturbanceField,
     DualProblem,
+    GapViolationError,
     InteractionOperator,
     RecoveryError,
     StablePlane,
@@ -271,6 +272,27 @@ class TestAllocate:
             assert abs(tiny.J_p / (1e-200 * sol.J_p) - 1.0) <= 2e-15
             assert abs(tiny.J_d / (1e-200 * sol.J_d) - 1.0) <= 2e-15
             assert np.linalg.norm(tiny.wrench_residual * 1e200) <= 1e-12 * u.norm
+
+    def test_gap_relative_at_every_scale(self, rng):
+        # (J_p - J_d) / J_d with no floor, so the gap does not shrink with the command
+        r, hint, u, _ = forward_command(rng)
+        for scale in (1.0, 1e-20, 1e-200):
+            sol = allocate(r, hint, scale * u.as_vector(), omega=1.0)
+            assert sol.gap == (sol.J_p - sol.J_d) / sol.J_d
+            assert abs(sol.gap) <= 1e-12
+
+    def test_low_dual_bound_rejected_at_tiny_scale(self, monkeypatch, rng):
+        # a certificate whose J_d is 1e-5 short of the optimum fails the gap
+        # test on a 1e-200 command as it does on a unit one
+        def low(problem):
+            cert = solve_dual(problem)
+            return dataclasses.replace(cert, J_d=cert.J_d * (1.0 - 1e-5))
+
+        monkeypatch.setattr("emff.allocation.solve_dual", low)
+        r, hint, u, _ = forward_command(rng)
+        for scale in (1.0, 1e-200):
+            with pytest.raises(GapViolationError):
+                allocate(r, hint, scale * u.as_vector(), omega=1.0)
 
     def test_los_frame_flag(self, rng):
         r, hint = random_geometry(rng)

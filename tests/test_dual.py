@@ -161,27 +161,69 @@ class TestBatch:
 
     def test_smoothed_derivatives_match_differences(self, rng):
         # gradient, Hessian and d g / d mu of f_mu(z) = sum_i sqrt(sigma_i^2 + mu^2)
-        # against central differences of f_mu and of the gradient
-        for _ in range(10):
+        # against central differences of f_mu and of the gradient, also where
+        # singular values vanish or repeat exactly (the divided differences'
+        # s_i = s_j = 0 guard), with no floating-point warning; these are
+        # scaled to 0.1 so that mu is not small beside every singular value
+        exact = 0.1 * np.array([
+            np.diag([1.0, 0.0, 0.0]),
+            [[0.0, 0.0, 0.0], [0.0, 0.0, -1.5], [0.0, 0.0, 0.0]],
+            [[1.0, 2.0, 0.0], [0.5, -1.0, 0.0], [0.0, 0.0, 0.0]],
+            np.diag([1.0, 1.0, 0.5]),
+            [[0.0, 0.7, 0.0], [0.0, 0.0, -0.7], [0.7, 0.0, 0.0]],
+            [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        ])
+        for case in range(10 + len(exact)):
             Q = interaction_operator(*random_geometry(rng)).Q
             N = unvec_columns(np.linalg.svd(Q)[2][6:])
-            X = rng.normal(size=(1, 3, 3))
+            if case < 10:
+                X = rng.normal(size=(1, 3, 3))
+            else:
+                X = exact[case - 10 : case - 9]
             mu = 10.0 ** rng.uniform(-2.0, 0.0, size=1)
-            _, _, _, _, H, rhs = dual._spectral(X, N, mu)
-            g = rhs[0, :, 0]
             e = 1e-6
-            def gradient(X, mu):
-                return dual._spectral(X, N, mu)[5][0, :, 0]
 
-            grad, hess = np.zeros(3), np.zeros((3, 3))
-            for k in range(3):
-                Xp, Xm = X + e * N[k], X - e * N[k]
-                grad[k] = (dual._smoothed(Xp, mu) - dual._smoothed(Xm, mu))[0] / (2 * e)
-                hess[k] = (gradient(Xp, mu) - gradient(Xm, mu)) / (2 * e)
-            dmu = (gradient(X, mu + e) - gradient(X, mu - e)) / (2 * e)
+            def spectral(X, mu):
+                return dual._spectral(*dual._smoothed(X, mu), N, mu)
+
+            def gradient(X, mu):
+                return spectral(X, mu)[2][0, :, 0]
+
+            def value(X):
+                return dual._smoothed(X, mu)[3][0].sum()
+
+            with np.errstate(divide="raise", invalid="raise", over="raise"):
+                _, H, rhs = spectral(X, mu)
+                g = rhs[0, :, 0]
+                grad, hess = np.zeros(3), np.zeros((3, 3))
+                for k in range(3):
+                    Xp, Xm = X + e * N[k], X - e * N[k]
+                    grad[k] = (value(Xp) - value(Xm)) / (2 * e)
+                    hess[k] = (gradient(Xp, mu) - gradient(Xm, mu)) / (2 * e)
+                dmu = (gradient(X, mu + e) - gradient(X, mu - e)) / (2 * e)
+            assert np.isfinite(H).all() and np.isfinite(rhs).all()
             assert np.abs(grad - g).max() <= 1e-8
             assert np.abs(hess - H[0]).max() <= 1e-7 * np.abs(H[0]).max()
             assert np.abs(dmu - rhs[0, :, 1]).max() <= 1e-7 * (1.0 + np.abs(dmu).max())
+
+    @pytest.mark.parametrize("halvings", [1, dual._MAX_HALVINGS])
+    def test_newton_systems_see_one_point(self, monkeypatch, rng, halvings):
+        # each Newton system is built from the SVD and h of one point, also
+        # after a row backtracked to a later trial or (with one trial allowed,
+        # on most searched rows) accepted none and stayed where it was
+        spectral, seen = dual._spectral, []
+
+        def checked(U, s, Vt, h, N, mu):
+            seen.append(np.array_equal(h, np.sqrt(s * s + (mu * mu)[:, None])))
+            return spectral(U, s, Vt, h, N, mu)
+
+        monkeypatch.setattr(dual, "_spectral", checked)
+        monkeypatch.setattr(dual, "_MAX_HALVINGS", halvings)
+        us = rng.normal(size=(40, 6)) * 10.0 ** rng.uniform(-9.0, 2.0, size=(40, 1))
+        res = solve_dual_batch(psi_stack(1.3), us)
+        assert seen and all(seen)
+        done = ~res["stalled"]
+        assert done.sum() >= 20 and (res["gap"][done] <= dual.DEFAULT_TOL).all()
 
     def test_newton_iteration_budget(self):
         # a cost guard on the smoothing schedule and its tangent predictor,

@@ -5,6 +5,7 @@ from emff import (
     MU0,
     CoilDesign,
     DipoleWaveform,
+    InteractionOperator,
     Wrench,
     ZeroSeparationError,
     averaged_wrench,
@@ -73,6 +74,36 @@ class TestLosFrame:
         for i in range(12):
             assert np.array_equal(C[i], build_los_frame(r[i], hint[i]))
 
+    def test_matches_cross_product_formula(self, rng):
+        # the frame as np.cross gives it, with the same power-of-two scaling
+        # and parallel-hint fallback: equal bit for bit
+        def reference(r, hint):
+            r, hint = np.broadcast_arrays(np.asarray(r, float), np.asarray(hint, float))
+            e = np.frexp(np.abs(r).max(axis=-1))[1]
+            r = np.ldexp(r, -e[..., None])
+            hint = np.ldexp(hint, -np.frexp(np.abs(hint).max(axis=-1))[1][..., None])
+            d = np.linalg.norm(r, axis=-1)
+            ex = r / d[..., None]
+            cross = np.cross(r, hint)
+            norms = np.linalg.norm(cross, axis=-1), np.linalg.norm(hint, axis=-1)
+            parallel = norms[0] <= 1e-9 * d * norms[1]
+            axis = np.eye(3)[np.argmin(np.abs(ex), axis=-1)]
+            cross = np.where(parallel[..., None], np.cross(ex, axis), cross)
+            ey = cross / np.linalg.norm(cross, axis=-1)[..., None]
+            return np.stack([ex, ey, np.cross(ex, ey)], axis=-1)
+
+        r = rng.normal(size=(400, 3)) * 10.0 ** rng.uniform(0.0, 3.0, size=(400, 1))
+        hint = rng.normal(size=(400, 3)) * 10.0 ** rng.uniform(-5.0, 5.0, size=(400, 1))
+        hint[:40] = r[:40] * rng.uniform(-3.0, 3.0, size=(40, 1))  # parallel: fallback
+        hint[40:60] = 0.0  # zero: fallback
+        hint[60:80] = r[60:80] + 1e-12 * hint[60:80]  # near-parallel
+        for args in ((r, hint), (r[0], hint[:50]), (r[:50], hint[0])):
+            C = build_los_frame(*args)
+            assert C.shape == reference(*args).shape
+            assert np.array_equal(C, reference(*args))
+        for i in range(0, 400, 20):
+            assert np.array_equal(build_los_frame(r[i], hint[i]), reference(r[i], hint[i]))
+
     def test_stack_zero_separation_rejected(self, rng):
         r = rng.normal(size=(5, 3))
         r[2] = [0.0, 1e-4, 0.0]
@@ -81,6 +112,19 @@ class TestLosFrame:
 
 
 class TestInteractionOperator:
+    def test_frame_must_be_a_rotation(self):
+        # |C^T C - I| <= 1e-9 on every entry, with no relative slack
+        Q = psi_stack(1.0)
+        InteractionOperator(Q=Q, separation=1.0, frame=np.eye(3))
+        near = np.eye(3)
+        near[0, 1] = 2e-10
+        InteractionOperator(Q=Q, separation=1.0, frame=near)
+        skew = np.eye(3)
+        skew[0, 1] = 2e-9
+        for frame in (1.000004 * np.eye(3), skew, np.diag([1.0, 1.0, -1.0])):
+            with pytest.raises(ValueError, match="proper rotation"):
+                InteractionOperator(Q=Q, separation=1.0, frame=frame)
+
     def test_psi_blocks_verbatim_in_los(self):
         d = 2.0
         op = identity_frame_op(d)
