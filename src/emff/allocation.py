@@ -159,10 +159,6 @@ _MAX_HALVINGS = 30
 #: and which a manifold step must keep after its retraction.
 _FEAS_TOL = 1.0e-12
 
-#: Singular values of the wrench Jacobian below this fraction of the largest
-#: leave their direction tangent to the constraint set to first order.
-_RANK_TOL = 1.0e-8
-
 #: Floor on |eigenvalue| of the reduced Hessian (amplitudes in units of the
 #: scale guess, where the cost Hessian is the identity).
 _CURVATURE_FLOOR = 1.0e-3
@@ -173,113 +169,116 @@ _ROUNDING = 4.0 * np.finfo(float).eps
 
 
 def _residuals(H, u, X):
-    """Wrench residuals (r, 6) and Jacobians (r, 6, 12) of amplitude rows X."""
-    J = np.einsum("ipq,rq->rip", H, X)
-    return 0.5 * np.einsum("rip,rp->ri", J, X) - u, J
+    """Wrench residuals (r, 6) and Jacobians (r, 6, 12) of amplitude rows X.  Here and
+    below each product is a stack of per-row products: no row depends on the batch."""
+    J = (X[:, None, :] @ H.reshape(72, 12).T).reshape(-1, 6, 12)
+    return 0.5 * (J @ X[:, :, None])[:, :, 0] - u, J
+
+
+def _normal_solve(J, v):
+    """(J_r J_r^T + damping)^-1 v_r, with a damping at rounding level, so a
+    rank-deficient J_r is solved as well."""
+    JJ = J @ J.mT
+    diagonal = JJ.reshape(-1, 36)[:, ::7]  # a view: the damping lands in JJ
+    diagonal += 1.0e-14 * diagonal.sum(axis=1, keepdims=True) + np.finfo(float).tiny
+    return np.linalg.solve(JJ, v[:, :, None])[:, :, 0]
 
 
 def _least_norm(J, h):
-    """Least-norm solutions of J_r d_r = h_r, from the normal equations with
-    a damping at rounding level, so a rank-deficient J_r is solved as well."""
-    JJ = J @ J.transpose(0, 2, 1)
-    damping = 1.0e-14 * np.trace(JJ, axis1=1, axis2=2) + np.finfo(float).tiny
-    JJ += damping[:, None, None] * np.eye(6)
-    return np.einsum("rip,ri->rp", J, np.linalg.solve(JJ, h[..., None])[..., 0])
+    """Least-norm solutions of J_r d_r = h_r, from the damped normal equations."""
+    return (_normal_solve(J, h)[:, None, :] @ J)[:, 0]
+
+
+def _tangent_basis(J):
+    """Orthonormal N_r (12x6) with J_r N_r = 0 at any rank, from a complete QR of J_r^T."""
+    return np.linalg.qr(J.mT, mode="complete")[0][:, :, 6:]
 
 
 def _retract(H, u, X):
-    """Four least-norm Gauss-Newton steps from each row back onto the constraints."""
+    """Four least-norm Gauss-Newton steps onto the constraints: rows, residuals, Jacobians."""
+    h, J = _residuals(H, u, X)
     for _ in range(4):
-        h, J = _residuals(H, u, X)
         X = X - _least_norm(J, h)
-    return X
+        h, J = _residuals(H, u, X)
+    return X, h, J
 
 
-def _line_search(trial, accept, count):
-    """Per-row backtracking over step lengths 1, 1/2, 1/4, ...: trial(rows, a)
-    gives the candidates of `rows` at step length a, accept(rows, cand, a)
-    which of them pass.  A row stops at its first passing candidate, so its
-    outcome does not depend on the other rows.  Returns the accepted
-    candidates and the rows that found one within _MAX_HALVINGS halvings."""
-    found = np.zeros(count, dtype=bool)
-    out = np.zeros((count, 12))
+def _line_search(step, count):
+    """Per-row backtracking over step lengths 1, 1/2, 1/4, ...: step(rows, a) gives
+    the candidates of `rows` at step length a, as (points, residuals, Jacobians), and
+    which of them pass.  A row stops at its first passing candidate.  Returns the
+    candidates and the rows that passed within _MAX_HALVINGS halvings."""
+    rows, found, out = np.arange(count), np.zeros(count, dtype=bool), None
     for k in range(_MAX_HALVINGS):
-        rows = np.flatnonzero(~found)
+        cand, ok = step(rows, 0.5**k)
+        if out is None:
+            out = cand  # the first trial covers every row
+        else:
+            for kept, new in zip(out, cand):
+                kept[rows[ok]] = new[ok]
+        found[rows[ok]] = True
+        rows = rows[~ok]
         if rows.size == 0:
             break
-        cand = trial(rows, 0.5**k)
-        ok = accept(rows, cand, 0.5**k)
-        out[rows[ok]] = cand[ok]
-        found[rows[ok]] = True
     return out, found
 
 
 def _feasible_points(H, u, X):
-    """Damped least-norm Gauss-Newton from each row of X onto the constraints
-    x^T H_i x / 2 = u_i, backtracking on the residual norm.  A row stops when
-    its residual reaches _FEAS_TOL or its line search fails."""
+    """Damped least-norm Gauss-Newton from each row of X onto x^T H_i x / 2 = u_i,
+    backtracking on the residual norm, until the residual reaches _FEAS_TOL or the
+    line search fails.  Returns the rows with their residuals and Jacobians."""
+    h, J = _residuals(H, u, X)
     X = X.copy()
-    active = np.ones(len(X), dtype=bool)
+    rows = np.arange(len(X))
     for _ in range(MAX_NEWTON_STEPS):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
+        size = np.linalg.norm(h[rows], axis=1)
+        rows, size = rows[size > _FEAS_TOL], size[size > _FEAS_TOL]
+        if rows.size == 0:
             break
-        x = X[idx]
-        h, J = _residuals(H, u, x)
-        size = np.linalg.norm(h, axis=1)
-        d = -_least_norm(J, h)
-        moving = np.flatnonzero(size > _FEAS_TOL)
-        new, found = _line_search(
-            lambda rows, a: x[moving[rows]] + a * d[moving[rows]],
-            lambda rows, c, a: np.linalg.norm(_residuals(H, u, c)[0], axis=1)
-            <= (1.0 - 1.0e-4 * a) * size[moving[rows]],
-            moving.size,
-        )
-        X[idx[moving[found]]] = new[found]
-        active[idx] = False
-        active[idx[moving[found]]] = True
-    return X
+        x, d = X[rows], -_least_norm(J[rows], h[rows])
+
+        def step(sub, a):
+            cand = x[sub] + a * d[sub]
+            h_c, J_c = _residuals(H, u, cand)
+            return (cand, h_c, J_c), np.linalg.norm(h_c, axis=1) <= (1.0 - 1.0e-4 * a) * size[sub]
+
+        (new, h_new, J_new), found = _line_search(step, rows.size)
+        rows = rows[found]
+        X[rows], h[rows], J[rows] = new[found], h_new[found], J_new[found]
+    return X, h, J
 
 
 def _manifold_minima(H, u, X):
     """Local minima of |x|^2/2 on {x : x^T H_i x / 2 = u_i} from each row of X.
 
     H and u are normalized (|u| = 1, amplitudes in units of the scale guess).
-    After _feasible_points, each feasible row takes Newton steps on the
-    manifold: the tangent basis is the right singular vectors of the Jacobian
-    J beyond its numerical rank (_RANK_TOL), the multipliers y solve
-    J^T y = -x in least squares, and the reduced Hessian of the Lagrangian
-    I + sum_i y_i H_i is exact.  Its eigenvalues enter as |lambda| floored at
-    _CURVATURE_FLOOR; the drive-phase symmetry gives it an exact zero.  A
-    step is retracted by Gauss-Newton and accepted by an Armijo test on the
-    cost.  A row stops when the predicted decrease is below the rounding of
-    its cost and the reduced Hessian has no eigenvalue below
-    -_CURVATURE_FLOOR (otherwise it steps along that eigenvector), or when
-    its line search fails.  Rows never share a step length, mask or stopping
-    test.  Returns the final rows and each row's count of manifold steps.
+    After _feasible_points, each feasible row takes Newton steps in null-space
+    coordinates (Nocedal & Wright, Numerical Optimization, 2nd ed., 15.2 and
+    18.1): N from _tangent_basis, y from J J^T y = -J x, and the exact reduced
+    Hessian N^T (I + sum_i y_i H_i) N, its eigenvalues entering as |lambda|
+    floored at _CURVATURE_FLOOR.  A step p = N q is retracted by Gauss-Newton
+    and accepted by an Armijo test on the cost.  A row stops when the
+    predicted decrease is below the rounding of its cost and no eigenvalue is
+    below -_CURVATURE_FLOOR (otherwise it steps along that eigenvector), or
+    when its line search fails.  Returns the rows and their step counts.
     """
-    X = _feasible_points(H, u, X)
+    X, h, J = _feasible_points(H, u, X)
     steps = np.zeros(len(X), dtype=int)
-    active = np.linalg.norm(_residuals(H, u, X)[0], axis=1) <= _FEAS_TOL
-    eye = np.eye(12)
+    rows = np.flatnonzero(np.linalg.norm(h, axis=1) <= _FEAS_TOL)
     for _ in range(MAX_NEWTON_STEPS):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
+        if rows.size == 0:
             break
-        x = X[idx]
-        _, J = _residuals(H, u, x)
-        U, S, Vt = np.linalg.svd(J)
-        normal = S > _RANK_TOL * S[:, :1]
-        tangent = np.concatenate([~normal, np.ones_like(normal)], axis=1)
-        coords = np.einsum("rkp,rp->rk", Vt, x)
-        y = -np.einsum("rij,rj->ri", U, np.where(normal, coords[:, :6] / np.where(normal, S, 1.0), 0))
-        g = np.where(tangent, coords, 0.0)
-        B = Vt @ (eye + np.einsum("ri,ipq->rpq", y, H)) @ Vt.transpose(0, 2, 1)
-        lam, V = np.linalg.eigh(np.where(tangent[:, :, None] & tangent[:, None, :], B, eye))
+        x, Jx = X[rows], J[rows]
+        N = _tangent_basis(Jx)
+        y = -_normal_solve(Jx, (Jx @ x[:, :, None])[:, :, 0])
+        B = N.mT @ (y[:, None, :] @ H.reshape(6, 144)).reshape(-1, 12, 12) @ N
+        B.reshape(-1, 36)[:, ::7] += 1.0  # the cost's identity Hessian, N^T N = I
+        lam, V = np.linalg.eigh(B)
+        g = (x[:, None, :] @ N)[:, 0]
         curvature = np.maximum(np.abs(lam), _CURVATURE_FLOOR)
-        q = -np.einsum("rkl,rl->rk", V, np.einsum("rlk,rl->rk", V, g) / curvature)
-        cost = 0.5 * np.einsum("rp,rp->r", x, x)
-        decrease = -np.einsum("rk,rk->r", g, q)
+        q = -(V @ ((g[:, None, :] @ V)[:, 0] / curvature)[:, :, None])[:, :, 0]
+        cost = 0.5 * np.vecdot(x, x)
+        decrease = -np.vecdot(g, q)
         flat = decrease <= _ROUNDING * cost
         # at a stationary point that is not a minimum, step along the most
         # negative curvature; the model decrease then grows with alpha^2
@@ -287,25 +286,23 @@ def _manifold_minima(H, u, X):
         reach = np.sqrt(2.0 * cost[escape])
         q[escape] = V[escape, :, 0] * reach[:, None]
         decrease[escape] = -0.5 * lam[escape, 0] * reach**2
-        p = np.einsum("rkp,rk->rp", Vt, q)
+        p = (N @ q[:, :, None])[:, :, 0]
         moving = np.flatnonzero(~flat | escape)
+        if moving.size == 0:
+            break
 
-        def accept(rows, cand, a):
-            r = moving[rows]
+        def step(sub, a):
+            r = moving[sub]
+            cand = _retract(H, u, x[r] + a * p[r])
             power = np.where(escape[r], a * a, a)
-            return (np.linalg.norm(_residuals(H, u, cand)[0], axis=1) <= _FEAS_TOL) & (
-                0.5 * np.einsum("rp,rp->r", cand, cand) <= cost[r] - 1.0e-4 * power * decrease[r]
+            return cand, (np.linalg.norm(cand[1], axis=1) <= _FEAS_TOL) & (
+                0.5 * np.vecdot(cand[0], cand[0]) <= cost[r] - 1.0e-4 * power * decrease[r]
             )
 
-        new, found = _line_search(
-            lambda rows, a: _retract(H, u, x[moving[rows]] + a * p[moving[rows]]),
-            accept,
-            moving.size,
-        )
-        X[idx[moving[found]]] = new[found]
-        steps[idx[moving[found]]] += 1
-        active[idx] = False
-        active[idx[moving[found]]] = True
+        (new, _, J_new), found = _line_search(step, moving.size)
+        rows = rows[moving[found]]
+        X[rows], J[rows] = new[found], J_new[found]
+        steps[rows] += 1
     return X, steps
 
 
@@ -314,29 +311,30 @@ def brute_force_allocate(r, hint, u, restarts=20, seed=0, omega=1.0):
 
     Minimizes the total squared amplitude over the raw 12 variables subject to
     the six wrench equalities, all restarts as one batch.  Each start (seeded
-    normal draws) is first taken onto the constraint set by damped least-norm
-    Gauss-Newton steps, then moved by Newton steps on the manifold: reduced
-    Hessian of the Lagrangian, exact because the wrench is bilinear, with
-    |eigenvalue| modification, a Gauss-Newton retraction and an Armijo test on
-    the cost.  Uses nothing from the dual/recovery path; returns the best
-    restart feasible to 1e-6 |u|.
+    normal draws) is taken onto the constraint set by damped least-norm
+    Gauss-Newton, then by Newton steps in null-space coordinates on the
+    manifold (_manifold_minima).  Uses nothing from the dual/recovery path;
+    returns the best restart feasible to 1e-6 |u|, with norms taken after a
+    power-of-two scaling so that no tiny u underflows.
     """
     if restarts < 20:
         raise ValueError("restarts must be >= 20")
     op = interaction_operator(r, hint)
     u = u if isinstance(u, Wrench) else Wrench.from_vector(np.asarray(u, dtype=float))
     u_vec = u.as_vector()
-    u_norm = np.linalg.norm(u_vec)
-    if u_norm == 0.0:
+    if not u_vec.any():
         return _zero_solution(omega)
+    e = np.frexp(np.abs(u_vec).max())[1]
+    size = np.linalg.norm(np.ldexp(u_vec, -e))
+    u_norm = np.ldexp(size, e)
     H = _wrench_hessians(op.Q)
     # amplitude scale guess from the wrench magnitude and operator scale
     m_scale = np.sqrt(u_norm / (MU0 / (8.0 * np.pi) * np.linalg.norm(op.Q)))
     starts = np.random.default_rng(seed).standard_normal((restarts, 12))
     X, _ = _manifold_minima(H * (m_scale**2 / u_norm), u_vec / u_norm, starts)
     M = m_scale * X
-    h = 0.5 * np.einsum("rp,ipq,rq->ri", M, H, M) - u_vec
-    feasible = np.flatnonzero(np.linalg.norm(h, axis=1) <= 1.0e-6 * u_norm)
+    h = _residuals(H, u_vec, M)[0]
+    feasible = np.flatnonzero(np.linalg.norm(np.ldexp(h, -e), axis=1) <= 1.0e-6 * size)
     if feasible.size == 0:
         raise NoFeasiblePointError(
             f"no feasible allocation after {restarts} restarts (||u|| = {u_norm:.3e})"

@@ -23,7 +23,7 @@ from emff import (
     psi_stack,
     solve_dual,
 )
-from emff.allocation import MAX_NEWTON_STEPS, _manifold_minima
+from emff.allocation import MAX_NEWTON_STEPS, _manifold_minima, _tangent_basis
 from emff.brigade import GridConfig, pair_command
 from conftest import forward_command, random_geometry
 
@@ -347,6 +347,25 @@ class TestBruteForce:
         realized = averaged_wrench(interaction_operator(r, hint), brute.dipole_j, brute.dipole_k)
         assert np.linalg.norm(realized.as_vector() - u.as_vector()) <= 1e-6 * u.norm
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-200])
+    def test_tiny_command_scales(self, rng, scale):
+        # |u| underflows as a plain 2-norm below about 1e-154; the oracle must
+        # still solve the command, not read it as zero
+        r, hint, u, _ = forward_command(rng)
+        ref = brute_force_allocate(r, hint, u, restarts=20, seed=6)
+        tiny = brute_force_allocate(r, hint, scale * u.as_vector(), restarts=20, seed=6)
+        assert abs(tiny.J_p / (scale * ref.J_p) - 1) <= 1e-12
+        assert np.linalg.norm(tiny.wrench_residual / scale) <= 1e-6 * u.norm
+
+    def test_tangent_basis(self, rng):
+        J = rng.normal(size=(8, 6, 12))
+        J[4:, 3] = J[4:, 1]  # rank five: two equal rows
+        N = _tangent_basis(J)
+        assert N.shape == (8, 12, 6)
+        for J_r, N_r in zip(J, N):
+            assert np.linalg.norm(J_r @ N_r) <= 1e-14 * np.linalg.norm(J_r)
+            assert np.abs(N_r.T @ N_r - np.eye(6)).max() <= 1e-14
+
     def test_rows_independent_of_batch(self, rng, manifold_runs):
         # restarts=40 draws the same first 20 starts as restarts=20
         r, hint, u, _ = forward_command(rng)
@@ -354,7 +373,7 @@ class TestBruteForce:
         J_40 = brute_force_allocate(r, hint, u, restarts=40, seed=5).J_p
         assert J_40 <= J_20 * (1 + 1e-12)
         (X_20, steps_20), (X_40, steps_40) = manifold_runs
-        assert np.allclose(X_40[:20], X_20, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(X_40[:20], X_20)
         assert np.array_equal(steps_40[:20], steps_20)
 
     def test_tight_on_forward_commands(self, rng):

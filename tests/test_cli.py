@@ -348,6 +348,13 @@ class TestVerifyCmd:
         data = json.loads(out.read_text())
         assert data["suites"][0]["cases"] == 10
 
+    def test_bruteforce_suite(self, tmp_path):
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--suite", "bruteforce", "--cases", "3", "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["suites"][0]["cases"] == 3
+        assert data["suites"][0]["failures"] == []
+
     def test_corrupted_torque_blocks_fail_telescoping(self, tmp_path, monkeypatch):
         import emff.magnetics
 
