@@ -29,8 +29,8 @@ print(f"dual bound J_d        : {sol.J_d:.6f} A^2 m^4")
 print(f"certified gap         : {sol.gap:.2e}")
 
 # the time-averaged model reproduces the command...
-op = emff.interaction_operator(r, hint)
-achieved = emff.averaged_wrench(op, sol.dipole_j, sol.dipole_k)
+Q = emff.interaction_operator(r, hint)
+achieved = emff.averaged_wrench(Q, sol.dipole_j, sol.dipole_k)
 print(f"wrench residual       : {np.linalg.norm(achieved.as_vector() - u.as_vector()):.2e} N")
 
 # ...and so does a direct numerical average of the instantaneous physics

@@ -5,7 +5,6 @@ from .magnetics import (
     MIN_SEPARATION,
     CoilDesign,
     DipoleWaveform,
-    InteractionOperator,
     Wrench,
     ZeroSeparationError,
     averaged_wrench,
@@ -18,15 +17,12 @@ from .magnetics import (
 )
 from .dual import (
     DualCertificate,
-    DualProblem,
     SolverError,
-    psd_feasible,
     solve_dual,
     solve_dual_batch,
 )
 from .allocation import (
     AllocationSolution,
-    GapViolationError,
     NoFeasiblePointError,
     RecoveryError,
     allocate,

@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualProblem, solve_dual, unvec_columns
+from .dual import DEFAULT_TOL, SolverError, solve_dual, unvec_columns
 from .magnetics import (
     MU0,
     DipoleWaveform,
-    InteractionOperator,
     Wrench,
     _validate_vec3,
     build_los_frame,
@@ -30,16 +29,8 @@ from .magnetics import (
     psi_stack,
 )
 
-#: Relative-gap ceiling certified by allocate().
-GAP_TOL = 1.0e-6
-
-
 class RecoveryError(RuntimeError):
     """Primal recovery failed: the waveforms do not reproduce the command."""
-
-
-class GapViolationError(RuntimeError):
-    """The tight-duality construction produced a gap above tolerance."""
 
 
 class NoFeasiblePointError(RuntimeError):
@@ -106,7 +97,8 @@ def allocate(r, hint, u, omega, frame="world"):
     treats u as already expressed line-of-sight.  Raises RecoveryError if
     the waveforms reproduce u only to a relative residual above 1e-6 (the
     certificate is not optimal or its optimum has rank three), and
-    GapViolationError if the gap (J_p - J_d) / J_d exceeds 1e-6.
+    SolverError, carrying the certificate, if the dual solve stalls or the
+    waveforms' gap (J_p - J_d) / J_d exceeds dual.DEFAULT_TOL.
     """
     if frame not in ("world", "los"):
         raise ValueError("frame must be 'world' or 'los'")
@@ -117,28 +109,24 @@ def allocate(r, hint, u, omega, frame="world"):
     if not u.as_vector().any():
         return _zero_solution(omega)
     F = C if frame == "world" else np.eye(3)
-    u_los = Wrench(F.T @ u.force, F.T @ u.torque)
+    u_los = np.concatenate([F.T @ u.force, F.T @ u.torque])
     Q_los = psi_stack(d)
-    op_los = InteractionOperator(Q=Q_los, separation=d, frame=np.eye(3))
-    cert = solve_dual(DualProblem(Q=op_los, u=u_los))
+    cert = solve_dual(Q_los, u_los)
     wf_j, wf_k = extract_waveforms(F @ cert.X @ F.T, omega)
     # s_k s_j^T + c_k c_j^T in the LOS frame: its row-major vec is kron(s_k, s_j) + kron(c_k, c_j)
     M = F.T @ np.array([wf_k.s, wf_k.c]).T @ np.array([wf_j.s, wf_j.c]) @ F
-    u_vec = u_los.as_vector()
-    residual = MU0 / (8.0 * np.pi) * Q_los @ M.ravel() - u_vec
+    residual = MU0 / (8.0 * np.pi) * Q_los @ M.ravel() - u_los
     # both norms taken in units of the largest command entry, so neither underflows
-    size = np.abs(u_vec).max()
-    relative = np.linalg.norm(residual / size) / np.linalg.norm(u_vec / size)
+    size = np.abs(u_los).max()
+    relative = np.linalg.norm(residual / size) / np.linalg.norm(u_los / size)
     if relative > 1.0e-6:
         raise RecoveryError(f"waveforms reproduce the command only to {relative:.3e}")
     residual = (residual.reshape(2, 3) @ F.T).flatten()
     J_p = 0.5 * (wf_j.amplitude_squared + wf_k.amplitude_squared)
     # u != 0, so a certified J_d is positive: J_d >= (1 - DEFAULT_TOL) J_p
     gap = (J_p - cert.J_d) / cert.J_d
-    if gap > GAP_TOL:
-        raise GapViolationError(
-            f"duality gap {gap:.3e} exceeds {GAP_TOL}; command not tightly realizable"
-        )
+    if gap > DEFAULT_TOL:
+        raise SolverError(f"allocation gap {gap:.3e} exceeds {DEFAULT_TOL:.0e}", best=cert)
     return AllocationSolution(
         dipole_j=wf_j,
         dipole_k=wf_k,
@@ -319,7 +307,7 @@ def brute_force_allocate(r, hint, u, restarts=20, seed=0, omega=1.0):
     """
     if restarts < 20:
         raise ValueError("restarts must be >= 20")
-    op = interaction_operator(r, hint)
+    Q = interaction_operator(r, hint)
     u = u if isinstance(u, Wrench) else Wrench.from_vector(np.asarray(u, dtype=float))
     u_vec = u.as_vector()
     if not u_vec.any():
@@ -327,9 +315,9 @@ def brute_force_allocate(r, hint, u, restarts=20, seed=0, omega=1.0):
     e = np.frexp(np.abs(u_vec).max())[1]
     size = np.linalg.norm(np.ldexp(u_vec, -e))
     u_norm = np.ldexp(size, e)
-    H = _wrench_hessians(op.Q)
+    H = _wrench_hessians(Q)
     # amplitude scale guess from the wrench magnitude and operator scale
-    m_scale = np.sqrt(u_norm / (MU0 / (8.0 * np.pi) * np.linalg.norm(op.Q)))
+    m_scale = np.sqrt(u_norm / (MU0 / (8.0 * np.pi) * np.linalg.norm(Q)))
     starts = np.random.default_rng(seed).standard_normal((restarts, 12))
     X, _ = _manifold_minima(H * (m_scale**2 / u_norm), u_vec / u_norm, starts)
     M = m_scale * X

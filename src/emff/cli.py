@@ -289,7 +289,6 @@ def main(argv=None):
     except (
         SolverError,
         allocation.RecoveryError,
-        allocation.GapViolationError,
         allocation.NoFeasiblePointError,
         magnetics.ZeroSeparationError,
     ) as exc:

@@ -39,17 +39,18 @@ candidates r = 1, 2, 3 the one with the largest dual value is kept; the rank
 of the optimum is never guessed from a threshold.  J_p, J_d and the gap are
 measured from the two points.
 
-A batch shares one 6x9 operator.  Each row runs its own schedule, line search
-and stopping test, and every per-row quantity is a stack of per-row products
-or LAPACK calls, never a 2-D BLAS product over the batch axis (whose blocking
-depends on the batch size), so a row's result is bit-for-bit independent of its batch.
+Q is a plain (6, 9) array shared by the batch; solve_dual(Q, u) is a batch
+of one.  Each row runs its own schedule, line search and stopping test, and
+every per-row quantity is a stack of per-row products or LAPACK calls, never
+a 2-D BLAS product over the batch axis (whose blocking depends on the batch
+size), so a row's result is bit-for-bit independent of its batch.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .magnetics import MU0, InteractionOperator, Wrench
+from .magnetics import MU0
 
 #: Relative duality gap every solve must certify.
 DEFAULT_TOL = 1.0e-10
@@ -73,18 +74,6 @@ class SolverError(RuntimeError):
     def __init__(self, message, best=None):
         super().__init__(message)
         self.best = best
-
-
-@dataclass(frozen=True)
-class DualProblem:
-    """Dual instance: interaction operator and commanded wrench."""
-
-    Q: InteractionOperator
-    u: Wrench
-
-    def __post_init__(self):
-        if not np.isfinite(self.u.as_vector()).all():
-            raise ValueError("command wrench must be finite")
 
 
 @dataclass(frozen=True)
@@ -113,14 +102,6 @@ class DualCertificate:
             raise ValueError(f"certificate infeasible: sigma_max = {self.sigma_max}")
         if not np.isfinite(self.J_d):
             raise ValueError("dual objective must be finite")
-
-
-def psd_feasible(R):
-    """Whether [[I, R], [R^T, I]] is PSD, plus the margin 1 - sigma_max(R)."""
-    R = np.asarray(R, dtype=float)
-    smax = float(np.linalg.svd(R, compute_uv=False)[0])
-    margin = 1.0 - smax
-    return margin >= 0.0, margin
 
 
 def unvec_columns(q):
@@ -310,14 +291,15 @@ def solve_dual_batch(Q, u):
     }
 
 
-def solve_dual(problem):
-    """Certified solve of one instance.
+def solve_dual(Q, u):
+    """Certified solve of one instance: Q the (6, 9) operator, u the (6,) command.
 
+    A batch of one through solve_dual_batch, returned as a DualCertificate.
     Raises SolverError (carrying the certificate) when the solve runs out of
     Newton iterations or its measured gap exceeds DEFAULT_TOL; u = 0 gives
     the exact certificate lambda = 0, X = 0.
     """
-    res = solve_dual_batch(problem.Q.Q, problem.u.as_vector()[None, :])
+    res = solve_dual_batch(Q, np.reshape(np.asarray(u, dtype=float), (1, 6)))
     cert = DualCertificate(
         lambda_=res["lambda_"][0],
         R_lambda=res["R"][0],

@@ -13,7 +13,7 @@ along the separation vector r (pointing from coil k to coil j).
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -157,30 +157,6 @@ class Wrench:
         return float(np.linalg.norm(self.as_vector()))
 
 
-@dataclass(frozen=True)
-class InteractionOperator:
-    """6x9 bilinear wrench operator for a dipole pair at fixed geometry.
-
-    Q maps mu_k kron mu_j (expressed in the same frame as Q) onto the
-    pre-factor-free wrench on coil j.  `frame` holds the line-of-sight
-    rotation (columns = LOS axes in the operator's frame); force rows
-    scale as 1/separation^4 and torque rows as 1/separation^3.
-    """
-
-    Q: np.ndarray
-    separation: float
-    frame: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.Q.shape != (6, 9):
-            raise ValueError("Q must be 6x9")
-        if not self.separation > 0:
-            raise ValueError("separation must be positive")
-        C = self.frame
-        if not (np.abs(C.T @ C - np.eye(3)) <= 1e-9).all() or np.linalg.det(C) < 0:
-            raise ValueError("frame must be a proper rotation")
-
-
 def psi_stack(d):
     """Line-of-sight interaction blocks [Psi_f/d^4; Psi_tau/d^3] as one 6x9 array."""
     return np.vstack([PSI_FORCE / d**4, PSI_TORQUE / d**3])
@@ -228,27 +204,26 @@ def build_los_frame(r, hint):
 
 
 def interaction_operator(r, hint):
-    """Interaction operator in the frame r and hint are expressed in.
+    """The (6, 9) interaction operator Q in the frame r and hint are expressed in.
 
     Q = (I2 kron C) [Psi_f; Psi_tau] (C^T kron C^T) with C the line-of-sight
     rotation, so wrenches and dipoles transform covariantly with the inputs.
+    Q maps mu_k kron mu_j onto the pre-factor-free wrench on coil j.
     """
     r = _validate_vec3(r, "r")
     C = build_los_frame(r, hint)
-    d = np.linalg.norm(r)
-    Q = np.kron(np.eye(2), C) @ psi_stack(d) @ np.kron(C.T, C.T)
-    return InteractionOperator(Q=Q, separation=float(d), frame=C)
+    return np.kron(np.eye(2), C) @ psi_stack(np.linalg.norm(r)) @ np.kron(C.T, C.T)
 
 
-def instantaneous_wrench(op, mu_j, mu_k):
+def instantaneous_wrench(Q, mu_j, mu_k):
     """Wrench on coil j from coil k for constant moments: (mu0/4pi) Q (mu_k kron mu_j)."""
     mu_j = _validate_vec3(mu_j, "mu_j")
     mu_k = _validate_vec3(mu_k, "mu_k")
-    u = MU0 / (4.0 * np.pi) * op.Q @ np.kron(mu_k, mu_j)
+    u = MU0 / (4.0 * np.pi) * Q @ np.kron(mu_k, mu_j)
     return Wrench.from_vector(u)
 
 
-def averaged_wrench(op, dj, dk):
+def averaged_wrench(Q, dj, dk):
     """First-order time-averaged wrench on coil j.
 
     Equal drive frequencies give u = (mu0/8pi) Q (s_k kron s_j + c_k kron c_j);
@@ -257,7 +232,7 @@ def averaged_wrench(op, dj, dk):
     if not np.isclose(dj.omega, dk.omega, rtol=1e-12, atol=0.0):
         return Wrench.zero()
     bilinear = np.kron(dk.s, dj.s) + np.kron(dk.c, dj.c)
-    u = MU0 / (8.0 * np.pi) * op.Q @ bilinear
+    u = MU0 / (8.0 * np.pi) * Q @ bilinear
     return Wrench.from_vector(u)
 
 
@@ -309,12 +284,12 @@ def time_average_oracle(r, dj, dk, period, n_steps, hint=None):
                 stacklevel=2,
             )
     # a zero hint selects the frame builder's deterministic perpendicular
-    op = interaction_operator(r, np.zeros(3) if hint is None else hint)
+    Q = interaction_operator(r, np.zeros(3) if hint is None else hint)
     ts = np.linspace(0.0, period, n_steps + 1)
     mj = np.sin(dj.omega * ts)[:, None] * dj.s + np.cos(dj.omega * ts)[:, None] * dj.c
     mk = np.sin(dk.omega * ts)[:, None] * dk.s + np.cos(dk.omega * ts)[:, None] * dk.c
     # kron(mu_k, mu_j) for every sample, then trapezoid over the window
     bilinear = np.einsum("ti,tj->tij", mk, mj).reshape(n_steps + 1, 9)
-    u = MU0 / (4.0 * np.pi) * bilinear @ op.Q.T
+    u = MU0 / (4.0 * np.pi) * bilinear @ Q.T
     avg = np.trapezoid(u, ts, axis=0) / period
     return Wrench.from_vector(avg)

@@ -50,10 +50,10 @@ def forward_command(rng, omega=1.0):
     feasibility and an upper bound on the optimal cost.
     """
     r, hint = random_geometry(rng)
-    op = interaction_operator(r, hint)
+    Q = interaction_operator(r, hint)
     dj = random_waveform(rng, omega)
     dk = random_waveform(rng, omega)
-    u = averaged_wrench(op, dj, dk)
+    u = averaged_wrench(Q, dj, dk)
     return r, hint, u, 0.5 * (dj.amplitude_squared + dk.amplitude_squared)
 
 

@@ -59,10 +59,10 @@ def forward_cases(count, seed=20260808):
         r = rng.normal(size=3)
         r *= rng.uniform(0.5, 5.0) / np.linalg.norm(r)
         hint = rng.normal(size=3)
-        op = interaction_operator(r, hint)
+        Q = interaction_operator(r, hint)
         dj = DipoleWaveform(s=rng.normal(scale=10.0, size=3), c=rng.normal(scale=10.0, size=3), omega=1.0)
         dk = DipoleWaveform(s=rng.normal(scale=10.0, size=3), c=rng.normal(scale=10.0, size=3), omega=1.0)
-        cases.append((r, hint, averaged_wrench(op, dj, dk)))
+        cases.append((r, hint, averaged_wrench(Q, dj, dk)))
     return cases
 
 

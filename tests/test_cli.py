@@ -355,6 +355,21 @@ class TestVerifyCmd:
         assert data["suites"][0]["cases"] == 3
         assert data["suites"][0]["failures"] == []
 
+    @pytest.mark.parametrize("suite", ["duality", "bruteforce", "telescoping"])
+    def test_stalled_solves_are_case_failures(self, tmp_path, monkeypatch, suite):
+        import emff.dual
+
+        # one Newton iteration stalls every allocate: each case fails on its
+        # own and the summary is still written
+        monkeypatch.setattr(emff.dual, "_MAX_NEWTON", 1)
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--suite", suite, "--cases", "2", "--out", str(out)]) == 2
+        data = json.loads(out.read_text())
+        assert data["passed"] is False
+        failures = data["suites"][0]["failures"]
+        assert [f.split(":")[0] for f in failures] == ["case 0", "case 1"]
+        assert all("stalled" in f for f in failures)
+
     def test_corrupted_torque_blocks_fail_telescoping(self, tmp_path, monkeypatch):
         import emff.magnetics
 

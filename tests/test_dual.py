@@ -5,10 +5,7 @@ from hypothesis import strategies as st
 
 from emff import (
     MU0,
-    DualProblem,
-    Wrench,
     interaction_operator,
-    psd_feasible,
     psi_stack,
     solve_dual,
     solve_dual_batch,
@@ -19,14 +16,9 @@ from emff.dual import unvec_columns
 from conftest import SINGULAR_D, SINGULAR_U, forward_command, random_geometry
 
 
-def los_problem(u, d=1.0):
-    op = interaction_operator([d, 0.0, 0.0], [0.0, 0.0, -1.0])
-    return DualProblem(Q=op, u=Wrench.from_vector(np.asarray(u, dtype=float)))
-
-
 class TestSolveDual:
     def test_zero_command(self):
-        cert = solve_dual(los_problem(np.zeros(6)))
+        cert = solve_dual(psi_stack(1.0), np.zeros(6))
         assert np.array_equal(cert.lambda_, np.zeros(6))
         assert cert.J_d == 0.0
         assert cert.sigma_max == 0.0
@@ -37,44 +29,44 @@ class TestSolveDual:
     )
     def test_axial_force_closed_form(self, d, F):
         # axial command saturates the (1,1) singular direction: J_d = 4 pi d^4 F / (3 mu0)
-        cert = solve_dual(los_problem([F, 0, 0, 0, 0, 0], d=d))
+        cert = solve_dual(psi_stack(d), [F, 0, 0, 0, 0, 0])
         assert np.isclose(cert.J_d, 4 * np.pi * d**4 * F / (3 * MU0), rtol=1e-8)
         assert cert.sigma_max >= 1 - 1e-6
         assert cert.gap <= 1e-10
 
     def test_objective_homogeneity(self, rng):
         r, hint, u, _ = forward_command(rng)
-        op = interaction_operator(r, hint)
-        J1 = solve_dual(DualProblem(Q=op, u=u)).J_d
-        J2 = solve_dual(DualProblem(Q=op, u=Wrench.from_vector(2 * u.as_vector()))).J_d
+        Q = interaction_operator(r, hint)
+        J1 = solve_dual(Q, u.as_vector()).J_d
+        J2 = solve_dual(Q, 2 * u.as_vector()).J_d
         assert np.isclose(J2, 2 * J1, rtol=1e-8)
 
     def test_weak_duality_against_generator(self, rng):
         for _ in range(20):
             r, hint, u, J_gen = forward_command(rng)
-            cert = solve_dual(DualProblem(Q=interaction_operator(r, hint), u=u))
+            cert = solve_dual(interaction_operator(r, hint), u.as_vector())
             assert cert.J_d <= J_gen * (1 + 1e-9)
 
     def test_active_constraint_at_optimum(self, rng):
         for _ in range(20):
             r, hint, u, _ = forward_command(rng)
-            cert = solve_dual(DualProblem(Q=interaction_operator(r, hint), u=u))
+            cert = solve_dual(interaction_operator(r, hint), u.as_vector())
             assert cert.sigma_max >= 1 - 1e-6
             assert cert.sigma_max <= 1 + 1e-8
 
     def test_deterministic_bitwise(self, rng):
         r, hint, u, _ = forward_command(rng)
-        op = interaction_operator(r, hint)
-        c1 = solve_dual(DualProblem(Q=op, u=u))
-        c2 = solve_dual(DualProblem(Q=op, u=u))
+        Q = interaction_operator(r, hint)
+        c1 = solve_dual(Q, u.as_vector())
+        c2 = solve_dual(Q, u.as_vector())
         assert np.array_equal(c1.lambda_, c2.lambda_)
         assert c1.J_d == c2.J_d
 
     def test_finite_objective_always(self, rng):
         for _ in range(10):
             r, hint = random_geometry(rng)
-            u = Wrench.from_vector(rng.normal(size=6) * 10.0 ** rng.integers(-8, 2))
-            cert = solve_dual(DualProblem(Q=interaction_operator(r, hint), u=u))
+            u = rng.normal(size=6) * 10.0 ** rng.integers(-8, 2)
+            cert = solve_dual(interaction_operator(r, hint), u)
             assert np.isfinite(cert.J_d)
             assert cert.J_d >= 0.0
 
@@ -85,20 +77,20 @@ class TestSolveDual:
         assert res["stalled"].tolist() == [False, True]
         assert res["newton_iters"][0] == 0
         with pytest.raises(SolverError):
-            solve_dual(los_problem([1e-5, 0, 0, 0, 0, 0]))
+            solve_dual(psi_stack(1.0), [1e-5, 0, 0, 0, 0, 0])
 
     def test_r_lambda_consistent_with_q(self, rng):
         r, hint, u, _ = forward_command(rng)
-        op = interaction_operator(r, hint)
-        cert = solve_dual(DualProblem(Q=op, u=u))
-        assert np.allclose(cert.R_lambda, unvec_columns(op.Q.T @ cert.lambda_), atol=1e-12)
+        Q = interaction_operator(r, hint)
+        cert = solve_dual(Q, u.as_vector())
+        assert np.allclose(cert.R_lambda, unvec_columns(Q.T @ cert.lambda_), atol=1e-12)
 
     def test_pure_torque_against_brute_force(self):
         # torque-only commands are the brigade's hardest single-block case
         from emff import brute_force_allocate
 
         u = [0.0, 0.0, 0.0, 0.0, 0.0, 2e-7]
-        cert = solve_dual(los_problem(u, d=1.5))
+        cert = solve_dual(psi_stack(1.5), u)
         brute = brute_force_allocate([1.5, 0, 0], [0, 0, -1.0], u, restarts=20, seed=3)
         assert brute.J_p >= cert.J_d * (1 - 1e-4)
         assert brute.J_p <= cert.J_d * (1 + 1e-4)
@@ -138,7 +130,7 @@ class TestBatch:
             alone = solve_dual_batch(Q, us[i : i + 1])
             for k in _BATCH_FIELDS:
                 assert np.array_equal(alone[k][0], batch[k][i]), k
-        cert = solve_dual(los_problem(us[0], d=d))
+        cert = solve_dual(Q, us[0])
         assert cert.J_d == batch["J_d"][0]
         assert np.array_equal(cert.lambda_, batch["lambda_"][0])
 
@@ -148,7 +140,7 @@ class TestBatch:
         alone = solve_dual_batch(Q, [SINGULAR_U])
         assert not alone["stalled"][0]
         assert alone["gap"][0] <= 1e-10
-        cert = solve_dual(los_problem(SINGULAR_U, d=SINGULAR_D))
+        cert = solve_dual(Q, SINGULAR_U)
         assert cert.gap <= 1e-10 and cert.J_d == alone["J_d"][0]
         others = rng.normal(size=(5, 6)) * 10.0 ** rng.uniform(-8.0, -4.0, size=(5, 1))
         us = np.vstack([others[:2], SINGULAR_U, others[2:]])
@@ -174,7 +166,7 @@ class TestBatch:
             [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
         ])
         for case in range(10 + len(exact)):
-            Q = interaction_operator(*random_geometry(rng)).Q
+            Q = interaction_operator(*random_geometry(rng))
             N = unvec_columns(np.linalg.svd(Q)[2][6:])
             if case < 10:
                 X = rng.normal(size=(1, 3, 3))
@@ -243,7 +235,7 @@ class TestBatch:
         # both points are checked directly: Q vec X = -u and sigma_max(R) <= 1,
         # and their costs bracket the optimum within DEFAULT_TOL
         for _ in range(10):
-            Q = interaction_operator(*random_geometry(rng)).Q
+            Q = interaction_operator(*random_geometry(rng))
             us = rng.normal(size=(8, 6)) * 10.0 ** rng.uniform(-9.0, 2.0, size=(8, 1))
             res = solve_dual_batch(Q, us)
             assert not res["stalled"].any()
@@ -275,7 +267,7 @@ class TestBatch:
         # rows of size about 1e-240 and 1e-300, whose squared entries
         # underflow, are solved as their copies scaled by 2**-k are
         us = rng.normal(size=(6, 6)) * 1e-5
-        Q = interaction_operator(*random_geometry(rng)).Q
+        Q = interaction_operator(*random_geometry(rng))
         ref, res = solve_dual_batch(Q, us), solve_dual_batch(Q, np.ldexp(us, k))
         assert np.array_equal(res["J_p"], np.ldexp(ref["J_p"], k))
         assert np.allclose(res["J_d"], np.ldexp(ref["J_d"], k), rtol=1e-15, atol=0.0)
@@ -288,29 +280,3 @@ class TestBatch:
         res = solve_dual_batch(psi_stack(1.0), us)
         assert res["J_d"][0] == 0.0 and res["J_d"][2] == 0.0
         assert res["J_d"][1] > 0.0
-
-
-class TestPsdFeasible:
-    def test_zero_matrix(self):
-        ok, margin = psd_feasible(np.zeros((3, 3)))
-        assert ok and margin == 1.0
-
-    def test_identity_boundary(self):
-        ok, margin = psd_feasible(np.eye(3))
-        assert ok and abs(margin) <= 1e-12
-
-    def test_infeasible(self):
-        ok, margin = psd_feasible(1.5 * np.eye(3))
-        assert not ok and np.isclose(margin, -0.5)
-
-    def test_equivalent_to_block_eigenvalues(self, rng):
-        # [[I, R], [R^T, I]] >= 0 iff sigma_max(R) <= 1
-        for _ in range(100):
-            R = rng.normal(size=(3, 3))
-            R *= rng.uniform(0.2, 1.8) / np.linalg.svd(R, compute_uv=False)[0]
-            smax = np.linalg.svd(R, compute_uv=False)[0]
-            if abs(smax - 1.0) < 1e-9:
-                continue
-            P = np.block([[np.eye(3), R], [R.T, np.eye(3)]])
-            assert (np.linalg.eigvalsh(P)[0] >= 0) == (smax <= 1.0)
-            assert psd_feasible(R)[0] == (smax <= 1.0)
