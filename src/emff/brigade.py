@@ -242,17 +242,3 @@ def equilibrium_residuals(cfg, field, t):
         "torque": tau_res,
         "center_force": center_force,
     }
-
-
-def worst_case_disturbance(cfg, field, t):
-    """Idealized edge disturbance (m_sat/2) K R_l used by the sizing bound."""
-    K = field.k_orb(t)
-    R_l = cfg.r_l * field.direction(t)
-    return cfg.m_sat / 2.0 * (K @ R_l)
-
-
-def worst_case_pair_force(cfg, field, t):
-    """Largest feedforward force, at the centre pair: n(n+1)/(2n+1) times the
-    idealized edge disturbance (exactly f_{0<-1})."""
-    n = cfg.n
-    return n * (n + 1) / (2 * n + 1) * worst_case_disturbance(cfg, field, t)

@@ -191,12 +191,12 @@ def cmd_orbit(args):
     header = ["t_s", "x_m", "y_m", "z_m"]
     header += [f"K{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)]
     header.append("K_core_trace")
+    K = orbit.j2_disturbance_matrix(ctx, ts).reshape(len(ts), 9)
+    core_trace = np.trace(orbit.j2_core_matrix(ctx, ts), axis1=-2, axis2=-1)
     with _open_out(args.out) as fh:
         fh.write(",".join(header) + "\n")
         for i, t in enumerate(ts):
-            K = orbit.j2_disturbance_matrix(ctx, t)
-            core_trace = np.trace(orbit.j2_core_matrix(ctx, t))
-            row = [t, *pos[i], *K.reshape(-1), core_trace]
+            row = [t, *pos[i], *K[i], core_trace[i]]
             fh.write(",".join(_fmt(v) for v in row) + "\n")
     return 0
 

@@ -118,10 +118,6 @@ class DipoleWaveform:
         """||s||^2 + ||c||^2 (A^2*m^4)."""
         return float(self.s @ self.s + self.c @ self.c)
 
-    def within_saturation(self, limit):
-        """True when ||s||^2 + ||c||^2 stays below the given saturation bound."""
-        return self.amplitude_squared < limit
-
     def evaluate(self, t):
         t = np.asarray(t, dtype=float)
         return np.sin(self.omega * t)[..., None] * self.s + np.cos(self.omega * t)[..., None] * self.c

@@ -16,7 +16,6 @@ from emff import (
     unit_wrench,
     weighting,
 )
-from emff.brigade import worst_case_disturbance, worst_case_pair_force
 
 
 def constant_field(K, p):
@@ -196,6 +195,19 @@ class TestPairCommand:
         K, p = field.k_orb(0.0), field.direction(0.0)
         assert np.allclose(u[:3], cfg.m_sat * cfg.n * cfg.d_sat * (K @ p), rtol=1e-13)
 
+    def test_center_pair_sizing_force(self, rng):
+        # f_{0<-1} is n(n+1)/(2n+1) times the idealized edge disturbance
+        # (m_sat/2) K R_l, which bounds the actual edge command m_sat n d K p
+        for n in (1, 3, 10):
+            cfg = GridConfig(n=n, m_sys=100.0, d_sat=5.0)
+            field = random_field(rng)
+            K, p = field.k_orb(0.0), field.direction(0.0)
+            ideal_edge = cfg.m_sat / 2.0 * (K @ (cfg.r_l * p))
+            f_center = pair_command(cfg, field, 2, 0.0)[:3]
+            assert np.allclose(f_center, n * (n + 1) / (2 * n + 1) * ideal_edge, rtol=1e-12)
+            actual_edge = cfg.m_sat * n * cfg.d_sat * (K @ p)
+            assert np.linalg.norm(ideal_edge) >= np.linalg.norm(actual_edge)
+
     def test_center_force_is_triangular_sum(self, rng):
         field = random_field(rng)
         cfg = GridConfig(n=6, m_sys=100.0, d_sat=5.0)
@@ -247,20 +259,3 @@ class TestEquilibrium:
         expected = 2.0 * cfg.chi_sys * np.cross(R_l, K @ R_l)
         center = res["torque"][res["index"] == 0][0]
         assert np.allclose(center, expected, rtol=1e-12)
-
-
-class TestWorstCase:
-    def test_center_pair_force_ratio(self, rng):
-        # f_{0<-1} equals n(n+1)/(2n+1) of the idealized edge disturbance, exactly
-        for n in (1, 3, 10):
-            cfg = GridConfig(n=n, m_sys=100.0, d_sat=5.0)
-            field = random_field(rng)
-            f_center = pair_command(cfg, field, 2, 0.0)[:3]
-            assert np.allclose(f_center, worst_case_pair_force(cfg, field, 0.0), rtol=1e-12)
-
-    def test_idealized_edge_bounds_actual(self, rng):
-        cfg = GridConfig(n=7, m_sys=100.0, d_sat=5.0)
-        field = random_field(rng)
-        K, p = field.k_orb(0.0), field.direction(0.0)
-        actual_edge = np.linalg.norm(cfg.m_sat * cfg.n * cfg.d_sat * (K @ p))
-        assert np.linalg.norm(worst_case_disturbance(cfg, field, 0.0)) >= actual_edge

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from emff import verify
 from emff.cli import main
 
 SCENARIO = {
@@ -355,6 +356,23 @@ class TestVerifyCmd:
         assert data["suites"][0]["cases"] == 3
         assert data["suites"][0]["failures"] == []
 
+    def test_every_suite_reports_finite_worst_values(self, tmp_path):
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--cases", "2", "--out", str(out)]) == 0
+        suites = json.loads(out.read_text())["suites"]
+        assert [s["suite"] for s in suites] == list(verify.SUITES)
+        for s in suites:
+            assert s["worst"], s["suite"]
+            assert all(type(v) is float and np.isfinite(v) for v in s["worst"].values())
+
+    def test_same_seed_same_bytes(self, tmp_path):
+        def run(name):
+            out = tmp_path / name
+            assert main(["verify", "--cases", "2", "--seed", "5", "--out", str(out)]) == 0
+            return [line for line in out.read_text().splitlines() if '"seconds"' not in line]
+
+        assert run("a.json") == run("b.json")
+
     @pytest.mark.parametrize("suite", ["duality", "bruteforce", "telescoping"])
     def test_stalled_solves_are_case_failures(self, tmp_path, monkeypatch, suite):
         import emff.dual
@@ -369,6 +387,8 @@ class TestVerifyCmd:
         failures = data["suites"][0]["failures"]
         assert [f.split(":")[0] for f in failures] == ["case 0", "case 1"]
         assert all("stalled" in f for f in failures)
+        # a case that raised adds no value to worst
+        assert not any(np.isnan(v) for v in data["suites"][0]["worst"].values())
 
     def test_corrupted_torque_blocks_fail_telescoping(self, tmp_path, monkeypatch):
         import emff.magnetics
@@ -381,6 +401,7 @@ class TestVerifyCmd:
         data = json.loads(out.read_text())
         assert not data["passed"]
         assert data["suites"][0]["failures"]
+        assert data["suites"][0]["worst"]["realization_error"] > 1e-6
 
     def test_corrupt_flag_is_usage_error(self):
         assert main(["verify", "--suite", "telescoping", "--corrupt-psi-tau"]) == 1

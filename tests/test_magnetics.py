@@ -293,8 +293,6 @@ class TestTypes:
     def test_waveform_saturation(self):
         wf = DipoleWaveform(s=[3.0, 0, 0], c=[0, 4.0, 0], omega=1.0)
         assert wf.amplitude_squared == 25.0
-        assert wf.within_saturation(26.0)
-        assert not wf.within_saturation(25.0)
 
     def test_wrench_roundtrip(self):
         w = Wrench.from_vector(np.arange(6.0))
