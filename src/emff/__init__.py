@@ -55,19 +55,15 @@ from .brigade import (
     telescoping_oracle,
     torque_weight,
     unit_wrench,
-    weighting,
 )
 from .power import (
     PowerReport,
     compute_power_report,
     compute_power_reports,
-    dipole_metric,
     orbit_time_grid,
     pair_power_w_star,
-    peak_power,
     power_index,
     surface_ratio,
-    total_power,
 )
 
 __version__ = "0.1.0"

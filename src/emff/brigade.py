@@ -8,16 +8,18 @@ telescope to the closed form
 
     u_{(j-2)<-(j-1)} = chi_sys * L(n, j) * U_hat(r_l, t),   j in [2, n+1],
 
-with chi_sys = m_sys n(n+1) / (6 (2n+1)^3) and a diagonal pair of polynomial
-weights in L.  The force balance closes exactly at every satellite including
-the centre; the torque balance closes everywhere except the centre, which is
-left carrying 2 chi_sys R_l x (K R_l) by the edge boundary conditions (the
-residual is reported, not hidden).
+with chi_sys = m_sys n(n+1) / (6 (2n+1)^3); L(n, j) scales U_hat's force half
+by the exact rational force_weight(n, j) and its torque half by
+torque_weight(n, j).  The force balance closes exactly at every satellite
+including the centre; the torque balance closes everywhere except the centre,
+which is left carrying 2 chi_sys R_l x (K R_l) by the edge boundary
+conditions (the residual is reported, not hidden).
 
 The field callables take an array of times, so a power scan samples the field
 once per time grid; it forms U_hat's line-of-sight rows in closed form.
 """
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -36,6 +38,10 @@ class GridConfig:
     d_sat: float
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "n", operator.index(self.n))
+        except TypeError:
+            raise ValueError(f"n must be an integer, got {self.n!r}") from None
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if not (self.m_sys > 0 and self.d_sat > 0):
@@ -121,30 +127,15 @@ def _check_j(n, j):
 
 
 def force_weight(n, j):
-    """Force-block coefficient of L(n, j); exact Fraction for int inputs."""
+    """Force-block coefficient of L(n, j), an exact Fraction."""
     _check_j(n, j)
-    num = (n - j + 2) * (n + j - 1)
-    den = n * (n + 1)
-    if isinstance(n, int) and isinstance(j, int):
-        return Fraction(num, den)
-    return num / den
+    return Fraction((n - j + 2) * (n + j - 1), n * (n + 1))
 
 
 def torque_weight(n, j):
-    """Torque-block coefficient of L(n, j); exact Fraction for int inputs."""
+    """Torque-block coefficient of L(n, j), an exact Fraction."""
     _check_j(n, j)
-    num = (n - j + 2) * (n - j + 3) * (2 * n + j - 1)
-    den = n * (n + 1) * (2 * n + 1)
-    if isinstance(n, int) and isinstance(j, int):
-        return Fraction(num, den)
-    return num / den
-
-
-def weighting(n, j):
-    """Block-diagonal 6x6 weight L(n, j): force and torque blocks scale I3."""
-    return np.diag(
-        [float(force_weight(n, j))] * 3 + [float(torque_weight(n, j))] * 3
-    )
+    return Fraction((n - j + 2) * (n - j + 3) * (2 * n + j - 1), n * (n + 1) * (2 * n + 1))
 
 
 def unit_wrench(K, R_l):
@@ -165,7 +156,8 @@ def pair_command(cfg, field, j, t):
     _check_j(cfg.n, j)
     K = field.k_orb(t)
     R_l = cfg.r_l * field.direction(t)
-    return cfg.chi_sys * (weighting(cfg.n, j) @ unit_wrench(K, R_l))
+    weights = np.repeat([float(force_weight(cfg.n, j)), float(torque_weight(cfg.n, j))], 3)
+    return cfg.chi_sys * (weights * unit_wrench(K, R_l))
 
 
 def telescoping_oracle(cfg, field, j, t):
@@ -206,8 +198,6 @@ def equilibrium_residuals(cfg, field, t):
     # wrench on satellite a from satellite b, positive half-line pairs (a < b);
     # command on the inboard member, reaction via momentum conservation
     def wrench_on(a, b):
-        if abs(a) > n or abs(b) > n or abs(a - b) != 1:
-            raise ValueError("not an adjacent pair")
         if a + b > 0:  # positive half-line pair, command targets min(a,b)
             j = min(a, b) + 2
             f_cmd, tau_cmd = cmds[j]

@@ -22,13 +22,13 @@ spectral function (Lewis & Sendov 2001), an Armijo line search and a damping
 of 1e-14 tr H (an axial-torque command has a flat optimal face, where the
 Hessian is singular).  mu starts at _MU_START |X0|_F and falls by _MU_FACTOR
 per stage down to _MU_FINAL |X0|_F; each stage starts from the tangent
-predictor of the smoothed minimizer path z(mu).  The last stage is centred
-until its squared Newton decrement is below _DECREMENT_FINAL, and one more
-Newton step follows.  Since z(mu) = z* + mu z'(mu) + O(mu^2), a tangent step
-to mu = 0 then lands on the optimum without driving mu to rounding, where the
-Hessian's 1/mu curvature would swamp the rest of it.  A row's next Newton
-system is built from the SVD of the trial point its line search accepted
-(the first trial is the whole step), which is its next iterate bit for bit.
+predictor of the smoothed minimizer path z(mu).  Each stage is centred
+until its squared Newton decrement is at most mu^2; the last one then takes
+one more Newton step.  Since z(mu) = z* + mu z'(mu) + O(mu^2), a tangent
+step to mu = 0 then lands on the optimum without driving mu to rounding,
+where the Hessian's 1/mu curvature would swamp the rest of it.  A row's next
+Newton system is built from the SVD of the trial point its line search
+accepted (the first trial is the whole step), its next iterate bit for bit.
 
 From the SVD U S V^T of the optimum, a dual matrix of leading rank r is
 G = U_r V_r^T + U_0 W V_0^T, where W on the trailing block starts from the
@@ -60,8 +60,6 @@ _MAX_NEWTON = 60
 _MU_START = 0.1
 _MU_FACTOR = 0.01
 _MU_FINAL = 1.0e-10
-#: Newton decrement^2 (|X0|_F = 1) below which the last stage takes its final step.
-_DECREMENT_FINAL = 1.0e-20
 #: Steps with decrement^2 below this multiple of mu are taken whole, without a line search.
 _FULL_STEP = 0.01
 _MAX_HALVINGS = 40
@@ -221,7 +219,7 @@ def solve_dual_batch(Q, u):
         sol = np.linalg.solve(H, rhs)
         dec2 = np.vecdot(rhs[..., 0], sol[..., 0])
         final = ma <= _MU_FINAL
-        ended = dec2 <= np.where(final, _DECREMENT_FINAL, ma * ma)
+        ended = dec2 <= ma * ma
         # done: one last Newton step, then the tangent step to mu = 0;
         # centred: shrink mu and start the next stage at the tangent predictor
         centred, done = ended & ~final, ended & final

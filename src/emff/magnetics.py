@@ -263,9 +263,9 @@ def dipole_field_wrench(r, mu_j, mu_k):
 def time_average_oracle(r, dj, dk, period, n_steps, hint=None):
     """Trapezoidal average of the instantaneous wrench over one common period.
 
-    Independent validation of the closed-form averaging: samples
-    mu(t) = s*sin + c*cos on n_steps subintervals of [0, period].  Warns when
-    the period is not a near-integer multiple of both drive periods.
+    Independent validation of the closed-form averaging: samples each mu(t)
+    (DipoleWaveform.evaluate) on n_steps subintervals of [0, period].  Warns
+    when the period is not a near-integer multiple of both drive periods.
     """
     if n_steps < 64:
         raise ValueError("n_steps must be >= 64 for a trustworthy average")
@@ -282,8 +282,7 @@ def time_average_oracle(r, dj, dk, period, n_steps, hint=None):
     # a zero hint selects the frame builder's deterministic perpendicular
     Q = interaction_operator(r, np.zeros(3) if hint is None else hint)
     ts = np.linspace(0.0, period, n_steps + 1)
-    mj = np.sin(dj.omega * ts)[:, None] * dj.s + np.cos(dj.omega * ts)[:, None] * dj.c
-    mk = np.sin(dk.omega * ts)[:, None] * dk.s + np.cos(dk.omega * ts)[:, None] * dk.c
+    mj, mk = dj.evaluate(ts), dk.evaluate(ts)
     # kron(mu_k, mu_j) for every sample, then trapezoid over the window
     bilinear = np.einsum("ti,tj->tij", mk, mj).reshape(n_steps + 1, 9)
     u = MU0 / (4.0 * np.pi) * bilinear @ Q.T

@@ -5,7 +5,8 @@ cross-track frequencies are J2-corrected (omega_xy = c_- * omega_o and
 omega_z near omega_zref).  The homogeneous solution is closed form; a pair
 of frequencies that differ slightly makes a naively closed orbit drift in z,
 and that mismatch plus the short-period part of the J2 gravity-gradient
-tensor form the residual disturbance field used by the swarm analysis.
+tensor form the residual disturbance field used by the swarm analysis.  The
+central body is the Earth (MU_EARTH, R_EARTH).
 """
 
 from dataclasses import dataclass
@@ -23,7 +24,6 @@ K_J2 = 1.5 * J2_COEFF * MU_EARTH * R_EARTH**2
 class OrbitContext:
     """Reference-orbit constants of the linearized relative dynamics."""
 
-    mu_g: float
     r_ref: float
     incl: float
     theta0: float
@@ -58,22 +58,6 @@ class RelativeElements:
     theta_z: float
     l_drift: float = 0.0
 
-    @property
-    def c2(self):
-        return self.r_xy * np.cos(self.theta_xy)
-
-    @property
-    def c3(self):
-        return self.r_xy * np.sin(self.theta_xy)
-
-    @property
-    def c5(self):
-        return self.r_z * np.cos(self.theta_z)
-
-    @property
-    def c6(self):
-        return self.r_z * np.sin(self.theta_z)
-
 
 @dataclass(frozen=True)
 class StablePlane:
@@ -93,8 +77,8 @@ class StablePlane:
             raise ValueError("theta_z_xy too close to +-90 deg")
 
 
-def make_context(altitude, incl, theta0, mu_g=MU_EARTH, r_body=R_EARTH, k_j2=K_J2):
-    """Orbit constants for a circular reference orbit at the given altitude (m).
+def make_context(altitude, incl, theta0, k_j2=K_J2):
+    """Orbit constants for a circular Earth reference orbit at the given altitude (m).
 
     k_j2 = 0 recovers the unperturbed limit (c_+- = 1, omega_xy = omega_z =
     omega_o).  Raises when the J2 correction would exceed the linearization's
@@ -102,19 +86,18 @@ def make_context(altitude, incl, theta0, mu_g=MU_EARTH, r_body=R_EARTH, k_j2=K_J
     """
     if altitude <= 0:
         raise ValueError("altitude must be positive")
-    r_ref = r_body + altitude
-    omega_o = np.sqrt(mu_g / r_ref**3)
-    s_j2 = k_j2 * (1.0 + 3.0 * np.cos(2.0 * incl)) / (4.0 * mu_g * r_ref**2)
+    r_ref = R_EARTH + altitude
+    omega_o = np.sqrt(MU_EARTH / r_ref**3)
+    s_j2 = k_j2 * (1.0 + 3.0 * np.cos(2.0 * incl)) / (4.0 * MU_EARTH * r_ref**2)
     if abs(s_j2) >= 1.0:
         raise ValueError(f"|s_J2| = {abs(s_j2):.3e} >= 1: J2 correction out of range")
     c_plus = np.sqrt(1.0 + s_j2)
     c_minus = np.sqrt(1.0 - s_j2)
     omega_xy = c_minus * omega_o
-    omega_z = omega_o * (c_plus + k_j2 * np.cos(incl) ** 2 / (mu_g * r_ref**2))
+    omega_z = omega_o * (c_plus + k_j2 * np.cos(incl) ** 2 / (MU_EARTH * r_ref**2))
     return OrbitContext(
-        mu_g=mu_g, r_ref=r_ref, incl=incl, theta0=theta0, k_j2=k_j2,
-        omega_o=omega_o, s_j2=s_j2, c_plus=c_plus, c_minus=c_minus,
-        omega_xy=omega_xy, omega_z=omega_z,
+        r_ref=r_ref, incl=incl, theta0=theta0, k_j2=k_j2, omega_o=omega_o, s_j2=s_j2,
+        c_plus=c_plus, c_minus=c_minus, omega_xy=omega_xy, omega_z=omega_z,
     )
 
 

@@ -22,8 +22,8 @@ such in-plane row is costed exactly in closed form, with no solver
 Parrilo 2010); rows off its vertex branch carry a measured gap to a
 closed-form dual point (weak duality, Boyd & Vandenberghe sec. 5).  sup_t
 w*(2, t) is refined at the vertex of the parabola through each grid argmax and
-its periodic neighbours.  compute_power_report, pair_power_w_star, peak_power,
-total_power and dipole_metric are views of one report.
+its periodic neighbours.  compute_power_report and pair_power_w_star are
+views of one report, whose W_bar, W_oint and M hold the peak, total and metric.
 """
 
 from dataclasses import dataclass
@@ -247,18 +247,3 @@ def compute_power_report(cfg, field, coil, t_grid):
     """Full per-pair cost table plus every summary metric for one config:
     the one-element view of compute_power_reports."""
     return compute_power_reports([cfg], field, coil, t_grid)[0]
-
-
-def peak_power(cfg, field, coil, t_grid):
-    """Upper bound on the per-satellite peak power chi_sys sup_t w*(2, t) (W)."""
-    return compute_power_report(cfg, field, coil, t_grid).W_bar
-
-
-def total_power(cfg, field, coil, t_grid):
-    """Orbit-averaged total power W_oint (W)."""
-    return compute_power_report(cfg, field, coil, t_grid).W_oint
-
-
-def dipole_metric(cfg, field, t_grid):
-    """Coil-independent metric M = W_oint / (m_sys R/gamma^2), A^2*m^4/kg."""
-    return compute_power_report(cfg, field, None, t_grid).M

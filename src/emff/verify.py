@@ -17,8 +17,6 @@ import numpy as np
 from . import allocation, brigade, magnetics, orbit
 from .dual import DEFAULT_TOL, SolverError
 
-SUITES = ("averaging", "duality", "bruteforce", "telescoping", "orbit")
-
 #: A failed solve or recovery is a failure of its case, not of the run.
 _NUMERIC_FAILURES = (SolverError, allocation.RecoveryError)
 
@@ -44,14 +42,22 @@ def _check(result, case, key, value, bound):
 def _random_geometry(rng):
     r = rng.normal(size=3)
     r *= rng.uniform(0.5, 5.0) / np.linalg.norm(r)
-    hint = rng.normal(size=3)
-    return r, hint
+    return r, rng.normal(size=3)
 
 
 def _random_waveform(rng, omega):
     return magnetics.DipoleWaveform(
         s=rng.normal(scale=10.0, size=3), c=rng.normal(scale=10.0, size=3), omega=omega
     )
+
+
+def _forward_case(rng):
+    """A feasible command generated forward from random unit-frequency
+    waveforms: (r, hint, Q, d_j, d_k, u) with u = averaged_wrench(Q, d_j, d_k)."""
+    r, hint = _random_geometry(rng)
+    Q = magnetics.interaction_operator(r, hint)
+    dj, dk = _random_waveform(rng, 1.0), _random_waveform(rng, 1.0)
+    return r, hint, Q, dj, dk, magnetics.averaged_wrench(Q, dj, dk)
 
 
 def suite_averaging(cases=25, seed=0):
@@ -96,11 +102,7 @@ def suite_duality(cases=100, seed=0):
     rng = _suite_rng(seed, "duality")
     result = _result("duality", cases)
     for case in range(cases):
-        r, hint = _random_geometry(rng)
-        Q = magnetics.interaction_operator(r, hint)
-        dj = _random_waveform(rng, 1.0)
-        dk = _random_waveform(rng, 1.0)
-        u = magnetics.averaged_wrench(Q, dj, dk)
+        r, hint, _, dj, dk, u = _forward_case(rng)
         J_gen = 0.5 * (dj.amplitude_squared + dk.amplitude_squared)
         try:
             sol = allocation.allocate(r, hint, u, omega=1.0)
@@ -121,11 +123,7 @@ def suite_bruteforce(cases=10, seed=0):
     rng = _suite_rng(seed, "bruteforce")
     result = _result("bruteforce", cases)
     for case in range(cases):
-        r, hint = _random_geometry(rng)
-        Q = magnetics.interaction_operator(r, hint)
-        dj = _random_waveform(rng, 1.0)
-        dk = _random_waveform(rng, 1.0)
-        u = magnetics.averaged_wrench(Q, dj, dk)
+        r, hint, _, _, _, u = _forward_case(rng)
         case_seed = int(rng.integers(2**31))
         try:
             sol = allocation.allocate(r, hint, u, omega=1.0)
@@ -230,6 +228,8 @@ def suite_orbit(cases=6, seed=0):
         d = orbit.freq_mismatch_disturbance(100.0, 0.3, ctx0, np.linspace(0.0, T, 100))
         _check(result, case, "mismatch_at_zero_j2", np.abs(d).max(), 0.0)
     return result
+
+
 _SUITE_FN = {
     "averaging": suite_averaging,
     "duality": suite_duality,
@@ -237,6 +237,7 @@ _SUITE_FN = {
     "telescoping": suite_telescoping,
     "orbit": suite_orbit,
 }
+SUITES = tuple(_SUITE_FN)
 
 
 def run_suites(names=SUITES, seed=0, cases=None):

@@ -29,7 +29,6 @@ from emff import (
     force_weight,
     make_context,
     orbit_time_grid,
-    peak_power,
     torque_weight,
     verify,
 )
@@ -168,8 +167,8 @@ def test_criterion_7_scaling_trends(scenario_scan):
     cfg1 = GridConfig.from_line_length(3, 100.0, 1000.0)
     cfg2 = GridConfig.from_line_length(3, 200.0, 1000.0)
     small_grid = orbit_time_grid(ctx.period, 48)
-    W1 = peak_power(cfg1, field, coil, small_grid)
-    W2 = peak_power(cfg2, field, coil, small_grid)
+    W1 = compute_power_report(cfg1, field, coil, small_grid).W_bar
+    W2 = compute_power_report(cfg2, field, coil, small_grid).W_bar
     mass_linearity = abs(W2 / W1 - 2.0)
 
     gamma_exact = all(reports[n].gamma_S == float(2 * n + 1) ** (2.0 / 3.0) for n in range(1, 11))

@@ -14,7 +14,6 @@ from emff import (
     telescoping_oracle,
     torque_weight,
     unit_wrench,
-    weighting,
 )
 
 
@@ -34,7 +33,7 @@ class TestWeights:
         for n in range(1, 51):
             assert force_weight(n, 2) == Fraction(1)
             assert torque_weight(n, 2) == Fraction(1)
-            assert np.array_equal(weighting(n, 2), np.eye(6))
+            assert type(force_weight(n, 2)) is Fraction and type(torque_weight(n, 2)) is Fraction
 
     def test_edge_pair_values(self):
         for n in range(1, 30):
@@ -94,6 +93,12 @@ class TestGridConfig:
             GridConfig(n=0, m_sys=10.0, d_sat=1.0)
         with pytest.raises(ValueError):
             GridConfig(n=1, m_sys=-10.0, d_sat=1.0)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            GridConfig(n=2.5, m_sys=100.0, d_sat=10.0)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            GridConfig(n=np.float64(2.0), m_sys=100.0, d_sat=10.0)
+        cfg = GridConfig(n=np.int64(3), m_sys=98.0, d_sat=4.0)
+        assert type(cfg.n) is int and cfg.n == 3
 
 
 class TestUnitWrench:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -227,6 +228,58 @@ class TestScanCmd:
             else:
                 assert all(r.root_rows > 0 and 0.0 < r.gap <= 1e-10 for r in reports)
 
+    def test_peak_consistency_violation_reported(
+        self, scenario_path, tmp_path, monkeypatch, capsys
+    ):
+        import emff.power
+
+        expected = tmp_path / "expected.csv"
+        assert main(["scan", "--scenario", scenario_path, "--out", str(expected)]) == 0
+        compute = emff.power.compute_power_reports
+        lifted = []
+
+        def raised_pair(*args, **kwargs):
+            # w*(3, t) of n = 2 lifted above w*(2, t) at the sixth sample
+            reports = compute(*args, **kwargs)
+            lifted.append(reports[1].samples[5])
+            w = reports[1].w_star_unit.copy()
+            w[1, 5] = 1.5 * w[0, 5]
+            reports[1] = dataclasses.replace(
+                reports[1], w_star_unit=w, peak_pair_violation=float((w[1:] - w[0]).max())
+            )
+            return reports
+
+        monkeypatch.setattr(emff.power, "compute_power_reports", raised_pair)
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--scenario", scenario_path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"peak consistency violated at n=2 j=3 t={lifted[0]:.3f}s" in err
+        # the CSV is still written in full
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_d_sat_grid_matches_power_reports(self, tmp_path):
+        import emff
+
+        scen = dict(SCENARIO, grid={"n_list": [2, 1], "m_sys_kg": 100.0, "d_sat_m": 30.0})
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scen))
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--scenario", str(path), "--out", str(out)]) == 0
+        ctx = emff.make_context(500e3, np.deg2rad(45.0), 0.0)
+        field = emff.DisturbanceField.from_orbit(
+            ctx, emff.StablePlane(theta_p=np.deg2rad(30.0), theta_z_xy=0.0, r_xyd=100.0)
+        )
+        coil = emff.CoilDesign(turns=200.0, coil_radius=0.5, wire_radius=1e-3, resistivity=1.68e-8)
+        cfgs = [emff.GridConfig(n=n, m_sys=100.0, d_sat=30.0) for n in (1, 2)]
+        grid = emff.orbit_time_grid(ctx.period, 24)
+        reports = emff.compute_power_reports(cfgs, field, coil, grid)
+        lines = [
+            ",".join([str(r.n), str(2 * r.n + 1)]
+                     + [f"{v:.17g}" for v in (r.r_l, r.chi_sys, r.W_bar, r.W_oint, r.M, r.gamma_S)])
+            for r in reports
+        ]
+        assert out.read_text().splitlines()[1:] == lines
+
     def test_zero_separation_exit_code(self, tmp_path):
         # a 2.5 mm side puts the pairs 0.83 mm (n = 1) and 0.5 mm (n = 2) apart
         scen = dict(SCENARIO, grid={"n_list": [1, 2], "m_sys_kg": 100.0, "r_l_m": 2.5e-3})
@@ -246,11 +299,15 @@ class TestScanCmd:
             assert float(r["W_oint_W"]) == 0.0
             assert float(r["M_A2m4_per_kg"]) == 0.0
 
-    def test_deterministic_bytes(self, scenario_path, tmp_path):
+    def test_deterministic_bytes(self, scenario_path, tmp_path, capsys):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["scan", "--scenario", scenario_path, "--out", str(out1)])
         main(["scan", "--scenario", scenario_path, "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+        # without --out the same bytes go to stdout
+        capsys.readouterr()
+        assert main(["scan", "--scenario", scenario_path]) == 0
+        assert capsys.readouterr().out.encode() == out1.read_bytes()
 
     def test_bad_scenario_usage_error(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -68,13 +68,9 @@ class TestElements:
         e = relative_elements([0, 0, z, 0, 0, vz], CTX)
         assert e.c1 == 0 and e.c4 == 0 and e.r_xy == 0
         assert np.isclose(e.r_z, np.hypot(z, vz / CTX.omega_z), rtol=1e-12)
-        assert np.isclose(e.c6, z, rtol=1e-12)
-        assert np.isclose(e.c5, vz / CTX.omega_z, rtol=1e-12)
-
-    def test_cartesian_polar_consistency(self, rng):
-        e = relative_elements(rng.normal(scale=50.0, size=6), CTX)
-        assert np.isclose(e.r_xy**2, e.c2**2 + e.c3**2, rtol=1e-12)
-        assert np.isclose(e.r_z**2, e.c5**2 + e.c6**2, rtol=1e-12)
+        # the Cartesian constants c6 = z and c5 = vz/omega_z, from the polar form
+        assert np.isclose(e.r_z * np.sin(e.theta_z), z, rtol=1e-12)
+        assert np.isclose(e.r_z * np.cos(e.theta_z), vz / CTX.omega_z, rtol=1e-12)
 
     def test_roundtrip_at_t0(self, rng):
         for _ in range(10):

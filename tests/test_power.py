@@ -13,16 +13,13 @@ from emff import (
     StablePlane,
     compute_power_report,
     compute_power_reports,
-    dipole_metric,
     make_context,
     orbit_time_grid,
     pair_power_w_star,
-    peak_power,
     power_index,
     surface_ratio,
-    total_power,
 )
-from emff.brigade import unit_wrench, weighting
+from emff.brigade import force_weight, torque_weight, unit_wrench
 from emff.dual import DEFAULT_TOL, SolverError, solve_dual_batch
 from emff.magnetics import MU0, ZeroSeparationError, build_los_frame, psi_stack
 
@@ -93,11 +90,11 @@ class TestPairPower:
 class TestPeakPower:
     def test_zero_disturbance(self):
         cfg = GridConfig(n=2, m_sys=100.0, d_sat=10.0)
-        assert peak_power(cfg, zero_field(), COIL, GRID) == 0.0
+        assert compute_power_report(cfg, zero_field(), COIL, GRID).W_bar == 0.0
 
     def test_sup_dominates_grid(self):
         cfg = GridConfig(n=2, m_sys=100.0, d_sat=10.0)
-        W_bar = peak_power(cfg, FIELD, COIL, GRID)
+        W_bar = compute_power_report(cfg, FIELD, COIL, GRID).W_bar
         for t in GRID[::6]:
             w = pair_power_w_star(cfg, FIELD, COIL, 2, t)
             assert W_bar >= cfg.chi_sys * w * (1 - 1e-12)
@@ -105,54 +102,52 @@ class TestPeakPower:
     def test_linear_in_system_mass(self):
         cfg1 = GridConfig(n=2, m_sys=100.0, d_sat=10.0)
         cfg2 = GridConfig(n=2, m_sys=200.0, d_sat=10.0)
-        W1 = peak_power(cfg1, FIELD, COIL, GRID)
-        W2 = peak_power(cfg2, FIELD, COIL, GRID)
+        W1 = compute_power_report(cfg1, FIELD, COIL, GRID).W_bar
+        W2 = compute_power_report(cfg2, FIELD, COIL, GRID).W_bar
         assert abs(W2 / W1 - 2.0) <= 1e-9
 
     def test_vanishes_as_count_grows(self):
         # fixed mass and array size: chi_sys and the pair costs both shrink
-        values = [
-            peak_power(GridConfig.from_line_length(n, 100.0, 300.0), FIELD, COIL, GRID)
-            for n in (1, 2, 4, 8)
-        ]
+        cfgs = [GridConfig.from_line_length(n, 100.0, 300.0) for n in (1, 2, 4, 8)]
+        values = [compute_power_report(cfg, FIELD, COIL, GRID).W_bar for cfg in cfgs]
         assert all(a > b for a, b in zip(values, values[1:]))
         assert values[-1] <= 0.01 * values[0]
 
     def test_empty_grid_rejected(self):
         cfg = GridConfig(n=1, m_sys=100.0, d_sat=10.0)
         with pytest.raises(ValueError):
-            peak_power(cfg, FIELD, COIL, np.array([]))
+            compute_power_report(cfg, FIELD, COIL, np.array([]))
 
 
 class TestTotalPower:
     def test_zero_field(self):
         cfg = GridConfig(n=3, m_sys=100.0, d_sat=10.0)
-        assert total_power(cfg, zero_field(), COIL, GRID) == 0.0
+        assert compute_power_report(cfg, zero_field(), COIL, GRID).W_oint == 0.0
 
     def test_n1_single_term_formula(self):
         cfg = GridConfig(n=1, m_sys=100.0, d_sat=10.0)
         expected = cfg.chi_sys * 3.0 * np.mean(
             [pair_power_w_star(cfg, FIELD, COIL, 2, t) for t in GRID]
         )
-        assert np.isclose(total_power(cfg, FIELD, COIL, GRID), expected, rtol=1e-10)
+        assert np.isclose(compute_power_report(cfg, FIELD, COIL, GRID).W_oint, expected, rtol=1e-10)
 
     def test_grid_refinement_converges(self):
         cfg = GridConfig(n=2, m_sys=100.0, d_sat=10.0)
-        w1 = total_power(cfg, FIELD, COIL, orbit_time_grid(CTX.period, 48))
-        w2 = total_power(cfg, FIELD, COIL, orbit_time_grid(CTX.period, 96))
+        w1 = compute_power_report(cfg, FIELD, COIL, orbit_time_grid(CTX.period, 48)).W_oint
+        w2 = compute_power_report(cfg, FIELD, COIL, orbit_time_grid(CTX.period, 96)).W_oint
         assert abs(w2 - w1) <= 1e-3 * w2
 
 
 class TestDipoleMetric:
     def test_coil_independent(self):
         cfg = GridConfig(n=2, m_sys=100.0, d_sat=10.0)
-        M = dipole_metric(cfg, FIELD, GRID)
-        W = total_power(cfg, FIELD, COIL, GRID)
+        M = compute_power_report(cfg, FIELD, None, GRID).M
+        W = compute_power_report(cfg, FIELD, COIL, GRID).W_oint
         assert np.isclose(M, W / (cfg.m_sys * COIL.power_scale), rtol=1e-12)
 
     def test_mass_invariant(self):
-        M1 = dipole_metric(GridConfig(n=2, m_sys=100.0, d_sat=10.0), FIELD, GRID)
-        M2 = dipole_metric(GridConfig(n=2, m_sys=200.0, d_sat=10.0), FIELD, GRID)
+        M1 = compute_power_report(GridConfig(n=2, m_sys=100.0, d_sat=10.0), FIELD, None, GRID).M
+        M2 = compute_power_report(GridConfig(n=2, m_sys=200.0, d_sat=10.0), FIELD, None, GRID).M
         assert np.isclose(M1, M2, rtol=1e-12)
 
 
@@ -180,9 +175,10 @@ class TestReport:
     def test_report_consistifies_summaries(self):
         cfg = GridConfig(n=2, m_sys=100.0, d_sat=10.0)
         rep = compute_power_report(cfg, FIELD, COIL, GRID)
-        assert np.isclose(rep.W_oint, total_power(cfg, FIELD, COIL, GRID), rtol=1e-12)
-        assert np.isclose(rep.W_bar, peak_power(cfg, FIELD, COIL, GRID), rtol=1e-12)
-        assert np.isclose(rep.M, dipole_metric(cfg, FIELD, GRID), rtol=1e-12)
+        unit = compute_power_report(cfg, FIELD, None, GRID)
+        assert rep.M == unit.M
+        assert np.isclose(rep.W_oint, COIL.power_scale * unit.W_oint, rtol=1e-12)
+        assert np.isclose(rep.W_bar, COIL.power_scale * unit.W_bar, rtol=1e-12)
         assert rep.gamma_S == surface_ratio(5)
         assert rep.w_star_unit.shape == (2, len(GRID))
         # peak-pair rule: no sampled pair beats the center pair
@@ -449,7 +445,8 @@ def _solver_pair_costs(cfg, field, t_grid):
     u_los = np.einsum("bxy,bkx->bky", C, u.reshape(-1, 2, 3)).reshape(-1, 6)
     w = []
     for j in range(2, cfg.n + 2):
-        J = solve_dual_batch(psi_stack(cfg.d_sat), u_los * np.diag(weighting(cfg.n, j)))["J_d"]
+        weights = np.repeat([float(force_weight(cfg.n, j)), float(torque_weight(cfg.n, j))], 3)
+        J = solve_dual_batch(psi_stack(cfg.d_sat), u_los * weights)["J_d"]
         w.append(2.0 * (J[:n_t] + J[n_t:]))
     return np.array(w)
 
