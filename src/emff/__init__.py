@@ -23,8 +23,6 @@ from .dual import (
 )
 from .allocation import (
     AllocationSolution,
-    NoFeasiblePointError,
-    RecoveryError,
     allocate,
     brute_force_allocate,
     extract_waveforms,

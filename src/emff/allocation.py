@@ -29,13 +29,6 @@ from .magnetics import (
     psi_stack,
 )
 
-class RecoveryError(RuntimeError):
-    """Primal recovery failed: the waveforms do not reproduce the command."""
-
-
-class NoFeasiblePointError(RuntimeError):
-    """Brute-force search found no feasible allocation in any restart."""
-
 
 @dataclass(frozen=True, slots=True)
 class AllocationSolution:
@@ -94,11 +87,12 @@ def allocate(r, hint, u, omega, frame="world"):
     r points from coil k to coil j; hint orients the line-of-sight frame
     (any vector not parallel to r).  With frame="world" both r and u are in
     the same world frame and the returned waveforms are too; frame="los"
-    treats u as already expressed line-of-sight.  Raises RecoveryError if
-    the waveforms reproduce u only to a relative residual above 1e-6 (the
-    certificate is not optimal or its optimum has rank three), and
-    SolverError, carrying the certificate, if the dual solve stalls or the
-    waveforms' gap (J_p - J_d) / J_d exceeds dual.DEFAULT_TOL.
+    treats u as already expressed line-of-sight.  Raises SolverError,
+    carrying the certificate where one exists, if the dual solve stalls or
+    its certificate is not finite, if the waveforms reproduce u only to a
+    relative residual above 1e-6 (the certificate is not optimal or its
+    optimum has rank three), or if their gap (J_p - J_d) / J_d exceeds
+    dual.DEFAULT_TOL.
     """
     if frame not in ("world", "los"):
         raise ValueError("frame must be 'world' or 'los'")
@@ -120,7 +114,7 @@ def allocate(r, hint, u, omega, frame="world"):
     size = np.abs(u_los).max()
     relative = np.linalg.norm(residual / size) / np.linalg.norm(u_los / size)
     if relative > 1.0e-6:
-        raise RecoveryError(f"waveforms reproduce the command only to {relative:.3e}")
+        raise SolverError(f"waveforms reproduce the command only to {relative:.3e}", best=cert)
     residual = (residual.reshape(2, 3) @ F.T).flatten()
     J_p = 0.5 * (wf_j.amplitude_squared + wf_k.amplitude_squared)
     # u != 0, so a certified J_d is positive: J_d >= (1 - DEFAULT_TOL) J_p
@@ -303,7 +297,8 @@ def brute_force_allocate(r, hint, u, restarts=20, seed=0, omega=1.0):
     Gauss-Newton, then by Newton steps in null-space coordinates on the
     manifold (_manifold_minima).  Uses nothing from the dual/recovery path;
     returns the best restart feasible to 1e-6 |u|, with norms taken after a
-    power-of-two scaling so that no tiny u underflows.
+    power-of-two scaling so that no tiny u underflows, and raises SolverError
+    when no restart is.
     """
     if restarts < 20:
         raise ValueError("restarts must be >= 20")
@@ -324,9 +319,7 @@ def brute_force_allocate(r, hint, u, restarts=20, seed=0, omega=1.0):
     h = _residuals(H, u_vec, M)[0]
     feasible = np.flatnonzero(np.linalg.norm(np.ldexp(h, -e), axis=1) <= 1.0e-6 * size)
     if feasible.size == 0:
-        raise NoFeasiblePointError(
-            f"no feasible allocation after {restarts} restarts (||u|| = {u_norm:.3e})"
-        )
+        raise SolverError(f"no feasible allocation after {restarts} restarts (||u|| = {u_norm:.3e})")
     cost = 0.5 * np.einsum("rp,rp->r", M, M)
     best = feasible[np.argmin(cost[feasible])]
     # copies, so the solution does not keep every restart's arrays alive

@@ -67,7 +67,10 @@ _EYE3 = np.eye(3)
 
 
 class SolverError(RuntimeError):
-    """A solve stalled or missed the gap DEFAULT_TOL; carries its certificate."""
+    """A result that cannot be certified: a stalled solve, a gap above
+    DEFAULT_TOL, a non-finite or infeasible certificate, waveforms that miss
+    their command, or an oracle with no feasible restart.  best carries the
+    certificate where one exists."""
 
     def __init__(self, message, best=None):
         super().__init__(message)
@@ -85,6 +88,8 @@ class DualCertificate:
     X         -- primal point with Q vec X = -u
     J_p       -- primal value (8 pi/mu0) ||X||_*: an upper bound
     gap       -- measured relative gap (J_p - J_d) / J_p (0 for u = 0)
+
+    Raises SolverError when sigma_max exceeds 1 + 1e-8 or J_d is not finite.
     """
 
     lambda_: np.ndarray
@@ -97,9 +102,9 @@ class DualCertificate:
 
     def __post_init__(self):
         if self.sigma_max > 1.0 + 1.0e-8:
-            raise ValueError(f"certificate infeasible: sigma_max = {self.sigma_max}")
+            raise SolverError(f"certificate infeasible: sigma_max = {self.sigma_max}")
         if not np.isfinite(self.J_d):
-            raise ValueError("dual objective must be finite")
+            raise SolverError("dual objective must be finite")
 
 
 def unvec_columns(q):
@@ -181,7 +186,8 @@ def solve_dual_batch(Q, u):
     X (B,3,3) -- the primal point, Q vec X = -u --, lambda_ (B,6), R (B,3,3),
     sigma_max (B,), newton_iters (B,) -- Newton systems built over all stages
     -- and stalled (B,) -- whether the row ran out of its _MAX_NEWTON
-    iterations or its gap exceeds DEFAULT_TOL.
+    iterations or its gap is not at most DEFAULT_TOL (a row whose costs
+    overflow has J_p = J_d = inf and a NaN gap, so it is stalled too).
     """
     u = np.atleast_2d(np.asarray(u, dtype=float))
     bad = np.flatnonzero(~np.isfinite(u).all(axis=1))
@@ -268,14 +274,16 @@ def solve_dual_batch(Q, u):
     smax = np.linalg.svd(R, compute_uv=False)[..., 0]
     shrink = np.maximum(smax, 1.0)
     c = 8.0 * np.pi / MU0
-    J_d = -c * np.einsum("rbi,bi->rb", lam, u) / shrink
-    best = np.argmax(J_d, axis=0)
-    pick = (best, np.arange(B))
-    J_d, smax, shrink = J_d[pick], smax[pick], shrink[pick]
+    # a row whose costs overflow gets J_p = J_d = inf and a NaN gap, with no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        J_d = -c * np.einsum("rbi,bi->rb", lam, u) / shrink
+        J_p = c * scale * nuclear
+        best = np.argmax(J_d, axis=0)
+        pick = (best, np.arange(B))
+        J_d, smax, shrink = J_d[pick], smax[pick], shrink[pick]
+        gap = np.where(live, (J_p - J_d) / np.where(live, J_p, 1.0), 0.0)
     lam = lam[pick] / shrink[:, None]
     R = R[pick] / shrink[:, None, None]
-    J_p = c * scale * nuclear
-    gap = np.where(live, (J_p - J_d) / np.where(live, J_p, 1.0), 0.0)
     return {
         "J_p": J_p,
         "J_d": J_d,
@@ -285,7 +293,7 @@ def solve_dual_batch(Q, u):
         "R": R,
         "sigma_max": smax / shrink,
         "newton_iters": iters,
-        "stalled": stalled | (gap > DEFAULT_TOL),
+        "stalled": stalled | ~(gap <= DEFAULT_TOL),
     }
 
 
@@ -293,9 +301,9 @@ def solve_dual(Q, u):
     """Certified solve of one instance: Q the (6, 9) operator, u the (6,) command.
 
     A batch of one through solve_dual_batch, returned as a DualCertificate.
-    Raises SolverError (carrying the certificate) when the solve runs out of
-    Newton iterations or its measured gap exceeds DEFAULT_TOL; u = 0 gives
-    the exact certificate lambda = 0, X = 0.
+    Raises SolverError when the certificate is not finite or feasible, and
+    (carrying the certificate) when the row is stalled; u = 0 gives the exact
+    certificate lambda = 0, X = 0.
     """
     res = solve_dual_batch(Q, np.reshape(np.asarray(u, dtype=float), (1, 6)))
     cert = DualCertificate(

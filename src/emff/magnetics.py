@@ -44,7 +44,7 @@ PSI_TORQUE = np.array(
 
 
 class ZeroSeparationError(ValueError):
-    """Separation below MIN_SEPARATION: the far-field model diverges."""
+    """Separation outside the far-field model's range (see check_separation)."""
 
 
 def _validate_stack3(v, name):
@@ -159,9 +159,14 @@ def psi_stack(d):
 
 
 def check_separation(d):
-    """Raise ZeroSeparationError when any separation in d is at most MIN_SEPARATION."""
-    if np.any(np.asarray(d) <= MIN_SEPARATION):
+    """Raise ZeroSeparationError when any separation in d is at most
+    MIN_SEPARATION, or so large that its fourth power is not a finite double."""
+    d = np.asarray(d, dtype=float)
+    if np.any(d <= MIN_SEPARATION):
         raise ZeroSeparationError(f"separation {np.min(d):.3e} m <= {MIN_SEPARATION} m")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(d**4).all():
+            raise ZeroSeparationError(f"separation {np.max(d):.3e} m: its fourth power overflows")
 
 
 def _cross(a, b):
@@ -179,7 +184,7 @@ def build_los_frame(r, hint):
     falling back to a deterministic perpendicular (r/||r|| crossed with the
     world axis of its smallest component) when hint is zero or (near-)parallel
     to r; column 3 completes the right-handed triad.  Raises
-    ZeroSeparationError when any separation is at most MIN_SEPARATION.
+    ZeroSeparationError when check_separation rejects any separation.
     """
     r, hint = _validate_stack3(r, "r"), _validate_stack3(hint, "hint")
     if r.shape != hint.shape:

@@ -56,7 +56,6 @@ class RelativeElements:
     theta_xy: float
     r_z: float
     theta_z: float
-    l_drift: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -134,13 +133,12 @@ def propagate_analytic_state(elems, ctx, t):
     wxy, wz = ctx.omega_xy, ctx.omega_z
     ph_xy = wxy * t + elems.theta_xy
     ph_z = wz * t + elems.theta_z
-    rz_t = elems.r_z + elems.l_drift * t
     x = 2.0 * elems.c1 + elems.r_xy * np.sin(ph_xy) / ctx.c_plus
     y = elems.c4 - e2 * elems.c1 * t + 2.0 * elems.r_xy * np.cos(ph_xy) / ctx.c_minus
-    z = rz_t * np.sin(ph_z)
+    z = elems.r_z * np.sin(ph_z)
     vx = elems.r_xy * wxy * np.cos(ph_xy) / ctx.c_plus
     vy = -e2 * elems.c1 - 2.0 * elems.r_xy * wxy * np.sin(ph_xy) / ctx.c_minus
-    vz = rz_t * wz * np.cos(ph_z) + elems.l_drift * np.sin(ph_z)
+    vz = elems.r_z * wz * np.cos(ph_z)
     return np.stack([x, y, z, vx, vy, vz], axis=-1)
 
 

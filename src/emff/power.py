@@ -185,7 +185,7 @@ def compute_power_reports(cfgs, field, coil, t_grid):
     at most dt = T/len(t_grid)) when those three points are concave and the
     vertex is higher.  W_oint = chi_sys (2n+1) (1/T) integral sum_j w*(j, t) dt
     by the periodic trapezoid rule, and M = W_oint / (m_sys R/gamma^2).  Raises
-    ZeroSeparationError when a d_sat is at most MIN_SEPARATION, and SolverError
+    ZeroSeparationError when check_separation rejects a d_sat, and SolverError
     naming every n with a non-finite cost or a gap above dual.DEFAULT_TOL.
     """
     t_grid = np.asarray(t_grid, dtype=float)

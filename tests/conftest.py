@@ -23,6 +23,12 @@ SINGULAR_U = [
 ]
 
 
+def infeasible_minima(H, u, X):
+    """A stand-in for allocation._manifold_minima whose restarts all end at
+    the origin, where the wrench residual is -u: none is feasible."""
+    return np.zeros_like(X), np.zeros(len(X), dtype=int)
+
+
 def random_geometry(rng, d_min=0.5, d_max=5.0):
     """Random separation (k -> j) and frame hint."""
     r = rng.normal(size=3)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from emff import (
     MU0,
     DisturbanceField,
-    RecoveryError,
     SolverError,
     StablePlane,
     Wrench,
@@ -24,7 +23,7 @@ from emff import (
 from emff.dual import DEFAULT_TOL
 from emff.allocation import MAX_NEWTON_STEPS, _manifold_minima, _tangent_basis
 from emff.brigade import GridConfig, pair_command
-from conftest import forward_command, random_geometry
+from conftest import forward_command, infeasible_minima, random_geometry
 
 #: Reference scenario field (500 km, 45 deg, theta_p 30 deg) for brigade pair commands.
 FIELD = DisturbanceField.from_orbit(
@@ -98,7 +97,7 @@ def _certificate_with(monkeypatch, X_of):
     monkeypatch.setattr("emff.allocation.solve_dual", fake)
 
 
-class TestRecoverGram:
+class TestWaveformsFromPrimalPoint:
     """Waveforms read off the certificate's primal point."""
 
     def test_zero_command(self):
@@ -125,8 +124,9 @@ class TestRecoverGram:
     def test_unconverged_certificate_rejected(self, monkeypatch):
         _certificate_with(monkeypatch, lambda cert: np.zeros((3, 3)))
         for size in (1e-5, 1e-205):  # also where |u|^2 underflows
-            with pytest.raises(RecoveryError):
+            with pytest.raises(SolverError, match="reproduce the command") as exc:
                 allocate([1.0, 0, 0], [0, 0, -1.0], [size, 0, 0, 0, 0, 0], omega=1.0)
+            assert exc.value.best.J_d > 0.0
 
     def test_full_rank_primal_rejected(self, monkeypatch):
         # X + t I stays on the slice Q vec X = -u (I spans part of the null
@@ -134,7 +134,7 @@ class TestRecoverGram:
         # which no waveform pair carries, is not zero
         _certificate_with(monkeypatch, lambda cert: cert.X + 0.1 * np.abs(cert.X).max() * np.eye(3))
         u = [2e-6, 1e-6, -3e-6, 5e-7, 0.0, -2e-7]
-        with pytest.raises(RecoveryError):
+        with pytest.raises(SolverError, match="reproduce the command"):
             allocate([1.0, 0, 0], [0, 0, -1.0], u, omega=1.0)
 
 
@@ -321,6 +321,12 @@ class TestBruteForce:
         r, hint = random_geometry(rng)
         with pytest.raises(ValueError):
             brute_force_allocate(r, hint, np.zeros(6), restarts=5)
+
+    def test_no_feasible_restart_is_solver_error(self, monkeypatch):
+        # every restart ends off the constraints: the oracle has nothing to return
+        monkeypatch.setattr("emff.allocation._manifold_minima", infeasible_minima)
+        with pytest.raises(SolverError, match="no feasible allocation after 20 restarts"):
+            brute_force_allocate([1.0, 0, 0], [0, 0, -1.0], [1e-5, 0, 0, 0, 0, 0], restarts=20)
 
     def test_matches_axial_optimum(self):
         u = [1e-5, 0, 0, 0, 0, 0]

@@ -10,6 +10,7 @@ import pytest
 
 from emff import verify
 from emff.cli import main
+from conftest import infeasible_minima
 
 SCENARIO = {
     "orbit": {"altitude_km": 500.0, "inclination_deg": 45.0, "theta0_deg": 0.0},
@@ -82,6 +83,20 @@ class TestAllocateCmd:
 
     def test_small_separation_numeric_failure(self):
         assert main(["allocate", "--r", "1e-5,0,0", "--force", "1e-5,0,0"]) == 2
+
+    @pytest.mark.parametrize(
+        "r,force,message",
+        [
+            ("1,0,0", "1e306,0,0", "dual objective must be finite"),  # the costs overflow
+            ("1e77,0,0", "1e-5,0,0", "dual objective must be finite"),
+            ("1e80,0,0", "1e-5,0,0", "separation 1.000e+80 m"),  # d**4 overflows
+        ],
+        ids=["force-1e306", "r-1e77", "r-1e80"],
+    )
+    def test_overflow_numeric_failure(self, capsys, r, force, message):
+        assert main(["allocate", "--r", r, "--force", force]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric failure: ") and message in err[0]
 
     def test_tol_flag_is_usage_error(self):
         assert main(["allocate", "--r", "1,0,0", "--force", "1e-5,0,0", "--tol", "1e-8"]) == 1
@@ -446,6 +461,37 @@ class TestVerifyCmd:
         assert all("stalled" in f for f in failures)
         # a case that raised adds no value to worst
         assert not any(np.isnan(v) for v in data["suites"][0]["worst"].values())
+
+    @pytest.mark.parametrize("suite", ["duality", "bruteforce"])
+    def test_uncertified_results_are_case_failures(self, tmp_path, monkeypatch, suite):
+        # a non-finite certificate, or an oracle with no feasible restart, is a
+        # failure of its case, and the summary is still written
+        import emff.allocation
+        import emff.dual
+
+        solve_dual_batch = emff.dual.solve_dual_batch
+
+        def infinite_dual(Q, u):
+            return {**solve_dual_batch(Q, u), "J_d": np.full(len(u), np.inf)}
+
+        if suite == "duality":
+            monkeypatch.setattr(emff.dual, "solve_dual_batch", infinite_dual)
+            message = "dual objective must be finite"
+        else:
+            monkeypatch.setattr(emff.allocation, "_manifold_minima", infeasible_minima)
+            message = "no feasible allocation after 20 restarts"
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--suite", suite, "--cases", "2", "--out", str(out)]) == 2
+        failures = json.loads(out.read_text())["suites"][0]["failures"]
+        assert [f.split(":")[0] for f in failures] == ["case 0", "case 1"]
+        assert all(message in f for f in failures)
+
+    @pytest.mark.parametrize("cases", ["0", "-5"])
+    def test_case_count_below_one_is_usage_error(self, tmp_path, capsys, cases):
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--suite", "averaging", "--cases", cases, "--out", str(out)]) == 1
+        assert "--cases must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_corrupted_torque_blocks_fail_telescoping(self, tmp_path, monkeypatch):
         import emff.magnetics

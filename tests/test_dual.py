@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,6 +80,14 @@ class TestSolveDual:
         assert res["newton_iters"][0] == 0
         with pytest.raises(SolverError):
             solve_dual(psi_stack(1.0), [1e-5, 0, 0, 0, 0, 0])
+
+    def test_uncertifiable_certificate_is_solver_error(self):
+        cert = solve_dual(psi_stack(1.0), [1e-5, 0, 0, 0, 0, 0])
+        with pytest.raises(SolverError, match="certificate infeasible"):
+            dataclasses.replace(cert, sigma_max=1.0 + 1e-7)
+        for J_d in (np.inf, np.nan):
+            with pytest.raises(SolverError, match="dual objective must be finite"):
+                dataclasses.replace(cert, J_d=J_d)
 
     def test_r_lambda_consistent_with_q(self, rng):
         r, hint, u, _ = forward_command(rng)
@@ -273,6 +283,16 @@ class TestBatch:
         assert np.allclose(res["J_d"], np.ldexp(ref["J_d"], k), rtol=1e-15, atol=0.0)
         assert np.array_equal(res["gap"] <= dual.DEFAULT_TOL, ref["gap"] <= dual.DEFAULT_TOL)
         assert not res["stalled"].any()
+
+    def test_overflowing_row_is_stalled(self):
+        # a row whose costs exceed the double range gets J_p = J_d = inf and a
+        # NaN gap, which is not within DEFAULT_TOL; no RuntimeWarning escapes
+        us = [[1e306, 0, 0, 0, 0, 0], [1e-5, 0, 0, 0, 0, 0]]
+        res = solve_dual_batch(psi_stack(1.0), us)
+        assert np.isinf(res["J_p"][0]) and np.isinf(res["J_d"][0]) and np.isnan(res["gap"][0])
+        assert res["stalled"].tolist() == [True, False]
+        with pytest.raises(SolverError, match="dual objective must be finite"):
+            solve_dual(psi_stack(1.0), us[0])
 
     def test_batch_zero_rows(self):
         us = np.zeros((3, 6))

@@ -63,6 +63,13 @@ class TestLosFrame:
         with pytest.raises(ZeroSeparationError):
             build_los_frame([1e-4, 0, 0], [0, 1, 0])
 
+    def test_overflowing_separation_rejected(self):
+        # psi_stack divides by d**4, which must be a finite double
+        build_los_frame([1e77, 0, 0], [0, 1, 0])
+        for r in ([1e80, 0, 0], [0, 1e200, 1e200]):
+            with pytest.raises(ZeroSeparationError, match="fourth power overflows"):
+                interaction_operator(r, [0, 0, 1])
+
     def test_stack_matches_rows(self, rng):
         r = rng.normal(size=(12, 3))
         hint = rng.normal(size=(12, 3))
