@@ -23,8 +23,8 @@ from .magnetics import (
     MU0,
     DipoleWaveform,
     Wrench,
+    _los_frame,
     _validate_vec3,
-    build_los_frame,
     interaction_operator,
     psi_stack,
 )
@@ -87,35 +87,49 @@ def allocate(r, hint, u, omega, frame="world"):
     r points from coil k to coil j; hint orients the line-of-sight frame
     (any vector not parallel to r).  With frame="world" both r and u are in
     the same world frame and the returned waveforms are too; frame="los"
-    treats u as already expressed line-of-sight.  Raises SolverError,
-    carrying the certificate where one exists, if the dual solve stalls or
-    its certificate is not finite, if the waveforms reproduce u only to a
-    relative residual above 1e-6 (the certificate is not optimal or its
-    optimum has rank three), or if their gap (J_p - J_d) / J_d exceeds
-    dual.DEFAULT_TOL.
+    treats u as already expressed line-of-sight.  u is a Wrench or a
+    (6,) vector (force, torque).
+
+    psi_stack(d) is psi_stack(1) with its force rows divided by d^4 and its
+    torque rows by d^3, so the line-of-sight command (f, tau) at separation
+    d = |r| is solved as the folded row (d^4 f, d^3 tau) against
+    psi_stack(1), whose primal point X is the same.  Raises SolverError,
+    carrying that certificate where one exists, if the folded row overflows,
+    if the dual solve stalls or its certificate is not finite, if the
+    waveforms reproduce u only to a relative residual above 1e-6 (the
+    certificate is not optimal or its optimum has rank three), or if their
+    gap (J_p - J_d) / J_d exceeds dual.DEFAULT_TOL.
     """
     if frame not in ("world", "los"):
         raise ValueError("frame must be 'world' or 'los'")
     r = _validate_vec3(r, "r")
-    C = build_los_frame(r, hint)
-    d = float(np.linalg.norm(r))
-    u = u if isinstance(u, Wrench) else Wrench.from_vector(np.asarray(u, dtype=float))
-    if not u.as_vector().any():
+    C = _los_frame(r, _validate_vec3(hint, "hint"))
+    u = u.as_vector() if isinstance(u, Wrench) else np.asarray(u, dtype=float)
+    if u.shape != (6,) or not np.isfinite(u).all():
+        raise ValueError(f"u must be a finite wrench vector of shape (6,), got {u!r}")
+    if not u.any():
         return _zero_solution(omega)
     F = C if frame == "world" else np.eye(3)
-    u_los = np.concatenate([F.T @ u.force, F.T @ u.torque])
-    Q_los = psi_stack(d)
-    cert = solve_dual(Q_los, u_los)
+    # force and torque rows in the line-of-sight frame, then folded onto psi_stack(1)
+    u_los = u.reshape(2, 3) @ F
+    d = np.sqrt(r @ r)
+    fold = np.array([[d**4], [d**3]])
+    with np.errstate(over="ignore"):
+        row = (u_los * fold).ravel()
+    if not np.isfinite(row).all():
+        raise SolverError(f"folded command (d^4 f, d^3 tau) at separation {d:.3e} m overflows:"
+                          " its cost is past the double range")
+    Q = psi_stack(1.0)
+    cert = solve_dual(Q, row)
     wf_j, wf_k = extract_waveforms(F @ cert.X @ F.T, omega)
     # s_k s_j^T + c_k c_j^T in the LOS frame: its row-major vec is kron(s_k, s_j) + kron(c_k, c_j)
     M = F.T @ np.array([wf_k.s, wf_k.c]).T @ np.array([wf_j.s, wf_j.c]) @ F
-    residual = MU0 / (8.0 * np.pi) * Q_los @ M.ravel() - u_los
+    residual = (MU0 / (8.0 * np.pi) * Q @ M.ravel()).reshape(2, 3) / fold - u_los
     # both norms taken in units of the largest command entry, so neither underflows
     size = np.abs(u_los).max()
     relative = np.linalg.norm(residual / size) / np.linalg.norm(u_los / size)
     if relative > 1.0e-6:
         raise SolverError(f"waveforms reproduce the command only to {relative:.3e}", best=cert)
-    residual = (residual.reshape(2, 3) @ F.T).flatten()
     J_p = 0.5 * (wf_j.amplitude_squared + wf_k.amplitude_squared)
     # u != 0, so a certified J_d is positive: J_d >= (1 - DEFAULT_TOL) J_p
     gap = (J_p - cert.J_d) / cert.J_d
@@ -127,7 +141,7 @@ def allocate(r, hint, u, omega, frame="world"):
         J_p=J_p,
         J_d=cert.J_d,
         gap=gap,
-        wrench_residual=residual,
+        wrench_residual=(residual @ F.T).ravel(),
     )
 
 

@@ -163,8 +163,10 @@ def cmd_allocate(args):
     if args.hint:
         hint = _parse_vec3(args.hint, "hint")
     else:
-        hint = np.cross(force, r)
-        if np.linalg.norm(hint) == 0.0:
+        # force x r from copies scaled exactly by powers of two, so no product
+        # overflows; the frame depends only on the hint's direction
+        hint = np.cross(*(np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (force, r)))
+        if not hint.any():
             hint = np.array([0.0, 0.0, 1.0])
     sol = allocation.allocate(r, hint, u, omega=args.omega, frame=args.frame)
     out = {

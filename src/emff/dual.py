@@ -28,7 +28,8 @@ one more Newton step.  Since z(mu) = z* + mu z'(mu) + O(mu^2), a tangent
 step to mu = 0 then lands on the optimum without driving mu to rounding,
 where the Hessian's 1/mu curvature would swamp the rest of it.  A row's next
 Newton system is built from the SVD of the trial point its line search
-accepted (the first trial is the whole step), its next iterate bit for bit.
+accepted (the first trial is the whole step), its next iterate bit for bit;
+the SVD of its last point, the optimum, also builds its dual matrix.
 
 From the SVD U S V^T of the optimum, a dual matrix of leading rank r is
 G = U_r V_r^T + U_0 W V_0^T, where W on the trailing block starts from the
@@ -40,12 +41,17 @@ of the optimum is never guessed from a threshold.  J_p, J_d and the gap are
 measured from the two points.
 
 Q is a plain (6, 9) array shared by the batch; solve_dual(Q, u) is a batch
-of one.  Each row runs its own schedule, line search and stopping test, and
-every per-row quantity is a stack of per-row products or LAPACK calls, never
-a 2-D BLAS product over the batch axis (whose blocking depends on the batch
-size), so a row's result is bit-for-bit independent of its batch.
+of one.  Its pseudo-inverse and null-space basis come from one SVD of Q,
+memoised on Q's bytes (a few operators at a time, read-only), so a stream of
+solves on one operator, as allocate's on psi_stack(1), pays for it once; a
+changed Q has other bytes and gets its own basis.  Each row runs its own
+schedule, line search and stopping test, and every per-row quantity is a
+stack of per-row products or LAPACK calls, never a 2-D BLAS product over the
+batch axis (whose blocking depends on the batch size), so a row's result is
+bit-for-bit independent of its batch.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +70,12 @@ _MU_FINAL = 1.0e-10
 _FULL_STEP = 0.01
 _MAX_HALVINGS = 40
 _EYE3 = np.eye(3)
+_TINY = np.finfo(float).tiny
+# _LEAD[r - 1, 0, i]: whether singular direction i is in the leading block of rank r;
+# _TRAIL[r - 1, 0]: the trailing block of rank r, and _LEAD_EYE: U_r V_r^T in the singular bases
+_LEAD = (np.arange(3) < np.arange(1, 4)[:, None])[:, None]
+_TRAIL = ~(_LEAD[..., :, None] | _LEAD[..., None, :])
+_LEAD_EYE = _LEAD[..., :, None] * _EYE3
 
 
 class SolverError(RuntimeError):
@@ -113,6 +125,19 @@ def unvec_columns(q):
     return q.reshape(q.shape[:-1] + (3, 3)).swapaxes(-1, -2)
 
 
+@functools.lru_cache(maxsize=8)
+def _operator_basis(key):
+    """The pseudo-inverse (9, 6) and null-space basis N (3, 3, 3) of the (6, 9)
+    operator whose bytes are key, and N as (3, 9) rows; memoised, read-only."""
+    Uq, sq, Vq = np.linalg.svd(np.frombuffer(key).reshape(6, 9))
+    pinv = (Vq[:6].T / sq) @ Uq.T
+    N = unvec_columns(Vq[6:])
+    basis = pinv, N, N.reshape(3, 9)
+    for a in basis:
+        a.flags.writeable = False
+    return basis
+
+
 def _spectral(U, s, Vt, h, N, mu):
     """From the SVD U s V^T of X (b, 3, 3) and h = sqrt(s^2 + mu^2): t = s / h,
     the damped Hessian H of f_mu(z) = sum_i h_i and, as the columns of rhs
@@ -122,7 +147,7 @@ def _spectral(U, s, Vt, h, N, mu):
     a mean of 1/h_i and 1/h_j with weights s + tiny (s above 1e-292), so 1/mu at s_i = s_j = 0."""
     m = mu[:, None]
     hh = h[:, :, None] * h[:, None, :]
-    w = s + np.finfo(float).tiny
+    w = s + _TINY
     d = np.empty(s.shape + (2,))
     t = np.divide(w, h, out=d[..., 0])
     np.divide(-m * t, hh.diagonal(axis1=1, axis2=2), out=d[..., 1])
@@ -148,22 +173,18 @@ def _smoothed(X, mu):
     return U, s, Vt, np.sqrt(s * s + (mu * mu)[:, None])
 
 
-def _dual_matrices(X, N, G_mu):
-    """Nuclear norms of the rows of X (b, 3, 3) and, for each leading rank
-    r = 1, 2, 3, dual matrices G (3, b, 3, 3) with <G, N_k> = 0: U_r V_r^T on
-    the leading singular block and, on the trailing block, the smoothed
-    gradient G_mu plus its least-norm correction."""
-    U, s, Vt = np.linalg.svd(X)
+def _dual_matrices(U, s, Vt, N, G_mu):
+    """From the SVD U s V^T of the rows of X (b, 3, 3): their nuclear norms and,
+    for each leading rank r = 1, 2, 3, dual matrices G (3, b, 3, 3) with
+    <G, N_k> = 0: U_r V_r^T on the leading singular block and, on the trailing
+    block, the smoothed gradient G_mu plus its least-norm correction."""
     Nt = _rotated(U, N, Vt)
-    # lead[r - 1, 0, i]: whether singular direction i is in the leading block of rank r
-    lead = (np.arange(3) < np.arange(1, 4)[:, None])[:, None]
-    trail = ~(lead[..., :, None] | lead[..., None, :])
-    Gt = np.where(trail, np.swapaxes(U, 1, 2) @ G_mu @ np.swapaxes(Vt, 1, 2), 0.0)
-    Gt += lead[..., :, None] * _EYE3
+    Gt = np.where(_TRAIL, np.swapaxes(U, 1, 2) @ G_mu @ np.swapaxes(Vt, 1, 2), 0.0)
+    Gt += _LEAD_EYE
     res = np.einsum("rbij,bkij->rbk", Gt, Nt)
-    A = np.where(trail[:, :, None], Nt, 0.0).reshape(3, -1, 3, 9)
+    A = np.where(_TRAIL[:, :, None], Nt, 0.0).reshape(3, -1, 3, 9)
     AA = A @ np.swapaxes(A, -1, -2)
-    damping = 1.0e-14 * np.trace(AA, axis1=-2, axis2=-1) + np.finfo(float).tiny
+    damping = 1.0e-14 * np.trace(AA, axis1=-2, axis2=-1) + _TINY
     AA += damping[..., None, None] * _EYE3
     y = np.linalg.solve(AA, res[..., None])[..., 0]
     Gt -= np.einsum("rbkp,rbk->rbp", A, y).reshape(Gt.shape)
@@ -186,37 +207,45 @@ def solve_dual_batch(Q, u):
     X (B,3,3) -- the primal point, Q vec X = -u --, lambda_ (B,6), R (B,3,3),
     sigma_max (B,), newton_iters (B,) -- Newton systems built over all stages
     -- and stalled (B,) -- whether the row ran out of its _MAX_NEWTON
-    iterations or its gap is not at most DEFAULT_TOL (a row whose costs
-    overflow has J_p = J_d = inf and a NaN gap, so it is stalled too).
+    iterations or its gap is not at most DEFAULT_TOL.  A row whose costs
+    overflow has J_p = J_d = inf and a NaN gap, so it is stalled too; one
+    whose least-norm point X0 already has no finite |X0|_F is not iterated
+    (newton_iters 0, X = X0, lambda_ = 0).  No RuntimeWarning escapes.
     """
     u = np.atleast_2d(np.asarray(u, dtype=float))
-    bad = np.flatnonzero(~np.isfinite(u).all(axis=1))
-    if bad.size:
+    finite = np.isfinite(u).all(axis=1)
+    if not finite.all():
+        bad = (~finite).nonzero()[0]
         raise ValueError(f"command row {bad[0]} is not finite: {u[bad[0]]}")
     B = u.shape[0]
     Q = np.asarray(Q, dtype=float)
     if Q.shape != (6, 9):
         raise ValueError(f"Q must be one shared 6x9 operator, got shape {Q.shape}")
-    Uq, sq, Vq = np.linalg.svd(Q)
-    pinv = (Vq[:6].T / sq) @ Uq.T
-    N = unvec_columns(Vq[6:])
+    pinv, N, N9 = _operator_basis(Q.tobytes())
 
-    X0 = -unvec_columns((u[:, None, :] @ pinv.T)[:, 0])
-    # |X0|_F of each row taken after an exact power-of-two scaling, so no square underflows
-    e = np.frexp(np.abs(X0).max(axis=(1, 2)))[1]
-    X0s = np.ldexp(X0, -e[:, None, None])
-    scale = np.ldexp(np.sqrt(np.einsum("bxy,bxy->b", X0s, X0s)), e)
-    live = scale > 0.0
-    X0 /= np.where(live, scale, 1.0)[:, None, None]
+    # |X0|_F of each row taken after an exact power-of-two scaling, so no square
+    # underflows; a row whose |X0|_F overflows is not solved (its costs overflow)
+    with np.errstate(over="ignore", invalid="ignore"):
+        X0 = -unvec_columns((u[:, None, :] @ pinv.T)[:, 0])
+        e = np.frexp(np.abs(X0).max(axis=(1, 2)))[1]
+        X0s = np.ldexp(X0, -e[:, None, None])
+        scale = np.ldexp(np.sqrt(np.einsum("bxy,bxy->b", X0s, X0s)), e)
+    over = ~np.isfinite(scale)
+    live = (scale > 0.0) & ~over
+    norm = np.where(live, scale, 1.0)
+    X0 /= norm[:, None, None]
+    # each row's final z, the SVD of its point X0 + z.N and its smoothed gradient
     z = np.zeros((B, 3))
+    Uz, sz, Vtz = np.zeros((B, 3, 3)), np.zeros((B, 3)), np.zeros((B, 3, 3))
     G_mu = np.zeros((B, 3, 3))
     iters = np.zeros(B, dtype=int)
     stalled = np.zeros(B, dtype=bool)
 
     # the rows still iterating: z, mu, and the SVD and h of their point X0 + z.N
-    idx = np.flatnonzero(live)
+    rows = idx = live.nonzero()[0]
     X0a, za, ma = X0[idx], z[idx], np.full(idx.size, _MU_START)
     U, s, Vt, h = _smoothed(X0a, ma)
+    f = h.sum(axis=1)
     for it in range(1, _MAX_NEWTON + 1):
         if not idx.size:
             break
@@ -232,41 +261,44 @@ def solve_dual_batch(Q, u):
         no_search = ended | (dec2 <= _FULL_STEP * ma)
         nxt = np.where(centred, np.maximum(ma * _MU_FACTOR, _MU_FINAL), np.where(done, 0.0, ma))
         z1 = np.where(centred[:, None], za, za - sol[..., 0]) + (ma - nxt)[:, None] * sol[..., 1]
-        U1, s1, Vt1, h1 = _smoothed(X0a + np.einsum("bk,kxy->bxy", z1, N), nxt)
+        U1, s1, Vt1, h1 = _smoothed(X0a + (z1[:, None] @ N9).reshape(-1, 3, 3), nxt)
         # a searched row took the whole Newton step as its first Armijo trial on f_mu;
         # if that fails it backtracks, keeping the SVD of the trial it accepts, or stays put
-        f0 = h.sum(axis=1)
-        fail = np.flatnonzero(~(no_search | (h1.sum(axis=1) <= f0 - 0.25 * dec2)))
+        f1 = h1.sum(axis=1)
+        fail = (~(no_search | (f1 <= f - 0.25 * dec2))).nonzero()[0]
         for k in range(1, _MAX_HALVINGS):
             if not fail.size:
                 break
             zt = za[fail] - 0.5**k * sol[fail, :, 0]
-            Ut, st, Vtt, ht = _smoothed(X0a[fail] + np.einsum("bk,kxy->bxy", zt, N), ma[fail])
-            ok = ht.sum(axis=1) <= f0[fail] - 0.25 * 0.5**k * dec2[fail]
+            Ut, st, Vtt, ht = _smoothed(X0a[fail] + (zt[:, None] @ N9).reshape(-1, 3, 3), ma[fail])
+            ft = ht.sum(axis=1)
+            ok = ft <= f[fail] - 0.25 * 0.5**k * dec2[fail]
             acc = fail[ok]
             z1[acc], U1[acc], s1[acc], Vt1[acc], h1[acc] = zt[ok], Ut[ok], st[ok], Vtt[ok], ht[ok]
+            f1[acc] = ft[ok]
             fail = fail[~ok]
         else:
             z1[fail], U1[fail], s1[fail], Vt1[fail] = za[fail], U[fail], s[fail], Vt[fail]
-            h1[fail] = h[fail]
+            h1[fail], f1[fail] = h[fail], f[fail]
         if done.any():
             fin, keep = idx[done], ~done
             iters[fin], z[fin] = it, z1[done]
+            Uz[fin], sz[fin], Vtz[fin] = U1[done], s1[done], Vt1[done]
             G_mu[fin] = (U[done] * t[done][:, None, :]) @ Vt[done]
             idx, X0a, z1, nxt = idx[keep], X0a[keep], z1[keep], nxt[keep]
-            U1, s1, Vt1, h1 = U1[keep], s1[keep], Vt1[keep], h1[keep]
-        za, U, s, Vt, h, ma = z1, U1, s1, Vt1, h1, nxt
+            U1, s1, Vt1, h1, f1 = U1[keep], s1[keep], Vt1[keep], h1[keep], f1[keep]
+        za, U, s, Vt, h, f, ma = z1, U1, s1, Vt1, h1, f1, nxt
     else:
         # out of iterations: the remaining rows are certified from where they are
         stalled[idx], iters[idx], z[idx] = True, _MAX_NEWTON, za
+        Uz[idx], sz[idx], Vtz[idx] = U, s, Vt
         G_mu[idx] = (U * (s / h)[:, None, :]) @ Vt
 
-    X = X0 + np.einsum("bk,kxy->bxy", z, N)
+    X = X0 + (z[:, None] @ N9).reshape(-1, 3, 3)
     G = np.zeros((3, B, 3, 3))
     nuclear = np.zeros(B)
-    rows = np.flatnonzero(live)
     if rows.size:
-        nuclear[rows], G[:, rows] = _dual_matrices(X[rows], N, G_mu[rows])
+        nuclear[rows], G[:, rows] = _dual_matrices(Uz[rows], sz[rows], Vtz[rows], N, G_mu[rows])
     # each vec G projected onto range(Q^T), then scaled into sigma_max(R) <= 1;
     # every candidate is dual feasible, so the best one is kept
     lam = (G.swapaxes(-1, -2).reshape(3, B, 1, 9) @ pinv)[..., 0, :]
@@ -277,18 +309,18 @@ def solve_dual_batch(Q, u):
     # a row whose costs overflow gets J_p = J_d = inf and a NaN gap, with no warning
     with np.errstate(over="ignore", invalid="ignore"):
         J_d = -c * np.einsum("rbi,bi->rb", lam, u) / shrink
-        J_p = c * scale * nuclear
+        J_p = np.where(over, np.inf, c * scale * nuclear)
         best = np.argmax(J_d, axis=0)
         pick = (best, np.arange(B))
-        J_d, smax, shrink = J_d[pick], smax[pick], shrink[pick]
-        gap = np.where(live, (J_p - J_d) / np.where(live, J_p, 1.0), 0.0)
+        J_d, smax, shrink = np.where(over, np.inf, J_d[pick]), smax[pick], shrink[pick]
+        gap = np.where(scale != 0.0, (J_p - J_d) / J_p, 0.0)
     lam = lam[pick] / shrink[:, None]
     R = R[pick] / shrink[:, None, None]
     return {
         "J_p": J_p,
         "J_d": J_d,
         "gap": gap,
-        "X": X * scale[:, None, None],
+        "X": X * norm[:, None, None],
         "lambda_": lam,
         "R": R,
         "sigma_max": smax / shrink,
@@ -305,7 +337,7 @@ def solve_dual(Q, u):
     (carrying the certificate) when the row is stalled; u = 0 gives the exact
     certificate lambda = 0, X = 0.
     """
-    res = solve_dual_batch(Q, np.reshape(np.asarray(u, dtype=float), (1, 6)))
+    res = solve_dual_batch(Q, np.asarray(u, dtype=float).reshape(1, 6))
     cert = DualCertificate(
         lambda_=res["lambda_"][0],
         R_lambda=res["R"][0],

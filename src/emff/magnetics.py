@@ -51,7 +51,7 @@ def _validate_stack3(v, name):
     v = np.asarray(v, dtype=float)
     if v.shape[-1:] != (3,):
         raise ValueError(f"{name} must be a (..., 3) stack of vectors, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} must be finite")
     return v
 
@@ -155,25 +155,33 @@ class Wrench:
 
 def psi_stack(d):
     """Line-of-sight interaction blocks [Psi_f/d^4; Psi_tau/d^3] as one 6x9 array."""
-    return np.vstack([PSI_FORCE / d**4, PSI_TORQUE / d**3])
+    return np.concatenate([PSI_FORCE / d**4, PSI_TORQUE / d**3])
 
 
 def check_separation(d):
     """Raise ZeroSeparationError when any separation in d is at most
     MIN_SEPARATION, or so large that its fourth power is not a finite double."""
     d = np.asarray(d, dtype=float)
-    if np.any(d <= MIN_SEPARATION):
+    if (d <= MIN_SEPARATION).any():
         raise ZeroSeparationError(f"separation {np.min(d):.3e} m <= {MIN_SEPARATION} m")
     with np.errstate(over="ignore"):
         if not np.isfinite(d**4).all():
             raise ZeroSeparationError(f"separation {np.max(d):.3e} m: its fourth power overflows")
 
 
+#: Index rotations of the last axis: (1, 2, 0) and (2, 0, 1).
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
 def _cross(a, b):
     """a x b over the last axis, with np.cross's products and differences in
     its order: (a1 b2 - a2 b1, a2 b0 - a0 b2, a0 b1 - a1 b0)."""
-    a, b = np.concatenate([a, a], axis=-1), np.concatenate([b, b], axis=-1)
-    return a[..., 1:4] * b[..., 2:5] - a[..., 2:5] * b[..., 1:4]
+    return a.take(_NEXT, -1) * b.take(_PREV, -1) - a.take(_PREV, -1) * b.take(_NEXT, -1)
+
+
+def _norm(x):
+    """Euclidean norms over the last axis, bit for bit as np.linalg.norm(x, axis=-1)."""
+    return np.sqrt((x * x).sum(axis=-1))
 
 
 def build_los_frame(r, hint):
@@ -184,24 +192,38 @@ def build_los_frame(r, hint):
     falling back to a deterministic perpendicular (r/||r|| crossed with the
     world axis of its smallest component) when hint is zero or (near-)parallel
     to r; column 3 completes the right-handed triad.  Raises
-    ZeroSeparationError when check_separation rejects any separation.
+    ZeroSeparationError when check_separation rejects any separation, also
+    one past the double range.
     """
     r, hint = _validate_stack3(r, "r"), _validate_stack3(hint, "hint")
     if r.shape != hint.shape:
         r, hint = np.broadcast_arrays(r, hint)
+    return _los_frame(r, hint)
+
+
+def _los_frame(r, hint):
+    """build_los_frame of finite float stacks r and hint of one shape."""
     # r and hint each scaled exactly by a power of two, so no square leaves range
     e = np.frexp(np.abs(r).max(axis=-1))[1]
     r = np.ldexp(r, -e[..., None])
     hint = np.ldexp(hint, -np.frexp(np.abs(hint).max(axis=-1))[1][..., None])
-    d = np.linalg.norm(r, axis=-1)
-    check_separation(np.ldexp(d, e))
+    d = _norm(r)
+    # a separation past the largest double reads inf, which check_separation rejects
+    with np.errstate(over="ignore"):
+        check_separation(np.ldexp(d, e))
     ex = r / d[..., None]
     cross = _cross(r, hint)
-    parallel = np.linalg.norm(cross, axis=-1) <= TOL_PARALLEL * d * np.linalg.norm(hint, axis=-1)
-    axis = np.eye(3)[np.argmin(np.abs(ex), axis=-1)]
-    cross = np.where(parallel[..., None], _cross(ex, axis), cross)
-    ey = cross / np.linalg.norm(cross, axis=-1)[..., None]
-    return np.stack([ex, ey, _cross(ex, ey)], axis=-1)
+    length = _norm(cross)
+    parallel = length <= TOL_PARALLEL * d * _norm(hint)
+    if parallel.any():
+        axis = np.eye(3)[np.argmin(np.abs(ex), axis=-1)]
+        cross = np.where(parallel[..., None], _cross(ex, axis), cross)
+        length = _norm(cross)
+    C = np.empty(r.shape + (3,))
+    C[..., 0] = ex
+    C[..., 1] = ey = cross / length[..., None]
+    C[..., 2] = _cross(ex, ey)
+    return C
 
 
 def interaction_operator(r, hint):
@@ -212,7 +234,7 @@ def interaction_operator(r, hint):
     Q maps mu_k kron mu_j onto the pre-factor-free wrench on coil j.
     """
     r = _validate_vec3(r, "r")
-    C = build_los_frame(r, hint)
+    C = _los_frame(r, _validate_vec3(hint, "hint"))
     return np.kron(np.eye(2), C) @ psi_stack(np.linalg.norm(r)) @ np.kron(C.T, C.T)
 
 

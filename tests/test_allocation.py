@@ -14,6 +14,7 @@ from emff import (
     allocate,
     averaged_wrench,
     brute_force_allocate,
+    build_los_frame,
     extract_waveforms,
     interaction_operator,
     make_context,
@@ -309,6 +310,52 @@ class TestAllocate:
         r, hint = random_geometry(rng)
         with pytest.raises(ValueError):
             allocate(r, hint, np.zeros(6), omega=1.0, frame="body")
+
+
+class TestFold:
+    """allocate solves the line-of-sight command (f, tau) at separation d as the
+    row (d^4 f, d^3 tau) against psi_stack(1)."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(k=st.floats(0.25, 8.0), seed=st.integers(0, 2**32 - 1), torque=st.booleans())
+    def test_cost_scales_with_separation(self, k, seed, torque):
+        # r -> k r multiplies a force-only command's cost by k^4 and a
+        # torque-only command's by k^3
+        rng = np.random.default_rng(seed)
+        r, hint = random_geometry(rng)
+        u = np.zeros(6)
+        u[3 * torque:3 * torque + 3] = rng.normal(size=3) * 10.0 ** rng.uniform(-8.0, 0.0)
+        J = allocate(r, hint, u, omega=1.0).J_d
+        J_k = allocate(k * r, hint, u, omega=1.0).J_d
+        assert abs(J_k / (k ** (3 if torque else 4) * J) - 1.0) <= 1e-12
+
+    def test_matches_solve_on_separation_operator(self, rng):
+        # the unfolded reference: the line-of-sight command solved on psi_stack(d)
+        cases = [forward_command(rng)[:3] for _ in range(10)]
+        cases += [wide_command(rng) for _ in range(10)]
+        cases += [structured_command(rng, shape % 4) for shape in range(12)]
+        cases += [brigade_command(rng) for _ in range(10)]
+        for r, hint, u in cases:
+            C = build_los_frame(r, hint)
+            for scale in (1.0, 1e-160):
+                v = scale * u.as_vector()
+                ref = solve_dual(psi_stack(np.linalg.norm(r)), np.concatenate([v[:3] @ C, v[3:] @ C]))
+                sol = allocate(r, hint, v, omega=1.0)
+                assert abs(sol.J_d - ref.J_d) <= 1e-12 * ref.J_d
+                assert abs(sol.J_p - ref.J_p) <= 1e-12 * ref.J_p
+
+    @pytest.mark.parametrize(
+        "r,force",
+        [([1.0, 0, 0], 1e306), ([1e77, 0, 0], 1e-5), ([1e70, 0, 0], 1e50)],
+        ids=["force-1e306", "r-1e77", "row-1e330"],
+    )
+    def test_overflow_fails_as_unfolded_solve(self, r, force):
+        # costs past the double range are a SolverError, folded or not
+        u = [force, 0, 0, 0, 0, 0]
+        with pytest.raises(SolverError):
+            allocate(r, [0, 0, 1.0], u, omega=1.0)
+        with pytest.raises(SolverError):
+            solve_dual(psi_stack(r[0]), u)
 
 
 class TestBruteForce:

@@ -90,8 +90,11 @@ class TestAllocateCmd:
             ("1,0,0", "1e306,0,0", "dual objective must be finite"),  # the costs overflow
             ("1e77,0,0", "1e-5,0,0", "dual objective must be finite"),
             ("1e80,0,0", "1e-5,0,0", "separation 1.000e+80 m"),  # d**4 overflows
+            ("1.5e308,1.5e308,0", "1,0,0", "fourth power overflows"),  # |r| overflows
+            ("1e70,0,0", "1e50,0,0", "overflows"),  # the folded row overflows
+            ("1e200,0,0", "0,1e200,0", "fourth power overflows"),  # so does force x r
         ],
-        ids=["force-1e306", "r-1e77", "r-1e80"],
+        ids=["force-1e306", "r-1e77", "r-1e80", "r-1.5e308", "row-1e330", "hint-1e400"],
     )
     def test_overflow_numeric_failure(self, capsys, r, force, message):
         assert main(["allocate", "--r", r, "--force", force]) == 2

@@ -294,9 +294,42 @@ class TestBatch:
         with pytest.raises(SolverError, match="dual objective must be finite"):
             solve_dual(psi_stack(1.0), us[0])
 
+    def test_overflowing_least_norm_point_is_stalled(self):
+        # |X0|_F itself overflows: the row is stalled with J_p = J_d = inf and a
+        # NaN gap, the other row is solved as alone, and no RuntimeWarning escapes
+        us = [[1.7e308, 0, 0, 0, 0, 1.7e308], [1e-5, 0, 0, 0, 0, 0]]
+        res = solve_dual_batch(psi_stack(1.0), us)
+        assert np.isinf(res["J_p"][0]) and np.isinf(res["J_d"][0]) and np.isnan(res["gap"][0])
+        assert res["stalled"].tolist() == [True, False]
+        alone = solve_dual_batch(psi_stack(1.0), us[1:])
+        assert all(np.array_equal(res[k][1], alone[k][0]) for k in alone)
+        with pytest.raises(SolverError, match="dual objective must be finite"):
+            solve_dual(psi_stack(1.0), us[0])
+
     def test_batch_zero_rows(self):
         us = np.zeros((3, 6))
         us[1] = [1e-5, 0, 0, 0, 0, 0]
         res = solve_dual_batch(psi_stack(1.0), us)
         assert res["J_d"][0] == 0.0 and res["J_d"][2] == 0.0
         assert res["J_d"][1] > 0.0
+
+
+class TestOperatorMemo:
+    def test_memo_never_serves_a_stale_basis(self, rng, monkeypatch):
+        # psi_stack(1), then psi_stack(1) with its torque blocks sign-flipped,
+        # then psi_stack(1) again: each solve is bit-identical to one made with
+        # an empty memo
+        import emff.magnetics
+
+        us = rng.normal(size=(5, 6)) * 10.0 ** rng.uniform(-9.0, 2.0, size=(5, 1))
+        Q = psi_stack(1.0)
+        monkeypatch.setattr(emff.magnetics, "PSI_TORQUE", -emff.magnetics.PSI_TORQUE)
+        flipped = psi_stack(1.0)
+        assert not np.array_equal(Q, flipped)
+        for op in (Q, flipped, Q):
+            memo = solve_dual_batch(op, us)
+            dual._operator_basis.cache_clear()
+            fresh = solve_dual_batch(op, us)
+            assert all(np.array_equal(memo[k], fresh[k]) for k in fresh)
+            assert np.allclose(op @ fresh["X"].swapaxes(1, 2).reshape(5, 9).T, -us.T,
+                               rtol=0.0, atol=1e-12 * np.abs(us).max())

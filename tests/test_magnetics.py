@@ -69,6 +69,9 @@ class TestLosFrame:
         for r in ([1e80, 0, 0], [0, 1e200, 1e200]):
             with pytest.raises(ZeroSeparationError, match="fourth power overflows"):
                 interaction_operator(r, [0, 0, 1])
+        # |r| itself past the largest double: rejected with no RuntimeWarning
+        with pytest.raises(ZeroSeparationError, match="fourth power overflows"):
+            build_los_frame([1.5e308, 1.5e308, 0], [0, 0, 1])
 
     def test_stack_matches_rows(self, rng):
         r = rng.normal(size=(12, 3))
