@@ -28,7 +28,7 @@ print(f"scenario: 500 km / 45 deg, m_sys = {m_sys} kg, r_l = {r_l} m")
 print(f"{'n':>3} {'N_all':>6} {'d_sat m':>8} {'chi kg':>9} "
       f"{'W_bar W':>12} {'W_oint W':>12} {'M A^2m^4/kg':>13} {'gamma_S':>8}")
 
-# one pass costs every n: one field sample, one batch of pair costs
+# one call costs every n: one field sample, then one table of pair costs per n
 cfgs = [emff.GridConfig.from_line_length(n, m_sys, r_l) for n in range(1, 7)]
 rows = emff.compute_power_reports(cfgs, field, coil, grid)
 for cfg, rep in zip(cfgs, rows):

@@ -14,6 +14,7 @@ multistart Newton search on the constraint manifold, which uses only the
 wrench model.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,8 +94,10 @@ def allocate(r, hint, u, omega, frame="world"):
     psi_stack(d) is psi_stack(1) with its force rows divided by d^4 and its
     torque rows by d^3, so the line-of-sight command (f, tau) at separation
     d = |r| is solved as the folded row (d^4 f, d^3 tau) against
-    psi_stack(1), whose primal point X is the same.  Raises SolverError,
-    carrying that certificate where one exists, if the folded row overflows,
+    psi_stack(1), whose primal point X is the same; a command below 1/4 is
+    first scaled up exactly by a power of four, so that even a subnormal one
+    folds to a normal row.  Raises SolverError, carrying the certificate
+    of the row solved where one exists, if the folded row overflows,
     if the dual solve stalls or its certificate is not finite, if the
     waveforms reproduce u only to a relative residual above 1e-6 (the
     certificate is not optimal or its optimum has rank three), or if their
@@ -109,6 +112,10 @@ def allocate(r, hint, u, omega, frame="world"):
         raise ValueError(f"u must be a finite wrench vector of shape (6,), got {u!r}")
     if not u.any():
         return _zero_solution(omega)
+    # u scaled up exactly by 4^-k, k <= 0, so that a tiny command folds to a normal
+    # row; costs and residual scale back by 4^k and waveforms by 2^k
+    k = min(0, -(int(np.frexp(np.abs(u).max())[1]) // -2))
+    u = np.ldexp(u, -2 * k)
     F = C if frame == "world" else np.eye(3)
     # force and torque rows in the line-of-sight frame, then folded onto psi_stack(1)
     u_los = u.reshape(2, 3) @ F
@@ -135,13 +142,15 @@ def allocate(r, hint, u, omega, frame="world"):
     gap = (J_p - cert.J_d) / cert.J_d
     if gap > DEFAULT_TOL:
         raise SolverError(f"allocation gap {gap:.3e} exceeds {DEFAULT_TOL:.0e}", best=cert)
+    if k:
+        wf_j, wf_k = (DipoleWaveform(np.ldexp(wf.s, k), np.ldexp(wf.c, k), omega) for wf in (wf_j, wf_k))
     return AllocationSolution(
         dipole_j=wf_j,
         dipole_k=wf_k,
-        J_p=J_p,
-        J_d=cert.J_d,
+        J_p=math.ldexp(J_p, 2 * k),
+        J_d=math.ldexp(cert.J_d, 2 * k),
         gap=gap,
-        wrench_residual=(residual @ F.T).ravel(),
+        wrench_residual=np.ldexp((residual @ F.T).ravel(), 2 * k),
     )
 
 

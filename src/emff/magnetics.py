@@ -203,14 +203,12 @@ def build_los_frame(r, hint):
 
 def _los_frame(r, hint):
     """build_los_frame of finite float stacks r and hint of one shape."""
-    # r and hint each scaled exactly by a power of two, so no square leaves range
-    e = np.frexp(np.abs(r).max(axis=-1))[1]
-    r = np.ldexp(r, -e[..., None])
+    # hint scaled exactly by a power of two, so no square leaves range; any
+    # separation whose square does (d reads inf or below 1e-154) fails check_separation
     hint = np.ldexp(hint, -np.frexp(np.abs(hint).max(axis=-1))[1][..., None])
-    d = _norm(r)
-    # a separation past the largest double reads inf, which check_separation rejects
-    with np.errstate(over="ignore"):
-        check_separation(np.ldexp(d, e))
+    with np.errstate(over="ignore", under="ignore"):
+        d = _norm(r)
+    check_separation(d)
     ex = r / d[..., None]
     cross = _cross(r, hint)
     length = _norm(cross)

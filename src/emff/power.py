@@ -12,20 +12,22 @@ doubled for the mirrored half-line:
 evaluated at separation -d_sat p_hat.  Peak power is chi_sys sup_t w*(2, t);
 the orbit-averaged total sums all pairs over one period.
 
-compute_power_reports costs every grid of a scan together from one field
-sample, at every grid time t and t + T/4 and at r_l = 1, with no frame formed
-(_unit_rows).  Force scales with r_l and torque with r_l^2, so pair j of a grid
-with separation d is the row u' = (alpha f, beta tau) against psi_stack(1),
-alpha = a d^4 r_l and beta = b d^3 r_l^2 (a, b the weights of L(n, j)).  Every
-such in-plane row is costed exactly in closed form, with no solver
-(_pair_costs; nuclear-norm minimization over an affine slice, Recht, Fazel &
-Parrilo 2010); rows off its vertex branch carry a measured gap to a
-closed-form dual point (weak duality, Boyd & Vandenberghe sec. 5).  sup_t
-w*(2, t) is refined at the vertex of the parabola through each grid argmax and
-its periodic neighbours.  compute_power_report and pair_power_w_star are
-views of one report, whose W_bar, W_oint and M hold the peak, total and metric.
+compute_power_reports samples the field once per scan, at every grid time t
+and t + T/4 and at r_l = 1, with no frame formed (_unit_rows), then costs
+and reduces one grid's table at a time.  Force scales with r_l and torque
+with r_l^2, so pair j of a grid with separation d is the row
+u' = (alpha f, beta tau) against psi_stack(1), alpha = a d^4 r_l and
+beta = b d^3 r_l^2 (a, b the weights of L(n, j)).  Every such in-plane row
+is costed exactly in closed form, with no solver (_pair_costs; nuclear-norm
+minimization over an affine slice, Recht, Fazel & Parrilo 2010); rows off
+its vertex branch carry a measured gap to a closed-form dual point (weak
+duality, Boyd & Vandenberghe sec. 5).  sup_t w*(2, t) is refined at the
+vertex of the parabola through each grid argmax and its periodic
+neighbours.  compute_power_report and pair_power_w_star are views of one
+report, whose W_bar, W_oint and M hold the peak, total and metric.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,14 +69,14 @@ class PowerReport:
 
 def power_index(coil, J_d):
     """Time-averaged coil power (W) needed to sustain a dual cost J_d."""
-    if J_d < 0:
+    if not J_d >= 0:
         raise ValueError("J_d must be nonnegative")
     return coil.power_scale * J_d
 
 
 def surface_ratio(n_line):
     """Total surface area of N_l^2 equal-volume cubes over the monolith: N_l^(2/3)."""
-    if n_line < 1 or n_line % 2 == 0:
+    if operator.index(n_line) < 1 or n_line % 2 == 0:
         raise ValueError("n_line must be an odd count >= 1")
     return float(n_line) ** (2.0 / 3.0)
 
@@ -177,16 +179,19 @@ def orbit_time_grid(period, n_samples=720):
 
 
 def compute_power_reports(cfgs, field, coil, t_grid):
-    """Power reports of the grid configs cfgs over one orbit, computed together.
+    """Power reports of the grid configs cfgs over one orbit, each equal to
+    the one computed for its config alone.  One field sample serves them all,
+    and one call costs w*(2, t) of every config; then each config's (n, 2T)
+    table is costed and reduced in turn, and only its w_star_unit outlives it.
 
-    Each report equals the one computed for its config alone.  W_bar =
-    chi_sys sup_t w*(2, t): the grid maximum, or the value at the vertex of
-    the parabola through the grid argmax and its periodic neighbours (moved
-    at most dt = T/len(t_grid)) when those three points are concave and the
-    vertex is higher.  W_oint = chi_sys (2n+1) (1/T) integral sum_j w*(j, t) dt
-    by the periodic trapezoid rule, and M = W_oint / (m_sys R/gamma^2).  Raises
-    ZeroSeparationError when check_separation rejects a d_sat, and SolverError
-    naming every n with a non-finite cost or a gap above dual.DEFAULT_TOL.
+    W_bar = chi_sys sup_t w*(2, t): the grid maximum, or the value at the
+    vertex of the parabola through the grid argmax and its periodic
+    neighbours (moved at most dt = T/len(t_grid)) when those three points are
+    concave and the vertex is higher.  W_oint = chi_sys (2n+1) (1/T) integral
+    sum_j w*(j, t) dt by the periodic trapezoid rule, and M = W_oint /
+    (m_sys R/gamma^2).  Raises ZeroSeparationError when check_separation
+    rejects a d_sat, and SolverError naming every n with a non-finite cost or
+    a gap above dual.DEFAULT_TOL.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if len(t_grid) == 0:
@@ -195,52 +200,47 @@ def compute_power_reports(cfgs, field, coil, t_grid):
     if not cfgs:
         return []
     n_t = len(t_grid)
-    scales = np.concatenate([_pair_scales(cfg) for cfg in cfgs])
-    starts = np.cumsum([0] + [cfg.n for cfg in cfgs[:-1]])
-    J, vertex, margin, gap = _pair_costs(scales[:, None, :], _unit_rows(field, t_grid))
-    w = 2.0 * (J[:, :n_t] + J[:, n_t:])
-    gaps = np.maximum.reduceat(gap.max(axis=1), starts)
+    unit = _unit_rows(field, t_grid)
+    scales = [_pair_scales(cfg) for cfg in cfgs]
+    heads = np.array([ab[0] for ab in scales])  # L(n, 2) = I: pair 2's scales
+    J = _pair_costs(heads[:, None, :], unit)[0]
+    top = 2.0 * (J[:, :n_t] + J[:, n_t:])
 
     # parabola through each grid argmax of w*(2, t) and its periodic neighbours
-    top = w[starts]
     i = top.argmax(axis=1)
     a, peak, c = (top[np.arange(len(cfgs)), (i + s) % n_t] for s in (-1, 0, 1))
     curv = a - 2.0 * peak + c
     (bent,) = np.nonzero(curv < 0.0)
+    peak_gaps = np.full(len(cfgs), -np.inf)
     if bent.size:
         shift = np.clip(0.5 * (a - c)[bent] / curv[bent], -1.0, 1.0)
         u = _unit_rows(field, t_grid[i[bent]] + shift * (field.period / n_t))
-        J, _, _, g = _pair_costs(scales[starts[bent], None, :], u.reshape(2, -1, 2).transpose(1, 0, 2))
+        J, _, _, g = _pair_costs(heads[bent, None, :], u.reshape(2, -1, 2).transpose(1, 0, 2))
         peak[bent] = np.maximum(peak[bent], 2.0 * (J[:, 0] + J[:, 1]))
-        gaps[bent] = np.maximum(gaps[bent], g.max(axis=1))
+        peak_gaps[bent] = g.max(axis=1)
 
-    costs = np.split(w, starts[1:])
-    means = [wk.sum(axis=0).mean() for wk in costs]  # non-finite if any cost is
-    ok = [np.isfinite(m) and np.isfinite(p) and g <= DEFAULT_TOL for m, p, g in zip(means, peak, gaps)]
-    if not all(ok):
-        failed = ", ".join(str(cfg.n) for cfg, good in zip(cfgs, ok) if not good)
-        raise SolverError(f"pair costs non-finite or gap above {DEFAULT_TOL:.0e} at n = {failed}")
     scale = 1.0 if coil is None else coil.power_scale
-    counts = np.add.reduceat(vertex.shape[1] - np.count_nonzero(vertex, axis=1), starts)
-    margins = np.fmin.reduceat(np.fmin.reduce(margin, axis=1), starts)
-    return [
-        PowerReport(
-            n=cfg.n,
-            r_l=cfg.r_l,
-            chi_sys=cfg.chi_sys,
-            samples=t_grid,
-            w_star_unit=w,
+    reports, failed = [], []
+    for cfg, ab, w_bar, peak_gap in zip(cfgs, scales, peak, peak_gaps):
+        J, vertex, margin, gap = _pair_costs(ab[:, None, :], unit)
+        w = 2.0 * (J[:, :n_t] + J[:, n_t:])
+        mean = w.sum(axis=0).mean()  # non-finite if any cost is
+        g = np.maximum(gap.max(), peak_gap)
+        if not (np.isfinite(mean) and np.isfinite(w_bar) and g <= DEFAULT_TOL):
+            failed.append(str(cfg.n))
+        reports.append(PowerReport(
+            n=cfg.n, r_l=cfg.r_l, chi_sys=cfg.chi_sys, samples=t_grid, w_star_unit=w,
             W_bar=float(cfg.chi_sys * scale * w_bar),
             W_oint=float(cfg.chi_sys * scale * cfg.n_line * mean),
             M=float(cfg.chi_sys * cfg.n_line * mean / cfg.m_sys),
             gamma_S=surface_ratio(cfg.n_line),
             peak_pair_violation=float((w[1:] - w[0]).max()) if cfg.n > 1 else 0.0,
-            root_rows=int(count),
-            gap=float(g),
-            vertex_margin=float(lowest),
-        )
-        for cfg, w, mean, w_bar, count, g, lowest in zip(cfgs, costs, means, peak, counts, gaps, margins)
-    ]
+            root_rows=int(vertex.size - np.count_nonzero(vertex)),
+            gap=float(g), vertex_margin=float(np.fmin.reduce(margin, axis=None)),
+        ))
+    if failed:
+        raise SolverError(f"pair costs non-finite or gap above {DEFAULT_TOL:.0e} at n = {', '.join(failed)}")
+    return reports
 
 
 def compute_power_report(cfg, field, coil, t_grid):

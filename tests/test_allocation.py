@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emff import (
@@ -328,6 +328,27 @@ class TestFold:
         J = allocate(r, hint, u, omega=1.0).J_d
         J_k = allocate(k * r, hint, u, omega=1.0).J_d
         assert abs(J_k / (k ** (3 if torque else 4) * J) - 1.0) <= 1e-12
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        q=st.lists(st.integers(-4095, 4095), min_size=6, max_size=6).filter(any),
+        m=st.integers(0, 531),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(q=[1, 0, 0, 0, 0, 0], m=531, seed=0).via("smallest subnormal force")
+    @example(q=[0, 0, 0, 0, 3, -5], m=520, seed=1).via("subnormal torque")
+    def test_power_of_four_scaling_is_exact(self, q, m, seed):
+        # u -> ldexp(u, -2m) maps the waveforms to ldexp(waveforms, -m) bit
+        # for bit, down into the subnormal range; u has a largest entry in
+        # [1/2, 1) and a short mantissa, so ldexp(u, -2m) is exact
+        r, hint = random_geometry(np.random.default_rng(seed))
+        u = np.ldexp(np.array(q, dtype=float), -max(map(abs, q)).bit_length())
+        v = np.ldexp(u, -2 * m)
+        assert np.array_equal(np.ldexp(v, 2 * m), u)
+        sol, tiny = allocate(r, hint, u, omega=1.0), allocate(r, hint, v, omega=1.0)
+        for big, small in ((sol.dipole_j, tiny.dipole_j), (sol.dipole_k, tiny.dipole_k)):
+            assert np.ldexp(big.s, -m).tobytes() == small.s.tobytes()
+            assert np.ldexp(big.c, -m).tobytes() == small.c.tobytes()
 
     def test_matches_solve_on_separation_operator(self, rng):
         # the unfolded reference: the line-of-sight command solved on psi_stack(d)

@@ -101,6 +101,17 @@ class TestAllocateCmd:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numeric failure: ") and message in err[0]
 
+    @pytest.mark.parametrize(
+        "command",
+        [["--force", "1e-310,0,0"], ["--force", "4e-320,0,0"], ["--torque", "0,0,1e-318"]],
+        ids=["force-1e-310", "force-4e-320", "torque-1e-318"],
+    )
+    def test_subnormal_command_succeeds(self, tmp_path, command):
+        # commands whose folded row would be subnormal; these once exited 2
+        out = tmp_path / "alloc.json"
+        assert main(["allocate", "--r", "1.5e-3,0,0", *command, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["gap"] <= 1e-10
+
     def test_tol_flag_is_usage_error(self):
         assert main(["allocate", "--r", "1,0,0", "--force", "1e-5,0,0", "--tol", "1e-8"]) == 1
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -53,6 +54,8 @@ class TestPowerIndex:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             power_index(COIL, -1.0)
+        with pytest.raises(ValueError):
+            power_index(COIL, np.nan)
 
 
 class TestPairPower:
@@ -169,6 +172,11 @@ class TestSurfaceRatio:
             surface_ratio(4)
         with pytest.raises(ValueError):
             surface_ratio(0)
+
+    def test_non_integral_rejected(self):
+        # a count, as GridConfig.n is: 2.5 is no line length
+        with pytest.raises(TypeError):
+            surface_ratio(2.5)
 
 
 class TestReport:
@@ -643,6 +651,34 @@ class TestScanBatch:
             if not certified.all():
                 _assert_within_solver_bounds(J[~certified], rows[~certified])
             assert abs(rep.vertex_margin - np.fmin.reduce(np.where(certified, margin, np.nan))) <= 1e-15
+
+    def test_each_table_costed_alone(self, monkeypatch):
+        # every _pair_costs call costs one config's pairs, except the one that
+        # costs w*(2, t) of every config and the peak refinement's pair-2 rows
+        cfgs = [GridConfig.from_line_length(n, 100.0, 1000.0) for n in (1, 4, 9)]
+        heads = np.array([power._pair_scales(cfg)[0] for cfg in cfgs])
+        calls, pair_costs = [], power._pair_costs
+        monkeypatch.setattr(power, "_pair_costs", lambda sc, u: calls.append(sc[:, 0]) or pair_costs(sc, u))
+        compute_power_reports(cfgs, OFF_FIELD, None, GRID)
+        assert len(calls) <= 1 + 1 + len(cfgs) and np.array_equal(calls[0], heads)
+        assert all((heads == row).all(axis=1).any() for call in calls[1:-3] for row in call)
+        for call, cfg in zip(calls[-3:], cfgs):
+            assert np.array_equal(call, power._pair_scales(cfg))
+
+    def test_scan_memory_is_one_table(self):
+        # n = 1..60 at 720 samples: beyond the w_star_unit tables it returns, the
+        # scan's peak traced memory is a few of its largest single table (one
+        # (Σn, 2T) table for the whole scan would come to about 221 of them)
+        cfgs = [GridConfig.from_line_length(n, 100.0, 1000.0) for n in range(1, 61)]
+        grid = orbit_time_grid(CTX.period, 720)
+        tracemalloc.start()
+        try:
+            reports = compute_power_reports(cfgs, FIELD, None, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tables = [rep.w_star_unit.nbytes for rep in reports]
+        assert (peak - sum(tables)) / max(tables) <= 32.0
 
     def test_no_configs_no_reports(self):
         assert compute_power_reports([], FIELD, COIL, GRID) == []
