@@ -1,19 +1,22 @@
 """Batch-analysis command line: allocate, orbit, scan, verify.
 
 Scenario files are JSON with units spelled out in the key names (altitude_km,
-r_l_m, ...) because unit mistakes dominate failure modes in this domain.
+r_l_m, ...) because unit mistakes dominate failure modes in this domain;
+every numeric field must be a finite JSON number, not a string, bool or null.
 Numeric output is CSV (scan/orbit) or JSON (allocate/verify) at 17
 significant digits, and the output bytes are deterministic (verify: for a
 fixed seed).  `scan` runs serially in one process: it builds the orbit field,
 coil and time grid once and computes the power reports of every distinct n,
 in ascending order, in one power.compute_power_reports call.  Every gap, of
 a dual solve or a scan row, is held to dual.DEFAULT_TOL (1e-10); a scenario
-may still say so as sampling.dual_tol, but no other value.  Exit codes: 0 ok,
-1 usage error, 2 numeric failure (SolverError or ZeroSeparationError).
+may still say so as sampling.dual_tol, but no other value.  The parser is
+built once per process, on the first main call.  Exit codes: 0 ok, 1 usage
+error, 2 numeric failure (SolverError or ZeroSeparationError).
 """
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -34,6 +37,14 @@ REQUIRED_KEYS = {
     "orbit": ("altitude_km", "inclination_deg"),
     "plane": ("theta_p_deg", "theta_z_xy_deg", "r_xyd_m"),
     "grid": ("n_list", "m_sys_kg"),
+}
+#: Keys, where given, whose values must be JSON numbers; load_scenario makes them floats.
+NUMBER_KEYS = {
+    "orbit": ("altitude_km", "inclination_deg", "theta0_deg"),
+    "plane": ("theta_p_deg", "theta_z_xy_deg", "r_xyd_m"),
+    "grid": ("m_sys_kg", "r_l_m", "d_sat_m"),
+    "coil": tuple(DEFAULT_COIL),
+    "overrides": ("k_j2",),
 }
 
 
@@ -79,9 +90,18 @@ def _count(value, name):
     return int(value)
 
 
+def _number(value, name):
+    """A finite JSON number (int or float, not bool) as a float; NaN, Infinity
+    and integers beyond the float range are rejected."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and abs(value) <= sys.float_info.max):
+        raise UsageError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def load_scenario(path):
     """Parse and validate a scenario file; returns plain dicts with defaults
-    filled, n_list and time_samples as ints."""
+    filled, n_list and time_samples as ints and every NUMBER_KEYS value a float."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -105,25 +125,29 @@ def load_scenario(path):
         raise UsageError(f"sampling.dual_tol must be {DEFAULT_TOL:g}: the dual is always"
                          f" solved at {DEFAULT_TOL:g}")
     sampling["time_samples"] = _count(sampling["time_samples"], "sampling.time_samples")
-    return {
-        "orbit": raw["orbit"],
-        "plane": raw["plane"],
+    scenario = {
+        "orbit": {**raw["orbit"]},
+        "plane": {**raw["plane"]},
         "grid": {**grid, "n_list": [_count(n, "grid.n_list entry") for n in grid["n_list"]]},
         "coil": {**DEFAULT_COIL, **raw.get("coil", {})},
         "sampling": sampling,
-        "overrides": raw.get("overrides", {}),
+        "overrides": {**raw.get("overrides", {})},
     }
+    for section, keys in NUMBER_KEYS.items():
+        values = scenario[section]
+        values.update({k: _number(values[k], f"{section}.{k}") for k in keys if k in values})
+    return scenario
 
 
 def _context_from(scenario):
     orb = scenario["orbit"]
     kwargs = {}
     if "k_j2" in scenario["overrides"]:
-        kwargs["k_j2"] = float(scenario["overrides"]["k_j2"])
+        kwargs["k_j2"] = scenario["overrides"]["k_j2"]
     return orbit.make_context(
-        altitude=float(orb["altitude_km"]) * 1e3,
-        incl=np.deg2rad(float(orb["inclination_deg"])),
-        theta0=np.deg2rad(float(orb.get("theta0_deg", 0.0))),
+        altitude=orb["altitude_km"] * 1e3,
+        incl=np.deg2rad(orb["inclination_deg"]),
+        theta0=np.deg2rad(orb.get("theta0_deg", 0.0)),
         **kwargs,
     )
 
@@ -131,28 +155,27 @@ def _context_from(scenario):
 def _plane_from(scenario):
     pl = scenario["plane"]
     return orbit.StablePlane(
-        theta_p=np.deg2rad(float(pl["theta_p_deg"])),
-        theta_z_xy=np.deg2rad(float(pl["theta_z_xy_deg"])),
-        r_xyd=float(pl["r_xyd_m"]),
+        theta_p=np.deg2rad(pl["theta_p_deg"]),
+        theta_z_xy=np.deg2rad(pl["theta_z_xy_deg"]),
+        r_xyd=pl["r_xyd_m"],
     )
 
 
 def _coil_from(scenario):
     c = scenario["coil"]
     return magnetics.CoilDesign(
-        turns=float(c["turns"]),
-        coil_radius=float(c["coil_radius_m"]),
-        wire_radius=float(c["wire_radius_m"]),
-        resistivity=float(c["resistivity_ohm_m"]),
+        turns=c["turns"],
+        coil_radius=c["coil_radius_m"],
+        wire_radius=c["wire_radius_m"],
+        resistivity=c["resistivity_ohm_m"],
     )
 
 
 def _grid_config(scenario, n):
     grid = scenario["grid"]
-    m_sys = float(grid["m_sys_kg"])
     if "r_l_m" in grid:
-        return brigade.GridConfig.from_line_length(n, m_sys, float(grid["r_l_m"]))
-    return brigade.GridConfig(n=n, m_sys=m_sys, d_sat=float(grid["d_sat_m"]))
+        return brigade.GridConfig.from_line_length(n, grid["m_sys_kg"], grid["r_l_m"])
+    return brigade.GridConfig(n=n, m_sys=grid["m_sys_kg"], d_sat=grid["d_sat_m"])
 
 
 def cmd_allocate(args):
@@ -244,7 +267,10 @@ def cmd_verify(args):
     return 0 if summary["passed"] else 2
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built on first use and shared by every later
+    call in the process; parse_args returns a fresh namespace each time."""
     parser = _Parser(prog="emff", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

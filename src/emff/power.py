@@ -17,7 +17,8 @@ and t + T/4 and at r_l = 1, with no frame formed (_unit_rows), then costs
 and reduces one grid's table at a time.  Force scales with r_l and torque
 with r_l^2, so pair j of a grid with separation d is the row
 u' = (alpha f, beta tau) against psi_stack(1), alpha = a d^4 r_l and
-beta = b d^3 r_l^2 (a, b the weights of L(n, j)).  Every such in-plane row
+beta = b d^3 r_l^2 (a, b the weights of L(n, j), each an integer quotient
+rounded once, exact for n up to 165139).  Every such in-plane row
 is costed exactly in closed form, with no solver (_pair_costs; nuclear-norm
 minimization over an affine slice, Recht, Fazel & Parrilo 2010); rows off
 its vertex branch carry a measured gap to a closed-form dual point (weak
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brigade import _check_j, force_weight, torque_weight
+from .brigade import _check_j
 # perfbench/tracing.py patches solve_dual_batch and psi_stack here; the scan calls neither
 from .dual import DEFAULT_TOL, SolverError, solve_dual_batch  # noqa: F401
 from .magnetics import MU0, check_separation, psi_stack  # noqa: F401
@@ -156,10 +157,27 @@ def _unit_rows(field, t):
     return rows
 
 
+#: The largest n with n(n+1)(2n+1) <= 2^53: the exact range of _pair_scales.
+_MAX_EXACT_N = 165139
+
+
 def _pair_scales(cfg):
-    """Row scales (alpha, beta) = (a d^4 r_l, b d^3 r_l^2) of pairs j = 2..n+1."""
-    ab = [[float(force_weight(cfg.n, j)), float(torque_weight(cfg.n, j))] for j in range(2, cfg.n + 2)]
-    return np.array(ab) * [cfg.d_sat**4 * cfg.r_l, cfg.d_sat**3 * cfg.r_l**2]
+    """Row scales (alpha, beta) = (a d^4 r_l, b d^3 r_l^2) of pairs j = 2..n+1.
+
+    a and b are brigade.force_weight and torque_weight, each computed as the
+    correctly rounded quotient of two exact integers, which is what
+    float(Fraction) gives.  No numerator or denominator exceeds n(n+1)(2n+1),
+    so all are exact in float64 while that is at most 2^53; a larger n
+    (n > 165139) raises ValueError.
+    """
+    n = cfg.n
+    if n > _MAX_EXACT_N:
+        raise ValueError(f"n = {n} is above {_MAX_EXACT_N}: pair scales are exact"
+                         " only while n(n+1)(2n+1) <= 2^53")
+    j = np.arange(2, n + 2)
+    a = ((n - j + 2) * (n + j - 1)) / (n * (n + 1))
+    b = ((n - j + 2) * (n - j + 3) * (2 * n + j - 1)) / (n * (n + 1) * (2 * n + 1))
+    return np.stack([a, b], axis=1) * [cfg.d_sat**4 * cfg.r_l, cfg.d_sat**3 * cfg.r_l**2]
 
 
 def pair_power_w_star(cfg, field, coil, j, t):
@@ -190,8 +208,9 @@ def compute_power_reports(cfgs, field, coil, t_grid):
     concave and the vertex is higher.  W_oint = chi_sys (2n+1) (1/T) integral
     sum_j w*(j, t) dt by the periodic trapezoid rule, and M = W_oint /
     (m_sys R/gamma^2).  Raises ZeroSeparationError when check_separation
-    rejects a d_sat, and SolverError naming every n with a non-finite cost or
-    a gap above dual.DEFAULT_TOL.
+    rejects a d_sat, ValueError for an n above 165139 (both before any cost
+    table is formed), and SolverError naming every n with a non-finite cost
+    or a gap above dual.DEFAULT_TOL.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if len(t_grid) == 0:
@@ -199,9 +218,9 @@ def compute_power_reports(cfgs, field, coil, t_grid):
     check_separation([cfg.d_sat for cfg in cfgs])
     if not cfgs:
         return []
+    scales = [_pair_scales(cfg) for cfg in cfgs]
     n_t = len(t_grid)
     unit = _unit_rows(field, t_grid)
-    scales = [_pair_scales(cfg) for cfg in cfgs]
     heads = np.array([ab[0] for ab in scales])  # L(n, 2) = I: pair 2's scales
     J = _pair_costs(heads[:, None, :], unit)[0]
     top = 2.0 * (J[:, :n_t] + J[:, n_t:])

@@ -316,6 +316,19 @@ class TestScanCmd:
         path.write_text(json.dumps(scen))
         assert main(["scan", "--scenario", str(path)]) == 2
 
+    def test_n_above_exact_scale_range_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        import emff.power
+
+        # n(n+1)(2n+1) > 2^53: rejected before any cost table is formed
+        monkeypatch.setattr(emff.power, "_pair_costs", lambda *args: pytest.fail("a cost table was formed"))
+        scen = dict(SCENARIO, grid={"n_list": [1, 165140], "m_sys_kg": 100.0, "d_sat_m": 30.0})
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scen))
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--scenario", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: n = 165140 is above 165139")
+        assert not out.exists()
+
     def test_zero_j2_override_zero_power(self, tmp_path):
         scen = dict(SCENARIO, overrides={"k_j2": 0.0})
         path = tmp_path / "s.json"
@@ -395,6 +408,20 @@ class TestScenarioValidation:
             (lambda s: s.update(coil=3), "'coil'"),
             (lambda s: s.update(sampling=[24]), "'sampling'"),
             (lambda s: s.update(overrides=["k_j2"]), "'overrides'"),
+            # every numeric field is a finite JSON number: not null, a list, an
+            # object, a bool, a string, NaN, Infinity or an int past the float range
+            (lambda s: s["grid"].update(m_sys_kg=None), "grid.m_sys_kg must be a finite number"),
+            (lambda s: s["grid"].update(m_sys_kg=[1]), "grid.m_sys_kg must be a finite number"),
+            (lambda s: s["grid"].update(m_sys_kg={}), "grid.m_sys_kg must be a finite number"),
+            (lambda s: s["grid"].update(m_sys_kg=True), "grid.m_sys_kg must be a finite number"),
+            (lambda s: s["grid"].update(r_l_m=10**400), "grid.r_l_m must be a finite number"),
+            (lambda s: s["plane"].update(r_xyd_m=float("nan")), "plane.r_xyd_m must be a finite number"),
+            (lambda s: s["plane"].update(theta_p_deg=False), "plane.theta_p_deg must be a finite number"),
+            (lambda s: s["orbit"].update(inclination_deg=float("inf")), "orbit.inclination_deg must be a finite"),
+            (lambda s: s["orbit"].update(altitude_km="500"), "orbit.altitude_km must be a finite number"),
+            (lambda s: s["orbit"].update(theta0_deg=None), "orbit.theta0_deg must be a finite number"),
+            (lambda s: s.update(coil={"turns": "200"}), "coil.turns must be a finite number"),
+            (lambda s: s.update(overrides={"k_j2": None}), "overrides.k_j2 must be a finite number"),
         ],
     )
     def test_bad_input_is_usage_error(self, tmp_path, capsys, edit, message):
@@ -402,7 +429,7 @@ class TestScenarioValidation:
         for command in ("scan", "orbit"):
             assert main([command, "--scenario", path, "--out", str(tmp_path / "o.csv")]) == 1
             err = capsys.readouterr().err
-            assert err.startswith("error: ") and message in err
+            assert err.startswith("error: ") and message in err and "Traceback" not in err
 
     def test_integral_floats_accepted(self, scenario_path, tmp_path):
         def edit(s):
@@ -525,6 +552,29 @@ class TestVerifyCmd:
 
     def test_unknown_suite_usage_error(self):
         assert main(["verify", "--suite", "nonsense"]) == 1
+
+
+class TestParserCache:
+    def test_calls_share_one_parser_and_stay_independent(self, scenario_path, tmp_path, capsys):
+        from emff import cli
+
+        assert cli.build_parser() is cli.build_parser()
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        one, every = tmp_path / "one.json", tmp_path / "every.json"
+        codes = [
+            main(["scan", "--scenario", scenario_path, "--out", str(first)]),
+            main(["allocate", "--force", "1,0,0"]),
+            main(["verify", "--suite", "averaging", "--cases", "1", "--out", str(one)]),
+            main(["verify", "--cases", "1", "--out", str(every)]),
+            main(["scan", "--scenario", scenario_path, "--out", str(second)]),
+        ]
+        # the exit codes of a fresh process each
+        assert codes == [0, 1, 0, 0, 0]
+        assert "required: --r" in capsys.readouterr().err
+        # the first call's --suite does not carry over into the append default
+        assert [s["suite"] for s in json.loads(one.read_text())["suites"]] == ["averaging"]
+        assert [s["suite"] for s in json.loads(every.read_text())["suites"]] == list(verify.SUITES)
+        assert first.read_bytes() == second.read_bytes()
 
 
 class TestEntryPoint:

@@ -689,6 +689,33 @@ class TestScanBatch:
             compute_power_reports(cfgs, FIELD, None, GRID)
 
 
+def _fraction_scales(cfg):
+    """_pair_scales built from the exact Fraction weights, one pair at a time."""
+    ab = [[float(force_weight(cfg.n, j)), float(torque_weight(cfg.n, j))] for j in range(2, cfg.n + 2)]
+    return np.array(ab) * [cfg.d_sat**4 * cfg.r_l, cfg.d_sat**3 * cfg.r_l**2]
+
+
+class TestPairScales:
+    def test_bit_identical_to_fraction_weights(self):
+        for n in [*range(1, 501), 10**4, 10**5, 165139]:
+            cfg = GridConfig(n=n, m_sys=100.0, d_sat=0.7)
+            scales, ref = power._pair_scales(cfg), _fraction_scales(cfg)
+            assert scales.dtype == ref.dtype and np.array_equal(scales.view(np.int64), ref.view(np.int64)), n
+
+    def test_limit_is_last_exact_n(self):
+        n = power._MAX_EXACT_N
+        assert n * (n + 1) * (2 * n + 1) <= 2**53 < (n + 1) * (n + 2) * (2 * n + 3)
+
+    def test_above_limit_raises_before_any_table(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(power, "_pair_costs", lambda *args: calls.append(args))
+        monkeypatch.setattr(power, "_unit_rows", lambda *args: calls.append(args))
+        cfgs = [GridConfig(n=1, m_sys=100.0, d_sat=10.0), GridConfig(n=165140, m_sys=100.0, d_sat=10.0)]
+        with pytest.raises(ValueError, match=r"n = 165140 is above 165139"):
+            compute_power_reports(cfgs, FIELD, None, GRID)
+        assert calls == []
+
+
 class TestPeakRefinement:
     @pytest.mark.parametrize("field", [FIELD, OFF_FIELD], ids=["reference", "off-region"])
     @pytest.mark.parametrize("n", [1, 6])
