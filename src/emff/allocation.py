@@ -97,8 +97,9 @@ def allocate(r, hint, u, omega, frame="world"):
     psi_stack(1), whose primal point X is the same; a command below 1/4 is
     first scaled up exactly by a power of four, so that even a subnormal one
     folds to a normal row.  Raises SolverError, carrying the certificate
-    of the row solved where one exists, if the folded row overflows,
-    if the dual solve stalls or its certificate is not finite, if the
+    of the row solved where one exists, if the folded row overflows, if the
+    dual solve stalls (its measured gap is not within dual.DEFAULT_TOL, even
+    after all its Newton systems) or its certificate is not finite, if the
     waveforms reproduce u only to a relative residual above 1e-6 (the
     certificate is not optimal or its optimum has rank three), or if their
     gap (J_p - J_d) / J_d exceeds dual.DEFAULT_TOL.

@@ -2,7 +2,8 @@
 
 Scenario files are JSON with units spelled out in the key names (altitude_km,
 r_l_m, ...) because unit mistakes dominate failure modes in this domain;
-every numeric field must be a finite JSON number, not a string, bool or null.
+every numeric field must be a finite JSON number, not a string, bool or null,
+and a section or key the CLI does not read (a misspelling) is a usage error.
 Numeric output is CSV (scan/orbit) or JSON (allocate/verify) at 17
 significant digits, and the output bytes are deterministic (verify: for a
 fixed seed).  `scan` runs serially in one process: it builds the orbit field,
@@ -45,6 +46,11 @@ NUMBER_KEYS = {
     "grid": ("m_sys_kg", "r_l_m", "d_sat_m"),
     "coil": tuple(DEFAULT_COIL),
     "overrides": ("k_j2",),
+}
+#: Every key a scenario may give, by section; any other section or key is a usage error.
+SCENARIO_KEYS = {
+    **{section: {*REQUIRED_KEYS.get(section, ()), *keys} for section, keys in NUMBER_KEYS.items()},
+    "sampling": {*DEFAULT_SAMPLING, "dual_tol"},
 }
 
 
@@ -101,13 +107,22 @@ def _number(value, name):
 
 def load_scenario(path):
     """Parse and validate a scenario file; returns plain dicts with defaults
-    filled, n_list and time_samples as ints and every NUMBER_KEYS value a float."""
+    filled, n_list and time_samples as ints and every NUMBER_KEYS value a float.
+    A section or key outside SCENARIO_KEYS (a misspelling) is a usage error."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise UsageError("scenario must be a JSON object")
+    for section, values in raw.items():
+        if section not in SCENARIO_KEYS:
+            raise UsageError(f"scenario has an unknown section '{section}'")
+        if not isinstance(values, dict):
+            raise UsageError(f"scenario section '{section}' must be a JSON object")
+    unknown = [f"{s}.{k}" for s, keys in SCENARIO_KEYS.items() for k in raw.get(s, {}) if k not in keys]
+    if unknown:
+        raise UsageError(f"scenario has unknown keys: {', '.join(unknown)}")
     for section, keys in REQUIRED_KEYS.items():
-        if not isinstance(raw.get(section), dict):
+        if section not in raw:
             raise UsageError(f"scenario needs a '{section}' section (a JSON object)")
         missing = [f"{section}.{k}" for k in keys if k not in raw[section]]
         if missing:
@@ -117,9 +132,6 @@ def load_scenario(path):
         raise UsageError("grid must give exactly one of r_l_m or d_sat_m")
     if not isinstance(grid["n_list"], list) or not grid["n_list"]:
         raise UsageError("grid.n_list must be a nonempty list")
-    for section in ("coil", "sampling", "overrides"):
-        if not isinstance(raw.get(section, {}), dict):
-            raise UsageError(f"scenario section '{section}' must be a JSON object")
     sampling = {**DEFAULT_SAMPLING, **raw.get("sampling", {})}
     if sampling.pop("dual_tol", DEFAULT_TOL) != DEFAULT_TOL:
         raise UsageError(f"sampling.dual_tol must be {DEFAULT_TOL:g}: the dual is always"

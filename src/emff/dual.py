@@ -21,24 +21,26 @@ f_mu(z) = sum_i sqrt(sigma_i(X)^2 + mu^2), with the analytic Hessian of a
 spectral function (Lewis & Sendov 2001), an Armijo line search and a damping
 of 1e-14 tr H (an axial-torque command has a flat optimal face, where the
 Hessian is singular).  mu starts at _MU_START |X0|_F and falls by _MU_FACTOR
-per stage down to _MU_FINAL |X0|_F; each stage starts from the tangent
+per stage down to DEFAULT_TOL |X0|_F; each stage starts from the tangent
 predictor of the smoothed minimizer path z(mu).  Each stage is centred
 until its squared Newton decrement is at most mu^2; the last one then takes
 one more Newton step.  Since z(mu) = z* + mu z'(mu) + O(mu^2), a tangent
 step to mu = 0 then lands on the optimum without driving mu to rounding,
 where the Hessian's 1/mu curvature would swamp the rest of it.  A row's next
 Newton system is built from the SVD of the trial point its line search
-accepted (the first trial is the whole step), its next iterate bit for bit;
-the SVD of its last point, the optimum, also builds its dual matrix.
+accepted (the first trial is the whole step), its next iterate bit for bit.
 
-From the SVD U S V^T of the optimum, a dual matrix of leading rank r is
-G = U_r V_r^T + U_0 W V_0^T, where W on the trailing block starts from the
-smoothed gradient and takes the least-norm correction that makes G
-orthogonal to every N_i.  Projecting G onto range(Q^T) gives lambda, scaled
-so that sigma_max(R) <= 1.  Every such lambda is dual feasible, so of the
-candidates r = 1, 2, 3 the one with the largest dual value is kept; the rank
-of the optimum is never guessed from a threshold.  J_p, J_d and the gap are
-measured from the two points.
+The row is certified at that point.  From its SVD U S V^T, a dual matrix of
+leading rank r is G = U_r V_r^T + U_0 W V_0^T, where W on the trailing block
+starts from the smoothed gradient and takes the least-norm correction that
+makes G orthogonal to every N_i.  Projecting G onto range(Q^T) gives lambda,
+scaled so that sigma_max(R) <= 1.  Every such lambda is dual feasible, so of
+the candidates r = 1, 2, 3 the one with the largest dual value is kept; the
+rank of the optimum is never guessed from a threshold.  By weak duality the
+measured gap between the two points is a complete stopping test: a row within
+DEFAULT_TOL is finished, and one short of it (the tangent step leaves an
+error of order mu^2 / sigma_2, large where sigma_2 / sigma_1 is small) goes
+on from that point with mu 100 times smaller.
 
 Q is a plain (6, 9) array shared by the batch; solve_dual(Q, u) is a batch
 of one.  Its pseudo-inverse and null-space basis come from one SVD of Q,
@@ -61,11 +63,10 @@ from .magnetics import MU0
 #: Relative duality gap every solve must certify.
 DEFAULT_TOL = 1.0e-10
 
-#: Newton systems a row may build over all stages before it counts as stalled.
+#: Newton systems a row may build over all stages; the rows left are certified where they are.
 _MAX_NEWTON = 60
 _MU_START = 0.1
 _MU_FACTOR = 0.01
-_MU_FINAL = 1.0e-10
 #: Steps with decrement^2 below this multiple of mu are taken whole, without a line search.
 _FULL_STEP = 0.01
 _MAX_HALVINGS = 40
@@ -173,11 +174,14 @@ def _smoothed(X, mu):
     return U, s, Vt, np.sqrt(s * s + (mu * mu)[:, None])
 
 
-def _dual_matrices(U, s, Vt, N, G_mu):
-    """From the SVD U s V^T of the rows of X (b, 3, 3): their nuclear norms and,
-    for each leading rank r = 1, 2, 3, dual matrices G (3, b, 3, 3) with
-    <G, N_k> = 0: U_r V_r^T on the leading singular block and, on the trailing
-    block, the smoothed gradient G_mu plus its least-norm correction."""
+def _certificate(U, s, Vt, G_mu, N, pinv, Q, u, scale):
+    """J_p, J_d, gap, lambda_, R and sigma_max of rows with commands u (b, 6) at
+    the points scale X, X = U s V^T (b, 3, 3): for each leading rank r = 1, 2,
+    3 the dual matrix is U_r V_r^T on the leading singular block plus, on the
+    trailing block, the smoothed gradient G_mu (b, 3, 3) and its least-norm
+    correction to <G, N_k> = 0; it is projected onto range(Q^T) and scaled into
+    sigma_max(R) <= 1, and the best of the three is kept.  A row whose costs
+    overflow gets J_p = inf and a NaN gap, with no warning."""
     Nt = _rotated(U, N, Vt)
     Gt = np.where(_TRAIL, np.swapaxes(U, 1, 2) @ G_mu @ np.swapaxes(Vt, 1, 2), 0.0)
     Gt += _LEAD_EYE
@@ -188,7 +192,20 @@ def _dual_matrices(U, s, Vt, N, G_mu):
     AA += damping[..., None, None] * _EYE3
     y = np.linalg.solve(AA, res[..., None])[..., 0]
     Gt -= np.einsum("rbkp,rbk->rbp", A, y).reshape(Gt.shape)
-    return s.sum(axis=1), U @ Gt @ Vt
+    G = U @ Gt @ Vt
+    lam = (G.swapaxes(-1, -2).reshape(3, -1, 1, 9) @ pinv)[..., 0, :]
+    R = unvec_columns((lam[..., None, :] @ Q)[..., 0, :])
+    smax = np.linalg.svd(R, compute_uv=False)[..., 0]
+    shrink = np.maximum(smax, 1.0)
+    c = 8.0 * np.pi / MU0
+    with np.errstate(over="ignore", invalid="ignore"):
+        J_d = -c * np.einsum("rbi,bi->rb", lam, u) / shrink
+        J_p = c * scale * s.sum(axis=1)
+        pick = (np.argmax(J_d, axis=0), np.arange(len(u)))
+        J_d, shrink = J_d[pick], shrink[pick]
+        gap = (J_p - J_d) / J_p
+    return dict(J_p=J_p, J_d=J_d, gap=gap, lambda_=lam[pick] / shrink[:, None],
+                R=R[pick] / shrink[:, None, None], sigma_max=smax[pick] / shrink)
 
 
 def solve_dual_batch(Q, u):
@@ -206,11 +223,11 @@ def solve_dual_batch(Q, u):
     dict with, per row: J_p (B,), J_d (B,), gap (B,) -- (J_p - J_d)/J_p --,
     X (B,3,3) -- the primal point, Q vec X = -u --, lambda_ (B,6), R (B,3,3),
     sigma_max (B,), newton_iters (B,) -- Newton systems built over all stages
-    -- and stalled (B,) -- whether the row ran out of its _MAX_NEWTON
-    iterations or its gap is not at most DEFAULT_TOL.  A row whose costs
-    overflow has J_p = J_d = inf and a NaN gap, so it is stalled too; one
-    whose least-norm point X0 already has no finite |X0|_F is not iterated
-    (newton_iters 0, X = X0, lambda_ = 0).  No RuntimeWarning escapes.
+    -- and stalled (B,), exactly ~(gap <= DEFAULT_TOL), as for a row still short
+    of DEFAULT_TOL when its _MAX_NEWTON Newton systems run out.  A row whose
+    costs overflow has J_p = inf and a NaN gap; one whose least-norm point X0
+    has no finite |X0|_F is not iterated (newton_iters 0, X = X0, lambda_ = 0,
+    J_p = J_d = inf).  No RuntimeWarning escapes.
     """
     u = np.atleast_2d(np.asarray(u, dtype=float))
     finite = np.isfinite(u).all(axis=1)
@@ -234,15 +251,15 @@ def solve_dual_batch(Q, u):
     live = (scale > 0.0) & ~over
     norm = np.where(live, scale, 1.0)
     X0 /= norm[:, None, None]
-    # each row's final z, the SVD of its point X0 + z.N and its smoothed gradient
-    z = np.zeros((B, 3))
-    Uz, sz, Vtz = np.zeros((B, 3, 3)), np.zeros((B, 3)), np.zeros((B, 3, 3))
-    G_mu = np.zeros((B, 3, 3))
-    iters = np.zeros(B, dtype=int)
-    stalled = np.zeros(B, dtype=bool)
+    # each row's final z and certificate; the rows not iterated keep lambda = 0,
+    # exact for u = 0 (J_d = -c lambda^T u = -0.0)
+    z, iters = np.zeros((B, 3)), np.zeros(B, dtype=int)
+    out = dict(J_p=np.where(over, np.inf, 0.0), J_d=np.where(over, np.inf, -0.0),
+               gap=np.where(over, np.nan, 0.0), lambda_=np.zeros((B, 6)),
+               R=np.zeros((B, 3, 3)), sigma_max=np.zeros(B))
 
     # the rows still iterating: z, mu, and the SVD and h of their point X0 + z.N
-    rows = idx = live.nonzero()[0]
+    idx = live.nonzero()[0]
     X0a, za, ma = X0[idx], z[idx], np.full(idx.size, _MU_START)
     U, s, Vt, h = _smoothed(X0a, ma)
     f = h.sum(axis=1)
@@ -253,13 +270,13 @@ def solve_dual_batch(Q, u):
         # Newton step -sol[..., 0] with decrement^2 g.H^-1 g; tangent dz/dmu = -sol[..., 1]
         sol = np.linalg.solve(H, rhs)
         dec2 = np.vecdot(rhs[..., 0], sol[..., 0])
-        final = ma <= _MU_FINAL
+        final = ma <= DEFAULT_TOL
         ended = dec2 <= ma * ma
         # done: one last Newton step, then the tangent step to mu = 0;
         # centred: shrink mu and start the next stage at the tangent predictor
         centred, done = ended & ~final, ended & final
         no_search = ended | (dec2 <= _FULL_STEP * ma)
-        nxt = np.where(centred, np.maximum(ma * _MU_FACTOR, _MU_FINAL), np.where(done, 0.0, ma))
+        nxt = np.where(centred, np.maximum(ma * _MU_FACTOR, DEFAULT_TOL), np.where(done, 0.0, ma))
         z1 = np.where(centred[:, None], za, za - sol[..., 0]) + (ma - nxt)[:, None] * sol[..., 1]
         U1, s1, Vt1, h1 = _smoothed(X0a + (z1[:, None] @ N9).reshape(-1, 3, 3), nxt)
         # a searched row took the whole Newton step as its first Armijo trial on f_mu;
@@ -280,53 +297,34 @@ def solve_dual_batch(Q, u):
         else:
             z1[fail], U1[fail], s1[fail], Vt1[fail] = za[fail], U[fail], s[fail], Vt[fail]
             h1[fail], f1[fail] = h[fail], f[fail]
-        if done.any():
-            fin, keep = idx[done], ~done
-            iters[fin], z[fin] = it, z1[done]
-            Uz[fin], sz[fin], Vtz[fin] = U1[done], s1[done], Vt1[done]
-            G_mu[fin] = (U[done] * t[done][:, None, :]) @ Vt[done]
+        # a done row, and on the last Newton system every row, is certified at its new
+        # point from the smoothed gradient of the old; one short of DEFAULT_TOL goes on
+        # from that point at a mu 100 times smaller (a NaN gap, of costs past the
+        # double range, cannot shrink: that row ends stalled)
+        last = it == _MAX_NEWTON
+        if last or done.any():
+            fin = done | last
+            d = fin.nonzero()[0]
+            G_mu = (U[d] * t[d][:, None, :]) @ Vt[d]
+            cert = _certificate(U1[d], s1[d], Vt1[d], G_mu, N, pinv, Q, u[idx[d]], scale[idx[d]])
+            ok = ~(cert["gap"] > DEFAULT_TOL) | last
+            rows = idx[d[ok]]
+            z[rows], iters[rows] = z1[d[ok]], it
+            for k, v in cert.items():
+                out[k][rows] = v[ok]
+            keep = ~fin
+            if not ok.all():
+                d = d[~ok]
+                nxt[d] = ma[d] * _MU_FACTOR
+                h1[d] = np.sqrt(s1[d] * s1[d] + (nxt[d] * nxt[d])[:, None])
+                f1[d] = h1[d].sum(axis=1)
+                keep[d] = True
             idx, X0a, z1, nxt = idx[keep], X0a[keep], z1[keep], nxt[keep]
             U1, s1, Vt1, h1, f1 = U1[keep], s1[keep], Vt1[keep], h1[keep], f1[keep]
         za, U, s, Vt, h, f, ma = z1, U1, s1, Vt1, h1, f1, nxt
-    else:
-        # out of iterations: the remaining rows are certified from where they are
-        stalled[idx], iters[idx], z[idx] = True, _MAX_NEWTON, za
-        Uz[idx], sz[idx], Vtz[idx] = U, s, Vt
-        G_mu[idx] = (U * (s / h)[:, None, :]) @ Vt
 
-    X = X0 + (z[:, None] @ N9).reshape(-1, 3, 3)
-    G = np.zeros((3, B, 3, 3))
-    nuclear = np.zeros(B)
-    if rows.size:
-        nuclear[rows], G[:, rows] = _dual_matrices(Uz[rows], sz[rows], Vtz[rows], N, G_mu[rows])
-    # each vec G projected onto range(Q^T), then scaled into sigma_max(R) <= 1;
-    # every candidate is dual feasible, so the best one is kept
-    lam = (G.swapaxes(-1, -2).reshape(3, B, 1, 9) @ pinv)[..., 0, :]
-    R = unvec_columns((lam[..., None, :] @ Q)[..., 0, :])
-    smax = np.linalg.svd(R, compute_uv=False)[..., 0]
-    shrink = np.maximum(smax, 1.0)
-    c = 8.0 * np.pi / MU0
-    # a row whose costs overflow gets J_p = J_d = inf and a NaN gap, with no warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        J_d = -c * np.einsum("rbi,bi->rb", lam, u) / shrink
-        J_p = np.where(over, np.inf, c * scale * nuclear)
-        best = np.argmax(J_d, axis=0)
-        pick = (best, np.arange(B))
-        J_d, smax, shrink = np.where(over, np.inf, J_d[pick]), smax[pick], shrink[pick]
-        gap = np.where(scale != 0.0, (J_p - J_d) / J_p, 0.0)
-    lam = lam[pick] / shrink[:, None]
-    R = R[pick] / shrink[:, None, None]
-    return {
-        "J_p": J_p,
-        "J_d": J_d,
-        "gap": gap,
-        "X": X * norm[:, None, None],
-        "lambda_": lam,
-        "R": R,
-        "sigma_max": smax / shrink,
-        "newton_iters": iters,
-        "stalled": stalled | ~(gap <= DEFAULT_TOL),
-    }
+    X = (X0 + (z[:, None] @ N9).reshape(-1, 3, 3)) * norm[:, None, None]
+    return {**out, "X": X, "newton_iters": iters, "stalled": ~(out["gap"] <= DEFAULT_TOL)}
 
 
 def solve_dual(Q, u):
@@ -334,8 +332,8 @@ def solve_dual(Q, u):
 
     A batch of one through solve_dual_batch, returned as a DualCertificate.
     Raises SolverError when the certificate is not finite or feasible, and
-    (carrying the certificate) when the row is stalled; u = 0 gives the exact
-    certificate lambda = 0, X = 0.
+    (carrying the certificate) when the row is stalled, its gap not within
+    DEFAULT_TOL; u = 0 gives the exact certificate lambda = 0, X = 0.
     """
     res = solve_dual_batch(Q, np.asarray(u, dtype=float).reshape(1, 6))
     cert = DualCertificate(

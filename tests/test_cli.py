@@ -146,6 +146,17 @@ class TestAllocateCmd:
         assert abs(data["J_d_A2m4"] - 62.8211426495) <= 1e-10
         assert abs(data["gap"]) <= 1e-10
 
+    def test_k2_band_row(self, tmp_path):
+        # an in-plane row of the k = 2 band (|f_x/f_y| ~ 7e-5, rank-two optimum):
+        # its first certificate misses DEFAULT_TOL, so it goes on at a smaller mu;
+        # a stall reproducer that once exited 2 at relative gap 2.5e-08
+        out = tmp_path / "alloc.json"
+        args = ["allocate", "--frame", "los", "--r", "1,0,0",
+                "--force=-6.491922706186955e-06,-0.0933019117623529,0.0",
+                "--torque", "0.0,0.0,0.0622012745457138", "--out", str(out)]
+        assert main(args) == 0
+        assert abs(json.loads(out.read_text())["gap"]) <= 1e-10
+
 
 class TestOrbitCmd:
     def test_csv_shape_and_closure(self, scenario_path, tmp_path):
@@ -422,6 +433,12 @@ class TestScenarioValidation:
             (lambda s: s["orbit"].update(theta0_deg=None), "orbit.theta0_deg must be a finite number"),
             (lambda s: s.update(coil={"turns": "200"}), "coil.turns must be a finite number"),
             (lambda s: s.update(overrides={"k_j2": None}), "overrides.k_j2 must be a finite number"),
+            # a misspelled section or key would otherwise fall back to its default
+            (lambda s: s["orbit"].update(theta_0_deg=30.0), "unknown keys: orbit.theta_0_deg"),
+            (lambda s: s.update(coil={"turn": 100.0}), "unknown keys: coil.turn"),
+            (lambda s: s["sampling"].update(time_sample=48), "unknown keys: sampling.time_sample"),
+            (lambda s: s["grid"].update(m_sys=1.0, r_l=5.0), "unknown keys: grid.m_sys, grid.r_l"),
+            (lambda s: s.update(override={"k_j2": 0.0}), "unknown section 'override'"),
         ],
     )
     def test_bad_input_is_usage_error(self, tmp_path, capsys, edit, message):

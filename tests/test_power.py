@@ -273,18 +273,19 @@ def _reference_vertex_costs(u, Q):
 
 def _assert_within_solver_bounds(J, rows):
     """J of every row lies in [J_d, J_p] of solve_dual_batch on the rows
-    against psi_stack(1), to 2e-15; a stalled row's J_d and J_p still bound it.
+    against psi_stack(1), to 2e-15, and no row of that solve is stalled.
     The solve is homogeneous, so it runs on the rows scaled exactly to a largest
     entry near 1 (it reads rows below about 1e-154 as zero)."""
     m = _pow2_scale(rows)
     ref = solve_dual_batch(psi_stack(1.0), rows / m)
+    assert not ref["stalled"].any()
     m = m[:, 0]
     assert (ref["J_d"] * m * (1.0 - 2e-15) <= J).all() and (J <= ref["J_p"] * m * (1.0 + 2e-15)).all()
 
 
 # k = beta/alpha over the in-plane family: anywhere in [0, 25], near the branch
 # boundaries k = 1, 3/2, 2 and 3, and in the band k = 2 (1 + O(1e-9)) where
-# solve_dual_batch can stall
+# solve_dual_batch once stalled
 _k_draws = st.one_of(
     st.floats(0.0, 25.0),
     st.builds(lambda k, e: k * (1.0 + e), st.sampled_from([1.0, 1.5, 2.0, 3.0]), st.floats(-1e-6, 1e-6)),
@@ -427,7 +428,7 @@ class TestVertexCertificate:
         units=st.lists(_unit_row_draws(), min_size=1, max_size=8),
     )
     def test_closed_form_within_solver_bounds(self, pairs, units):
-        # every in-plane row, stalled solves included: J_d <= J <= J_p, and
+        # every in-plane row is certified by the solver, J_d <= J <= J_p, and
         # each root-branch row certifies its own gap
         scales = np.array([(alpha, k * alpha) for alpha, k in pairs])
         unit = np.array(units)
