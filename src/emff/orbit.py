@@ -80,19 +80,23 @@ def make_context(altitude, incl, theta0, k_j2=K_J2):
     """Orbit constants for a circular Earth reference orbit at the given altitude (m).
 
     k_j2 = 0 recovers the unperturbed limit (c_+- = 1, omega_xy = omega_z =
-    omega_o).  Raises when the J2 correction would exceed the linearization's
-    validity (|s_J2| >= 1).
+    omega_o).  Raises ValueError for a non-finite input, an altitude not > 0
+    or too large for a finite orbit period, and when the J2 correction would
+    exceed the linearization's validity (|s_J2| >= 1).
     """
-    if altitude <= 0:
-        raise ValueError("altitude must be positive")
-    r_ref = R_EARTH + altitude
-    omega_o = np.sqrt(MU_EARTH / r_ref**3)
+    if not (np.isfinite([altitude, incl, theta0, k_j2]).all() and altitude > 0):
+        raise ValueError("altitude, incl, theta0 and k_j2 must be finite, and altitude > 0")
+    r_ref = R_EARTH + float(altitude)
+    try:
+        omega_o = np.sqrt(MU_EARTH / r_ref**3)
+    except OverflowError:  # r_ref^3 past the float range; below it, omega_o > 1e-147
+        raise ValueError(f"altitude {altitude!r} m gives no finite orbit period") from None
     s_j2 = k_j2 * (1.0 + 3.0 * np.cos(2.0 * incl)) / (4.0 * MU_EARTH * r_ref**2)
     if abs(s_j2) >= 1.0:
         raise ValueError(f"|s_J2| = {abs(s_j2):.3e} >= 1: J2 correction out of range")
     c_plus = np.sqrt(1.0 + s_j2)
     c_minus = np.sqrt(1.0 - s_j2)
-    omega_xy = c_minus * omega_o
+    omega_xy = c_minus * omega_o  # c_minus > 1e-8, so the period 2 pi/omega_xy is finite
     omega_z = omega_o * (c_plus + k_j2 * np.cos(incl) ** 2 / (MU_EARTH * r_ref**2))
     return OrbitContext(
         r_ref=r_ref, incl=incl, theta0=theta0, k_j2=k_j2, omega_o=omega_o, s_j2=s_j2,

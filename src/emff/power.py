@@ -14,20 +14,21 @@ the orbit-averaged total sums all pairs over one period.
 
 compute_power_reports samples the field once per scan, at every grid time t
 and t + T/4 and at r_l = 1, with no frame formed (_unit_rows), then costs
-and reduces one grid's table at a time.  Force scales with r_l and torque
-with r_l^2, so pair j of a grid with separation d is the row
-u' = (alpha f, beta tau) against psi_stack(1), alpha = a d^4 r_l and
-beta = b d^3 r_l^2 (a, b the weights of L(n, j), each an integer quotient
-rounded once, exact for n up to 165139).  Every such in-plane row
-is costed exactly in closed form, with no solver (_pair_costs; nuclear-norm
-minimization over an affine slice, Recht, Fazel & Parrilo 2010); rows off
-its vertex branch carry a measured gap to a closed-form dual point (weak
-duality, Boyd & Vandenberghe sec. 5).  sup_t w*(2, t) is refined at the
-vertex of the parabola through each grid argmax and its periodic
-neighbours.  compute_power_report and pair_power_w_star are views of one
-report, whose W_bar, W_oint and M hold the peak, total and metric.
+each grid's table once and reduces it at once; none outlives its grid.
+Force scales with r_l and torque with r_l^2, so pair j of a grid with
+separation d is the row u' = (alpha f, beta tau) against psi_stack(1),
+alpha = a d^4 r_l and beta = b d^3 r_l^2 (a, b the weights of L(n, j), each
+an integer quotient rounded once, exact for n up to 165139).  Every such
+in-plane row is costed exactly in closed form, with no solver (_pair_costs;
+nuclear-norm minimization over an affine slice, Recht, Fazel & Parrilo
+2010); rows off its vertex branch carry a measured gap to a closed-form dual
+point (weak duality, Boyd & Vandenberghe sec. 5).  sup_t w*(2, t) is refined
+at the vertex of the parabola through each grid argmax and its periodic
+neighbours.  compute_power_report is its one-config view; a report's W_bar,
+W_oint and M hold the peak, total and metric.
 """
 
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -41,28 +42,26 @@ from .magnetics import MU0, check_separation, psi_stack  # noqa: F401
 
 @dataclass(frozen=True)
 class PowerReport:
-    """Swarm power summary over one orbit.
+    """Swarm power summary over one orbit: scalars only, whatever n is.
 
-    w_star_unit holds the coil-independent pair costs (A^2*m^4), one row per
-    pair index j = 2..n+1, one column per time sample.  peak_pair_violation is
-    the largest amount (same units) by which any w*(j>2, t) exceeds w*(2, t);
-    nonpositive means the peak-at-j=2 rule held on every sample.  root_rows
-    counts the table's rows (two per entry, at t and t + T/4) off the vertex
-    branch, gap is the largest measured relative gap of those and the peak
-    refinement's rows (0.0 if none), and vertex_margin the smallest
+    peak_pair_violation is the largest w*(j>2, t) - w*(2, t) over the
+    samples, relative to the largest w*; nonpositive means the peak-at-j=2
+    rule held on every sample.  peak_pair_at is its (j, t); n = 1 has 0.0
+    and None.  root_rows counts the table's rows (two per entry, at t and t + T/4) off
+    the vertex branch, gap is the largest measured relative gap of those and
+    the peak refinement's rows (0.0 if none), and vertex_margin the smallest
     lambda_min(S)/tr S of the nonzero vertex-branch rows (nan if none).
     """
 
     n: int
     r_l: float
     chi_sys: float
-    samples: np.ndarray
-    w_star_unit: np.ndarray
     W_bar: float
     W_oint: float
     M: float
     gamma_S: float
     peak_pair_violation: float
+    peak_pair_at: tuple[int, float] | None
     root_rows: int
     gap: float
     vertex_margin: float
@@ -180,27 +179,40 @@ def _pair_scales(cfg):
     return np.stack([a, b], axis=1) * [cfg.d_sat**4 * cfg.r_l, cfg.d_sat**3 * cfg.r_l**2]
 
 
+def _check_certified(costs):
+    """The one failure rule of scan and pair costs: SolverError naming each n of
+    the (n, values, gap) costs with a value non-finite or gap above DEFAULT_TOL."""
+    failed = [str(n) for n, values, gap in costs if not (np.isfinite(values).all() and gap <= DEFAULT_TOL)]
+    if failed:
+        raise SolverError(f"pair costs non-finite or gap above {DEFAULT_TOL:.0e} at n = {', '.join(failed)}")
+
+
 def pair_power_w_star(cfg, field, coil, j, t):
     """Coil-scaled pair cost w*(r_l, n, j, t): the optimal costs at t and a
     quarter period later, doubled for the mirrored pair.  coil=None gives the
-    coil-independent value in A^2*m^4.  Entry j of the one-sample report at t."""
+    coil-independent value in A^2*m^4.  Costs pair j's two rows alone, and
+    raises as compute_power_reports does, or ValueError for j not in 2..n+1."""
     _check_j(cfg.n, j)
+    check_separation([cfg.d_sat])
+    J, _, _, gap = _pair_costs(_pair_scales(cfg)[j - 2], _unit_rows(field, np.array([float(t)])))
+    w = 2.0 * (J[0] + J[1])
+    _check_certified([(cfg.n, w, gap.max())])
     scale = 1.0 if coil is None else coil.power_scale
-    return float(scale * compute_power_report(cfg, field, None, [float(t)]).w_star_unit[j - 2, 0])
+    return float(scale * w)
 
 
 def orbit_time_grid(period, n_samples=720):
-    """Uniform sampling grid over [0, period)."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
+    """Uniform grid of n_samples >= 1 (an integer) times over [0, period), period finite."""
+    if not (0.0 < period < np.inf and isinstance(n_samples, numbers.Integral) and n_samples >= 1):
+        raise ValueError(f"period must be finite and > 0, n_samples an integer >= 1: got {period!r}, {n_samples!r}")
     return np.linspace(0.0, period, n_samples, endpoint=False)
 
 
 def compute_power_reports(cfgs, field, coil, t_grid):
     """Power reports of the grid configs cfgs over one orbit, each equal to
-    the one computed for its config alone.  One field sample serves them all,
-    and one call costs w*(2, t) of every config; then each config's (n, 2T)
-    table is costed and reduced in turn, and only its w_star_unit outlives it.
+    the one computed for its config alone.  One field sample serves them all;
+    each config's (n, 2T) table is costed once, in turn, and reduced at once,
+    and only its w*(2, t) row is kept, for the peaks, refined together.
 
     W_bar = chi_sys sup_t w*(2, t): the grid maximum, or the value at the
     vertex of the parabola through the grid argmax and its periodic
@@ -221,48 +233,44 @@ def compute_power_reports(cfgs, field, coil, t_grid):
     scales = [_pair_scales(cfg) for cfg in cfgs]
     n_t = len(t_grid)
     unit = _unit_rows(field, t_grid)
-    heads = np.array([ab[0] for ab in scales])  # L(n, 2) = I: pair 2's scales
-    J = _pair_costs(heads[:, None, :], unit)[0]
-    top = 2.0 * (J[:, :n_t] + J[:, n_t:])
+    scale = 1.0 if coil is None else coil.power_scale
+    top, tables = np.empty((len(cfgs), n_t)), []
+    for k, (cfg, ab) in enumerate(zip(cfgs, scales)):
+        J, vertex, margin, gap = _pair_costs(ab[:, None, :], unit)
+        w = 2.0 * (J[:, :n_t] + J[:, n_t:])
+        mean, top[k] = w.sum(axis=0).mean(), w[0]  # the mean is non-finite if any cost is
+        excess = w[1:] - w[0]
+        at = np.unravel_index(excess.argmax(), excess.shape) if cfg.n > 1 else None
+        tables.append((mean, gap.max(), dict(
+            n=cfg.n, r_l=cfg.r_l, chi_sys=cfg.chi_sys,
+            W_oint=float(cfg.chi_sys * scale * cfg.n_line * mean),
+            M=float(cfg.chi_sys * cfg.n_line * mean / cfg.m_sys), gamma_S=surface_ratio(cfg.n_line),
+            root_rows=int(vertex.size - np.count_nonzero(vertex)),
+            vertex_margin=float(np.fmin.reduce(margin, axis=None)),
+            # relative to max |w*| = max w*, as every w* is >= 0
+            peak_pair_violation=float(excess[at] / max(w.max(), 1e-300)) if at else 0.0,
+            peak_pair_at=(int(at[0]) + 3, float(t_grid[at[1]])) if at else None,
+        )))
 
     # parabola through each grid argmax of w*(2, t) and its periodic neighbours
     i = top.argmax(axis=1)
     a, peak, c = (top[np.arange(len(cfgs)), (i + s) % n_t] for s in (-1, 0, 1))
     curv = a - 2.0 * peak + c
     (bent,) = np.nonzero(curv < 0.0)
-    peak_gaps = np.full(len(cfgs), -np.inf)
+    gaps = np.array([gap for _, gap, _ in tables])
     if bent.size:
         shift = np.clip(0.5 * (a - c)[bent] / curv[bent], -1.0, 1.0)
         u = _unit_rows(field, t_grid[i[bent]] + shift * (field.period / n_t))
-        J, _, _, g = _pair_costs(heads[bent, None, :], u.reshape(2, -1, 2).transpose(1, 0, 2))
+        heads = np.array([scales[b][:1] for b in bent])  # L(n, 2) = I: pair 2's scales, (B, 1, 2)
+        J, _, _, g = _pair_costs(heads, u.reshape(2, -1, 2).transpose(1, 0, 2))
         peak[bent] = np.maximum(peak[bent], 2.0 * (J[:, 0] + J[:, 1]))
-        peak_gaps[bent] = g.max(axis=1)
-
-    scale = 1.0 if coil is None else coil.power_scale
-    reports, failed = [], []
-    for cfg, ab, w_bar, peak_gap in zip(cfgs, scales, peak, peak_gaps):
-        J, vertex, margin, gap = _pair_costs(ab[:, None, :], unit)
-        w = 2.0 * (J[:, :n_t] + J[:, n_t:])
-        mean = w.sum(axis=0).mean()  # non-finite if any cost is
-        g = np.maximum(gap.max(), peak_gap)
-        if not (np.isfinite(mean) and np.isfinite(w_bar) and g <= DEFAULT_TOL):
-            failed.append(str(cfg.n))
-        reports.append(PowerReport(
-            n=cfg.n, r_l=cfg.r_l, chi_sys=cfg.chi_sys, samples=t_grid, w_star_unit=w,
-            W_bar=float(cfg.chi_sys * scale * w_bar),
-            W_oint=float(cfg.chi_sys * scale * cfg.n_line * mean),
-            M=float(cfg.chi_sys * cfg.n_line * mean / cfg.m_sys),
-            gamma_S=surface_ratio(cfg.n_line),
-            peak_pair_violation=float((w[1:] - w[0]).max()) if cfg.n > 1 else 0.0,
-            root_rows=int(vertex.size - np.count_nonzero(vertex)),
-            gap=float(g), vertex_margin=float(np.fmin.reduce(margin, axis=None)),
-        ))
-    if failed:
-        raise SolverError(f"pair costs non-finite or gap above {DEFAULT_TOL:.0e} at n = {', '.join(failed)}")
-    return reports
+        gaps[bent] = np.maximum(gaps[bent], g.max(axis=1))
+    _check_certified((kw["n"], (mean, w_bar), gap) for (mean, _, kw), w_bar, gap in zip(tables, peak, gaps))
+    return [PowerReport(W_bar=float(kw["chi_sys"] * scale * w_bar), gap=float(gap), **kw)
+            for (_, _, kw), w_bar, gap in zip(tables, peak, gaps)]
 
 
 def compute_power_report(cfg, field, coil, t_grid):
-    """Full per-pair cost table plus every summary metric for one config:
-    the one-element view of compute_power_reports."""
+    """Every summary metric of one config: the one-element view of
+    compute_power_reports."""
     return compute_power_reports([cfg], field, coil, t_grid)[0]

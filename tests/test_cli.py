@@ -278,15 +278,11 @@ class TestScanCmd:
         compute = emff.power.compute_power_reports
         lifted = []
 
-        def raised_pair(*args, **kwargs):
+        def raised_pair(cfgs, field, coil, t_grid):
             # w*(3, t) of n = 2 lifted above w*(2, t) at the sixth sample
-            reports = compute(*args, **kwargs)
-            lifted.append(reports[1].samples[5])
-            w = reports[1].w_star_unit.copy()
-            w[1, 5] = 1.5 * w[0, 5]
-            reports[1] = dataclasses.replace(
-                reports[1], w_star_unit=w, peak_pair_violation=float((w[1:] - w[0]).max())
-            )
+            reports = compute(cfgs, field, coil, t_grid)
+            lifted.append(t_grid[5])
+            reports[1] = dataclasses.replace(reports[1], peak_pair_violation=0.5, peak_pair_at=(3, t_grid[5]))
             return reports
 
         monkeypatch.setattr(emff.power, "compute_power_reports", raised_pair)
@@ -439,6 +435,8 @@ class TestScenarioValidation:
             (lambda s: s["sampling"].update(time_sample=48), "unknown keys: sampling.time_sample"),
             (lambda s: s["grid"].update(m_sys=1.0, r_l=5.0), "unknown keys: grid.m_sys, grid.r_l"),
             (lambda s: s.update(override={"k_j2": 0.0}), "unknown section 'override'"),
+            # finite, but so high that r_ref^3 overflows: no finite orbit period
+            (lambda s: s["orbit"].update(altitude_km=1e100), "gives no finite orbit period"),
         ],
     )
     def test_bad_input_is_usage_error(self, tmp_path, capsys, edit, message):

@@ -57,6 +57,25 @@ class TestContext:
         with pytest.raises(ValueError):
             make_context(500e3, 0.0, 0.0, k_j2=1e40)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (np.nan, 0.5, 0.0), (np.inf, 0.5, 0.0), (-np.inf, 0.5, 0.0), (0.0, 0.5, 0.0),
+            (500e3, np.nan, 0.0), (500e3, np.inf, 0.0), (500e3, 0.5, np.nan), (500e3, 0.5, -np.inf),
+            (500e3, 0.5, 0.0, np.nan), (500e3, 0.5, 0.0, np.inf),
+            # finite, but r_ref^3 leaves the float range: no finite period
+            (1e103, 0.5, 0.0),
+        ],
+    )
+    def test_non_finite_inputs_rejected(self, args):
+        # a ValueError, with no NaN context and no RuntimeWarning (an error under pytest)
+        with pytest.raises(ValueError):
+            make_context(*args)
+
+    def test_largest_altitudes_keep_a_finite_period(self):
+        ctx = make_context(5e102, 0.5, 0.0)
+        assert 0.0 < ctx.period < np.inf
+
 
 class TestElements:
     def test_zero_state(self):

@@ -29,11 +29,22 @@ PLANE = StablePlane(theta_p=np.deg2rad(30.0), theta_z_xy=0.0, r_xyd=100.0)
 FIELD = DisturbanceField.from_orbit(CTX, PLANE)
 COIL = CoilDesign(turns=200, coil_radius=0.5, wire_radius=1e-3, resistivity=1.68e-8)
 GRID = orbit_time_grid(CTX.period, 48)
+# inclination 60 deg, theta_p 15 deg: some rows leave the vertex branch
+OFF_CTX = make_context(500e3, np.deg2rad(60.0), 0.0)
+OFF_FIELD = DisturbanceField.from_orbit(
+    OFF_CTX, StablePlane(theta_p=np.deg2rad(15.0), theta_z_xy=0.0, r_xyd=100.0)
+)
 
 
 def zero_field():
     p = np.array([1.0, 0.0, 0.0])
     return DisturbanceField(k_orb=lambda t: np.zeros((3, 3)), p_hat=lambda t: p, period=CTX.period)
+
+
+def w_star_table(cfg, field, grid, unit_rows=power._unit_rows):
+    """The coil-independent (n, T) table w*(j, t) a report reduces, costed as the scan costs it."""
+    J = power._pair_costs(power._pair_scales(cfg)[:, None, :], unit_rows(field, grid))[0]
+    return 2.0 * (J[:, : len(grid)] + J[:, len(grid) :])
 
 
 class TestPowerIndex:
@@ -122,6 +133,20 @@ class TestPeakPower:
             compute_power_report(cfg, FIELD, COIL, np.array([]))
 
 
+class TestTimeGrid:
+    def test_uniform_over_one_period(self):
+        grid = orbit_time_grid(CTX.period, np.int64(4))
+        assert np.array_equal(grid, CTX.period * np.arange(4) / 4.0)
+
+    @pytest.mark.parametrize(
+        "period, n_samples",
+        [(np.nan, 3), (np.inf, 3), (0.0, 3), (-1.0, 3), (CTX.period, 0), (CTX.period, 2.5), (CTX.period, 3.0)],
+    )
+    def test_invalid_rejected(self, period, n_samples):
+        with pytest.raises(ValueError):
+            orbit_time_grid(period, n_samples)
+
+
 class TestTotalPower:
     def test_zero_field(self):
         cfg = GridConfig(n=3, m_sys=100.0, d_sat=10.0)
@@ -188,30 +213,69 @@ class TestReport:
         assert np.isclose(rep.W_oint, COIL.power_scale * unit.W_oint, rtol=1e-12)
         assert np.isclose(rep.W_bar, COIL.power_scale * unit.W_bar, rtol=1e-12)
         assert rep.gamma_S == surface_ratio(5)
-        assert rep.w_star_unit.shape == (2, len(GRID))
         # peak-pair rule: no sampled pair beats the center pair
         assert rep.peak_pair_violation <= 0.0
+        j, t = rep.peak_pair_at
+        assert j == 3 and t in GRID
+
+    def test_report_holds_no_table(self):
+        # every field is a Python scalar, or the (j, t) pair or None of peak_pair_at
+        cfgs = [GridConfig(n=n, m_sys=100.0, d_sat=10.0) for n in (1, 7)]
+        for rep in compute_power_reports(cfgs, FIELD, None, GRID):
+            at = rep.peak_pair_at
+            assert all(type(v) in (int, float) for k, v in vars(rep).items() if k != "peak_pair_at")
+            assert at is None if rep.n == 1 else [type(v) for v in at] == [int, float]
+
+    def test_peak_pair_violation_is_relative(self):
+        # the largest w*(j > 2, t) - w*(2, t) over max w*, at its (j, t)
+        for field in (FIELD, OFF_FIELD):
+            for n in (1, 2, 6):
+                cfg = GridConfig.from_line_length(n, 100.0, 1000.0)
+                rep = compute_power_report(cfg, field, None, GRID)
+                w = w_star_table(cfg, field, GRID)
+                if n == 1:
+                    assert rep.peak_pair_violation == 0.0 and rep.peak_pair_at is None
+                    continue
+                excess = w[1:] - w[0]
+                j, i = np.unravel_index(excess.argmax(), excess.shape)
+                assert rep.peak_pair_violation == excess.max() / w.max() <= 0.0
+                assert rep.peak_pair_at == (j + 3, GRID[i])
 
     def test_w_bar_bounds_every_sample(self):
         cfg = GridConfig(n=3, m_sys=50.0, d_sat=8.0)
         rep = compute_power_report(cfg, FIELD, COIL, GRID)
-        assert rep.W_bar >= (cfg.chi_sys * COIL.power_scale * rep.w_star_unit[0]).max() * (
-            1 - 1e-12
-        )
+        w = w_star_table(cfg, FIELD, GRID)
+        assert rep.W_bar >= (cfg.chi_sys * COIL.power_scale * w[0]).max() * (1 - 1e-12)
 
     def test_scalar_and_grid_paths_agree(self):
-        cfg = GridConfig(n=1, m_sys=50.0, d_sat=8.0)
-        rep = compute_power_report(cfg, FIELD, COIL, GRID)
-        for i in (0, 17, 43):
-            w = pair_power_w_star(cfg, FIELD, None, 2, GRID[i])
-            assert np.isclose(rep.w_star_unit[0, i], w, rtol=1e-9)
+        cfg = GridConfig(n=3, m_sys=50.0, d_sat=8.0)
+        for field in (FIELD, OFF_FIELD):
+            w = w_star_table(cfg, field, GRID)
+            rep = compute_power_report(cfg, field, None, GRID)
+            assert rep.M == cfg.chi_sys * cfg.n_line * w.sum(axis=0).mean() / cfg.m_sys
+            for j in (2, 3, 4):
+                for i in (0, 17, 43):
+                    assert np.isclose(w[j - 2, i], pair_power_w_star(cfg, field, None, j, GRID[i]), rtol=1e-9)
 
+    def test_pair_errors(self, monkeypatch):
+        cfg = GridConfig(n=2, m_sys=100.0, d_sat=10.0)
+        for j in (1, 4):
+            with pytest.raises(ValueError):
+                pair_power_w_star(cfg, FIELD, None, j, 0.0)
+        with pytest.raises(ZeroSeparationError):
+            pair_power_w_star(GridConfig(n=2, m_sys=100.0, d_sat=1e-3), FIELD, None, 2, 0.0)
+        nan_field = DisturbanceField(k_orb=lambda t: np.full(np.shape(t) + (3, 3), np.nan),
+                                     p_hat=FIELD.p_hat, period=FIELD.period)
+        with pytest.raises(SolverError, match=r"at n = 2$"):
+            pair_power_w_star(cfg, nan_field, None, 2, 0.0)
+        # off-region, pair 3 at GRID[10] is a root row with a gap near 1e-15
+        gap = power._pair_costs(power._pair_scales(cfg)[1], power._unit_rows(OFF_FIELD, GRID[10:11]))[3]
+        assert 0.0 < gap.max() <= DEFAULT_TOL
+        assert pair_power_w_star(cfg, OFF_FIELD, None, 3, GRID[10]) > 0.0
+        monkeypatch.setattr(power, "DEFAULT_TOL", 1e-17)
+        with pytest.raises(SolverError, match=r"at n = 2$"):
+            pair_power_w_star(cfg, OFF_FIELD, None, 3, GRID[10])
 
-# inclination 60 deg, theta_p 15 deg: some rows leave the vertex branch
-OFF_CTX = make_context(500e3, np.deg2rad(60.0), 0.0)
-OFF_FIELD = DisturbanceField.from_orbit(
-    OFF_CTX, StablePlane(theta_p=np.deg2rad(15.0), theta_z_xy=0.0, r_xyd=100.0)
-)
 
 #: Relative bound on a row's out-of-plane part and primal residual in the
 #: materialised-row certificate below.
@@ -468,7 +532,8 @@ class TestRouting:
             rep = compute_power_report(cfg, OFF_FIELD, None, grid)
             assert rep.root_rows > 0
             ref = _solver_pair_costs(cfg, OFF_FIELD, grid)
-            assert np.allclose(rep.w_star_unit, ref, rtol=1e-10, atol=0.0)
+            assert np.allclose(w_star_table(cfg, OFF_FIELD, grid), ref, rtol=1e-10, atol=0.0)
+            assert np.isclose(rep.M, cfg.chi_sys * cfg.n_line * ref.sum(axis=0).mean() / cfg.m_sys, rtol=1e-10)
 
     def test_root_rows_gap_and_vertex_margin(self):
         cfg = GridConfig.from_line_length(3, 100.0, 1000.0)
@@ -488,9 +553,8 @@ class TestRouting:
 
 
 def _assert_same_report(a, b):
-    assert a.n == b.n
-    assert np.array_equal(a.w_star_unit, b.w_star_unit)
-    for name in ("W_bar", "W_oint", "M", "root_rows", "gap", "vertex_margin"):
+    assert a.n == b.n and a.peak_pair_at == b.peak_pair_at
+    for name in ("W_bar", "W_oint", "M", "root_rows", "gap", "vertex_margin", "peak_pair_violation"):
         assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
 
 
@@ -570,9 +634,11 @@ class TestUnitRows:
         with monkeypatch.context() as m:
             m.setattr(power, "_unit_rows", lambda f, t: _frame_unit_rows(f, t)[:, :2])
             refs = compute_power_reports(cfgs, field, None, grid)
-        for rep, ref in zip(compute_power_reports(cfgs, field, None, grid), refs):
+        for cfg, rep, ref in zip(cfgs, compute_power_reports(cfgs, field, None, grid), refs):
             assert rep.root_rows == ref.root_rows
-            assert np.abs(rep.w_star_unit - ref.w_star_unit).max() <= 4e-15 * ref.w_star_unit.max()
+            w = w_star_table(cfg, field, grid)
+            w_ref = w_star_table(cfg, field, grid, lambda f, t: _frame_unit_rows(f, t)[:, :2])
+            assert np.abs(w - w_ref).max() <= 4e-15 * w_ref.max()
             assert abs(rep.vertex_margin - ref.vertex_margin) <= 1e-15
             for name in ("W_bar", "W_oint", "M"):
                 assert np.isclose(getattr(rep, name), getattr(ref, name), rtol=2e-15, atol=0.0), name
@@ -641,7 +707,10 @@ class TestScanBatch:
         for cfg, rep in zip(cfgs, compute_power_reports(cfgs, field, None, grid)):
             scales = power._pair_scales(cfg)[:, None, :]
             J, vertex, _, gap = power._pair_costs(scales, unit)
-            assert np.array_equal(rep.w_star_unit, 2.0 * (J[:, : len(grid)] + J[:, len(grid) :]))
+            w = 2.0 * (J[:, : len(grid)] + J[:, len(grid) :])
+            assert rep.M == cfg.chi_sys * cfg.n_line * w.sum(axis=0).mean() / cfg.m_sys
+            if cfg.n > 1:
+                assert rep.peak_pair_violation == (w[1:] - w[0]).max() / w.max()
             rows = _materialise(scales, unit).reshape(-1, 6)
             J_ref, certified, margin = _reference_vertex_costs(rows, psi_stack(1.0))
             J = J.ravel()
@@ -653,33 +722,41 @@ class TestScanBatch:
                 _assert_within_solver_bounds(J[~certified], rows[~certified])
             assert abs(rep.vertex_margin - np.fmin.reduce(np.where(certified, margin, np.nan))) <= 1e-15
 
-    def test_each_table_costed_alone(self, monkeypatch):
-        # every _pair_costs call costs one config's pairs, except the one that
-        # costs w*(2, t) of every config and the peak refinement's pair-2 rows
+    def test_each_pair_row_costed_once(self, monkeypatch):
+        # one _pair_costs call per config, on that config's pair scales against
+        # the sample grid, and at most one more on pair-2 rows off the grid
         cfgs = [GridConfig.from_line_length(n, 100.0, 1000.0) for n in (1, 4, 9)]
         heads = np.array([power._pair_scales(cfg)[0] for cfg in cfgs])
-        calls, pair_costs = [], power._pair_costs
-        monkeypatch.setattr(power, "_pair_costs", lambda sc, u: calls.append(sc[:, 0]) or pair_costs(sc, u))
-        compute_power_reports(cfgs, OFF_FIELD, None, GRID)
-        assert len(calls) <= 1 + 1 + len(cfgs) and np.array_equal(calls[0], heads)
-        assert all((heads == row).all(axis=1).any() for call in calls[1:-3] for row in call)
-        for call, cfg in zip(calls[-3:], cfgs):
-            assert np.array_equal(call, power._pair_scales(cfg))
+        pair_costs = power._pair_costs
+        for field in (FIELD, OFF_FIELD):
+            grid_rows, calls = power._unit_rows(field, GRID), []
+            monkeypatch.setattr(power, "_pair_costs", lambda sc, u: calls.append((sc, u)) or pair_costs(sc, u))
+            compute_power_reports(cfgs, field, None, GRID)
+            on_grid = [sc for sc, u in calls if np.array_equal(u, grid_rows)]
+            assert len(on_grid) == len(cfgs)
+            for sc, cfg in zip(on_grid, cfgs):
+                assert np.array_equal(sc, power._pair_scales(cfg)[:, None, :])
+            refined = [(sc, u) for sc, u in calls if not np.array_equal(u, grid_rows)]
+            assert len(refined) <= 1
+            for sc, u in refined:
+                assert sc.shape[1:] == (1, 2) and all((heads == row).all(axis=1).any() for row in sc[:, 0])
+                assert u.shape == (len(sc), 2, 2)
 
     def test_scan_memory_is_one_table(self):
-        # n = 1..60 at 720 samples: beyond the w_star_unit tables it returns, the
-        # scan's peak traced memory is a few of its largest single table (one
-        # (Σn, 2T) table for the whole scan would come to about 221 of them)
+        # n = 1..60 at 720 samples: the scan's whole peak traced memory, reports
+        # included, is a few of its largest (n, 2T) float64 table, about 9: the
+        # table being costed, its temporaries and the last config's arrays,
+        # released as the next are bound.  A scan whose reports kept their
+        # (n, T) tables would read about 22.6
         cfgs = [GridConfig.from_line_length(n, 100.0, 1000.0) for n in range(1, 61)]
         grid = orbit_time_grid(CTX.period, 720)
         tracemalloc.start()
         try:
-            reports = compute_power_reports(cfgs, FIELD, None, grid)
+            compute_power_reports(cfgs, FIELD, None, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        tables = [rep.w_star_unit.nbytes for rep in reports]
-        assert (peak - sum(tables)) / max(tables) <= 32.0
+        assert peak / (60 * 2 * len(grid) * 8) <= 12.0
 
     def test_no_configs_no_reports(self):
         assert compute_power_reports([], FIELD, COIL, GRID) == []
@@ -721,28 +798,30 @@ class TestPeakRefinement:
     @pytest.mark.parametrize("field", [FIELD, OFF_FIELD], ids=["reference", "off-region"])
     @pytest.mark.parametrize("n", [1, 6])
     def test_matches_dense_search(self, field, n):
-        # the dense search reads pair_power_w_star's values as one
-        # 2 001-sample report on [t_i - dt, t_i + dt]
+        # the dense search reads w*(2, t) off one 2 001-sample table on
+        # [t_i - dt, t_i + dt]
         cfg = GridConfig.from_line_length(n, 100.0, 1000.0)
         grid = orbit_time_grid(field.period, 720)
         rep = compute_power_report(cfg, field, None, grid)
-        t_i = grid[np.argmax(rep.w_star_unit[0])]
+        top = w_star_table(cfg, field, grid)[0]
+        t_i = grid[np.argmax(top)]
         dt = field.period / len(grid)
-        dense = compute_power_report(cfg, field, None, np.linspace(t_i - dt, t_i + dt, 2001))
-        best = dense.w_star_unit[0].max()
+        best = w_star_table(cfg, field, np.linspace(t_i - dt, t_i + dt, 2001))[0].max()
         assert abs(rep.W_bar / cfg.chi_sys - best) <= 1e-9 * best
-        assert rep.W_bar >= cfg.chi_sys * rep.w_star_unit[0].max()
+        assert rep.W_bar >= cfg.chi_sys * top.max()
 
     @pytest.mark.parametrize("field", [FIELD, OFF_FIELD], ids=["reference", "off-region"])
     def test_never_below_grid_maximum(self, field):
         cfgs = [GridConfig.from_line_length(n, 100.0, 1000.0) for n in (1, 2, 5)]
         for n_t in (3, 5, 7, 48, 97):
-            for rep in compute_power_reports(cfgs, field, None, orbit_time_grid(field.period, n_t)):
-                assert rep.W_bar >= rep.chi_sys * rep.w_star_unit[0].max()
+            grid = orbit_time_grid(field.period, n_t)
+            for cfg, rep in zip(cfgs, compute_power_reports(cfgs, field, None, grid)):
+                assert rep.W_bar >= rep.chi_sys * w_star_table(cfg, field, grid)[0].max()
 
     @pytest.mark.parametrize("n_t", [1, 2])
     def test_short_grids_keep_grid_maximum(self, n_t):
         cfgs = [GridConfig.from_line_length(n, 100.0, 1000.0) for n in (1, 4)]
         for field in (FIELD, OFF_FIELD, zero_field()):
-            for rep in compute_power_reports(cfgs, field, None, orbit_time_grid(field.period, n_t)):
-                assert rep.W_bar == rep.chi_sys * rep.w_star_unit[0].max()
+            grid = orbit_time_grid(field.period, n_t)
+            for cfg, rep in zip(cfgs, compute_power_reports(cfgs, field, None, grid)):
+                assert rep.W_bar == rep.chi_sys * w_star_table(cfg, field, grid)[0].max()
