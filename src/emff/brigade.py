@@ -46,6 +46,9 @@ class GridConfig:
             raise ValueError("n must be >= 1")
         if not (self.m_sys > 0 and self.d_sat > 0):
             raise ValueError("m_sys and d_sat must be positive")
+        for name in ("m_sys", "d_sat"):
+            if not getattr(self, name) < np.inf:
+                raise ValueError(f"GridConfig.{name} must be finite")
 
     @classmethod
     def from_line_length(cls, n, m_sys, r_l):

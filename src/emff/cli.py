@@ -1,9 +1,11 @@
 """Batch-analysis command line: allocate, orbit, scan, verify.
 
 Scenario files are JSON with units spelled out in the key names (altitude_km,
-r_l_m, ...) because unit mistakes dominate failure modes in this domain;
-every numeric field must be a finite JSON number, not a string, bool or null,
-and a section or key the CLI does not read (a misspelling) is a usage error.
+r_l_m, ...) because unit mistakes dominate failure modes in this domain.
+The one table SCENARIO describes the format: every section and key, each
+key's default or its REQUIRED/OPTIONAL marker.  Every numeric field must be a
+finite JSON number, not a string, bool or null, and a section or key not in
+SCENARIO (a misspelling) is a usage error.
 Numeric output is CSV (scan/orbit) or JSON (allocate/verify) at 17
 significant digits, and the output bytes are deterministic (verify: for a
 fixed seed).  `scan` runs serially in one process: it builds the orbit field,
@@ -32,25 +34,17 @@ DEFAULT_COIL = {
     "wire_radius_m": 1.0e-3,
     "resistivity_ohm_m": 1.68e-8,
 }
-DEFAULT_SAMPLING = {"time_samples": 720}
-#: Keys each scenario section must give; grid also needs one of r_l_m, d_sat_m.
-REQUIRED_KEYS = {
-    "orbit": ("altitude_km", "inclination_deg"),
-    "plane": ("theta_p_deg", "theta_z_xy_deg", "r_xyd_m"),
-    "grid": ("n_list", "m_sys_kg"),
-}
-#: Keys, where given, whose values must be JSON numbers; load_scenario makes them floats.
-NUMBER_KEYS = {
-    "orbit": ("altitude_km", "inclination_deg", "theta0_deg"),
-    "plane": ("theta_p_deg", "theta_z_xy_deg", "r_xyd_m"),
-    "grid": ("m_sys_kg", "r_l_m", "d_sat_m"),
-    "coil": tuple(DEFAULT_COIL),
-    "overrides": ("k_j2",),
-}
-#: Every key a scenario may give, by section; any other section or key is a usage error.
-SCENARIO_KEYS = {
-    **{section: {*REQUIRED_KEYS.get(section, ()), *keys} for section, keys in NUMBER_KEYS.items()},
-    "sampling": {*DEFAULT_SAMPLING, "dual_tol"},
+#: Markers of a key with no default: one a scenario must give, one it may give.
+REQUIRED, OPTIONAL = object(), object()
+#: The scenario format, section -> key -> default.  A section is required when
+#: it has a REQUIRED key; grid also needs exactly one of r_l_m, d_sat_m.
+SCENARIO = {
+    "orbit": {"altitude_km": REQUIRED, "inclination_deg": REQUIRED, "theta0_deg": 0.0},
+    "plane": {"theta_p_deg": REQUIRED, "theta_z_xy_deg": REQUIRED, "r_xyd_m": REQUIRED},
+    "grid": {"n_list": REQUIRED, "m_sys_kg": REQUIRED, "r_l_m": OPTIONAL, "d_sat_m": OPTIONAL},
+    "coil": DEFAULT_COIL,
+    "overrides": {"k_j2": orbit.K_J2},
+    "sampling": {"time_samples": 720, "dual_tol": DEFAULT_TOL},
 }
 
 
@@ -106,61 +100,56 @@ def _number(value, name):
 
 
 def load_scenario(path):
-    """Parse and validate a scenario file; returns plain dicts with defaults
-    filled, n_list and time_samples as ints and every NUMBER_KEYS value a float.
-    A section or key outside SCENARIO_KEYS (a misspelling) is a usage error."""
+    """Parse and validate a scenario file against SCENARIO; returns every
+    section, each key in SCENARIO's order with its default filled in, n_list
+    and time_samples as ints, dual_tol as given and every other value a float.
+    A section or key outside SCENARIO (a misspelling) is a usage error."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise UsageError("scenario must be a JSON object")
     for section, values in raw.items():
-        if section not in SCENARIO_KEYS:
+        if section not in SCENARIO:
             raise UsageError(f"scenario has an unknown section '{section}'")
         if not isinstance(values, dict):
             raise UsageError(f"scenario section '{section}' must be a JSON object")
-    unknown = [f"{s}.{k}" for s, keys in SCENARIO_KEYS.items() for k in raw.get(s, {}) if k not in keys]
+    unknown = [f"{s}.{k}" for s, keys in SCENARIO.items() for k in raw.get(s, {}) if k not in keys]
     if unknown:
         raise UsageError(f"scenario has unknown keys: {', '.join(unknown)}")
-    for section, keys in REQUIRED_KEYS.items():
-        if section not in raw:
+    scenario = {}
+    for section, keys in SCENARIO.items():
+        given = raw.get(section, {})
+        required = [k for k, default in keys.items() if default is REQUIRED]
+        if required and section not in raw:
             raise UsageError(f"scenario needs a '{section}' section (a JSON object)")
-        missing = [f"{section}.{k}" for k in keys if k not in raw[section]]
+        missing = [f"{section}.{k}" for k in required if k not in given]
         if missing:
             raise UsageError(f"scenario missing {', '.join(missing)}")
-    grid = raw["grid"]
+        scenario[section] = {k: given.get(k, default) for k, default in keys.items()
+                             if k in given or default is not OPTIONAL}
+    grid, sampling = scenario["grid"], scenario["sampling"]
     if ("r_l_m" in grid) == ("d_sat_m" in grid):
         raise UsageError("grid must give exactly one of r_l_m or d_sat_m")
     if not isinstance(grid["n_list"], list) or not grid["n_list"]:
         raise UsageError("grid.n_list must be a nonempty list")
-    sampling = {**DEFAULT_SAMPLING, **raw.get("sampling", {})}
-    if sampling.pop("dual_tol", DEFAULT_TOL) != DEFAULT_TOL:
+    if sampling["dual_tol"] != DEFAULT_TOL:
         raise UsageError(f"sampling.dual_tol must be {DEFAULT_TOL:g}: the dual is always"
                          f" solved at {DEFAULT_TOL:g}")
     sampling["time_samples"] = _count(sampling["time_samples"], "sampling.time_samples")
-    scenario = {
-        "orbit": {**raw["orbit"]},
-        "plane": {**raw["plane"]},
-        "grid": {**grid, "n_list": [_count(n, "grid.n_list entry") for n in grid["n_list"]]},
-        "coil": {**DEFAULT_COIL, **raw.get("coil", {})},
-        "sampling": sampling,
-        "overrides": {**raw.get("overrides", {})},
-    }
-    for section, keys in NUMBER_KEYS.items():
-        values = scenario[section]
-        values.update({k: _number(values[k], f"{section}.{k}") for k in keys if k in values})
+    grid["n_list"] = [_count(n, "grid.n_list entry") for n in grid["n_list"]]
+    for section, values in scenario.items():
+        values.update({k: _number(v, f"{section}.{k}") for k, v in values.items()
+                       if k not in ("n_list", "time_samples", "dual_tol")})
     return scenario
 
 
 def _context_from(scenario):
     orb = scenario["orbit"]
-    kwargs = {}
-    if "k_j2" in scenario["overrides"]:
-        kwargs["k_j2"] = scenario["overrides"]["k_j2"]
     return orbit.make_context(
         altitude=orb["altitude_km"] * 1e3,
         incl=np.deg2rad(orb["inclination_deg"]),
-        theta0=np.deg2rad(orb.get("theta0_deg", 0.0)),
-        **kwargs,
+        theta0=np.deg2rad(orb["theta0_deg"]),
+        k_j2=scenario["overrides"]["k_j2"],
     )
 
 
@@ -260,7 +249,7 @@ def cmd_scan(args):
 
 
 def cmd_verify(args):
-    names = verify.SUITES if "all" in args.suite else tuple(args.suite)
+    names = verify.SUITES if args.suite is None or "all" in args.suite else tuple(args.suite)
     cases = None if args.cases is None else _count(args.cases, "--cases")
     summary = verify.run_suites(names=names, seed=args.seed, cases=cases)
     with _open_out(args.out) as fh:
@@ -311,8 +300,6 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "verify" and args.suite is None:
-            args.suite = ["all"]
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

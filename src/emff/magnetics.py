@@ -82,6 +82,8 @@ class CoilDesign:
         for name in ("turns", "coil_radius", "wire_radius", "resistivity"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"CoilDesign.{name} must be strictly positive")
+            if not getattr(self, name) < np.inf:
+                raise ValueError(f"CoilDesign.{name} must be finite")
 
     @property
     def resistance(self):

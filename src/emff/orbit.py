@@ -70,6 +70,9 @@ class StablePlane:
     def __post_init__(self):
         if not self.r_xyd > 0:
             raise ValueError("r_xyd must be positive")
+        for name in ("theta_p", "theta_z_xy", "r_xyd"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"StablePlane.{name} must be finite")
         if abs(np.tan(self.theta_p)) < 1e-12:
             raise ValueError("theta_p must have nonzero tangent")
         if abs(np.cos(np.arctan(2.0 * np.tan(self.theta_z_xy)))) < 1e-12:

@@ -201,7 +201,7 @@ def pair_power_w_star(cfg, field, coil, j, t):
     return float(scale * w)
 
 
-def orbit_time_grid(period, n_samples=720):
+def orbit_time_grid(period, n_samples):
     """Uniform grid of n_samples >= 1 (an integer) times over [0, period), period finite."""
     if not (0.0 < period < np.inf and isinstance(n_samples, numbers.Integral) and n_samples >= 1):
         raise ValueError(f"period must be finite and > 0, n_samples an integer >= 1: got {period!r}, {n_samples!r}")

@@ -100,6 +100,19 @@ class TestGridConfig:
         cfg = GridConfig(n=np.int64(3), m_sys=98.0, d_sat=4.0)
         assert type(cfg.n) is int and cfg.n == 3
 
+    @pytest.mark.parametrize(
+        "make,field",
+        [
+            (lambda: GridConfig(n=2, m_sys=np.inf, d_sat=1.0), "m_sys"),
+            (lambda: GridConfig(n=2, m_sys=100.0, d_sat=np.inf), "d_sat"),
+            (lambda: GridConfig.from_line_length(2, 100.0, np.inf), "d_sat"),
+        ],
+    )
+    def test_fields_finite(self, make, field):
+        # an infinite m_sys would give M = nan (and a RuntimeWarning) downstream
+        with pytest.raises(ValueError, match=f"GridConfig.{field} must be finite"):
+            make()
+
 
 class TestUnitWrench:
     def test_zero_generator(self):

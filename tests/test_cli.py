@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emff import verify
+from emff import cli, verify
 from emff.cli import main
+from emff.orbit import K_J2
 from conftest import infeasible_minima
 
 SCENARIO = {
@@ -376,13 +377,26 @@ class TestScanCmd:
         assert main(["scan", "--scenario", str(path)]) == 1
 
 
-def scenario_with(tmp_path, edit):
+def scenario_with(tmp_path, edit, name="edited.json"):
     """Path of SCENARIO after edit(scenario) has changed a deep copy of it."""
     scen = json.loads(json.dumps(SCENARIO))
     edit(scen)
-    path = tmp_path / "edited.json"
+    path = tmp_path / name
     path.write_text(json.dumps(scen))
     return str(path)
+
+
+#: Every default of cli.SCENARIO, as the README states it.
+DEFAULTS = [
+    ("orbit", "theta0_deg", 0.0),
+    ("coil", "turns", 200.0),
+    ("coil", "coil_radius_m", 0.5),
+    ("coil", "wire_radius_m", 1.0e-3),
+    ("coil", "resistivity_ohm_m", 1.68e-8),
+    ("sampling", "time_samples", 720),
+    ("sampling", "dual_tol", 1e-10),
+    ("overrides", "k_j2", K_J2),
+]
 
 
 class TestScenarioValidation:
@@ -392,12 +406,22 @@ class TestScenarioValidation:
         assert main(["scan", "--scenario", path]) == 1
         assert "always solved at 1e-10" in capsys.readouterr().err
 
-    def test_dual_tol_key_is_optional(self, scenario_path, tmp_path):
-        path = scenario_with(tmp_path, lambda s: s["sampling"].pop("dual_tol"))
-        with_key, without = tmp_path / "with.csv", tmp_path / "without.csv"
-        assert main(["scan", "--scenario", scenario_path, "--out", str(with_key)]) == 0
-        assert main(["scan", "--scenario", path, "--out", str(without)]) == 0
-        assert with_key.read_bytes() == without.read_bytes()
+    @pytest.mark.parametrize("section,key,default", DEFAULTS, ids=[f"{s}.{k}" for s, k, _ in DEFAULTS])
+    def test_default_key_is_optional(self, tmp_path, section, key, default):
+        assert cli.SCENARIO[section][key] == default
+
+        def give(s):
+            s.setdefault(section, {})[key] = default
+
+        def leave_out(s):
+            s.get(section, {}).pop(key, None)
+
+        given, left_out = scenario_with(tmp_path, give, "given.json"), scenario_with(tmp_path, leave_out)
+        for command in ("scan", "orbit"):
+            with_key, without = tmp_path / f"{command}_with.csv", tmp_path / f"{command}_without.csv"
+            assert main([command, "--scenario", given, "--out", str(with_key)]) == 0
+            assert main([command, "--scenario", left_out, "--out", str(without)]) == 0
+            assert with_key.read_bytes() == without.read_bytes()
 
     @pytest.mark.parametrize(
         "edit,message",

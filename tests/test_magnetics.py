@@ -296,6 +296,13 @@ class TestTypes:
         with pytest.raises(ValueError):
             CoilDesign(turns=0, coil_radius=0.4, wire_radius=2e-3, resistivity=1.7e-8)
 
+    @pytest.mark.parametrize("field", ["turns", "coil_radius", "wire_radius", "resistivity"])
+    def test_coil_fields_finite(self, field):
+        # an infinite field would give a NaN power_scale, and NaN powers downstream
+        values = dict(turns=100, coil_radius=0.4, wire_radius=2e-3, resistivity=1.7e-8)
+        with pytest.raises(ValueError, match=f"CoilDesign.{field} must be finite"):
+            CoilDesign(**{**values, field: np.inf})
+
     def test_waveform_finite(self):
         with pytest.raises(ValueError):
             DipoleWaveform(s=[np.nan, 0, 0], c=[0, 0, 0], omega=1.0)

@@ -220,6 +220,17 @@ class TestDesiredTrajectory:
         with pytest.raises(ValueError):
             StablePlane(theta_p=0.5, theta_z_xy=0.0, r_xyd=-5.0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("theta_p", np.nan), ("theta_p", np.inf), ("theta_z_xy", np.nan),
+         ("theta_z_xy", -np.inf), ("r_xyd", np.inf)],
+    )
+    def test_plane_fields_finite(self, field, value):
+        # rejected at construction, not later as a non-unit p_hat
+        values = dict(theta_p=0.5, theta_z_xy=0.0, r_xyd=100.0)
+        with pytest.raises(ValueError, match=f"StablePlane.{field} must be finite"):
+            StablePlane(**{**values, field: value})
+
 
 class TestFreqMismatch:
     def test_matched_frequencies_vanish(self):
