@@ -114,7 +114,10 @@ class DisturbanceField:
         the line direction is the normalized desired-trajectory chord."""
 
         def p_hat(t):
+            # the chords scaled exactly by one power of two, so no square leaves range
+            # (on one trajectory |p| varies by a bounded factor)
             p = desired_trajectory(plane, ctx, t)
+            p = np.ldexp(p, -np.frexp(np.abs(p).max())[1])
             return p / np.linalg.norm(p, axis=-1, keepdims=True)
 
         return cls(

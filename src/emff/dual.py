@@ -26,9 +26,10 @@ predictor of the smoothed minimizer path z(mu).  Each stage is centred
 until its squared Newton decrement is at most mu^2; the last one then takes
 one more Newton step.  Since z(mu) = z* + mu z'(mu) + O(mu^2), a tangent
 step to mu = 0 then lands on the optimum without driving mu to rounding,
-where the Hessian's 1/mu curvature would swamp the rest of it.  A row's next
-Newton system is built from the SVD of the trial point its line search
-accepted (the first trial is the whole step), its next iterate bit for bit.
+where the Hessian's 1/mu curvature would swamp the rest of it.  A row's
+iterate is z, mu and the SVD U s V^T of its point X0 + z.N, the trial its line
+search accepted (the first trial is the whole step); h = sqrt(s^2 + mu^2) and
+f_mu = sum h are computed from s and mu where they are used.
 
 The row is certified at that point.  From its SVD U S V^T, a dual matrix of
 leading rank r is G = U_r V_r^T + U_0 W V_0^T, where W on the trailing block
@@ -168,10 +169,9 @@ def _rotated(U, N, Vt):
     return (U.swapaxes(1, 2)[:, None] @ N) @ Vt.swapaxes(1, 2)[:, None]
 
 
-def _smoothed(X, mu):
-    """SVD U s V^T of X (b, 3, 3) and h = sqrt(s^2 + mu^2), whose row sums are f_mu(X)."""
-    U, s, Vt = np.linalg.svd(X)
-    return U, s, Vt, np.sqrt(s * s + (mu * mu)[:, None])
+def _smoothed(s, mu):
+    """h = sqrt(s^2 + mu^2) of singular values s (b, 3), whose row sums are f_mu."""
+    return np.sqrt(s * s + (mu * mu)[:, None])
 
 
 def _certificate(U, s, Vt, G_mu, N, pinv, Q, u, scale):
@@ -258,14 +258,14 @@ def solve_dual_batch(Q, u):
                gap=np.where(over, np.nan, 0.0), lambda_=np.zeros((B, 6)),
                R=np.zeros((B, 3, 3)), sigma_max=np.zeros(B))
 
-    # the rows still iterating: z, mu, and the SVD and h of their point X0 + z.N
+    # the rows still iterating: z, mu and the SVD of their point X0 + z.N
     idx = live.nonzero()[0]
     X0a, za, ma = X0[idx], z[idx], np.full(idx.size, _MU_START)
-    U, s, Vt, h = _smoothed(X0a, ma)
-    f = h.sum(axis=1)
+    U, s, Vt = np.linalg.svd(X0a)
     for it in range(1, _MAX_NEWTON + 1):
         if not idx.size:
             break
+        h = _smoothed(s, ma)
         t, H, rhs = _spectral(U, s, Vt, h, N, ma)
         # Newton step -sol[..., 0] with decrement^2 g.H^-1 g; tangent dz/dmu = -sol[..., 1]
         sol = np.linalg.solve(H, rhs)
@@ -278,25 +278,22 @@ def solve_dual_batch(Q, u):
         no_search = ended | (dec2 <= _FULL_STEP * ma)
         nxt = np.where(centred, np.maximum(ma * _MU_FACTOR, DEFAULT_TOL), np.where(done, 0.0, ma))
         z1 = np.where(centred[:, None], za, za - sol[..., 0]) + (ma - nxt)[:, None] * sol[..., 1]
-        U1, s1, Vt1, h1 = _smoothed(X0a + (z1[:, None] @ N9).reshape(-1, 3, 3), nxt)
+        U1, s1, Vt1 = np.linalg.svd(X0a + (z1[:, None] @ N9).reshape(-1, 3, 3))
         # a searched row took the whole Newton step as its first Armijo trial on f_mu;
         # if that fails it backtracks, keeping the SVD of the trial it accepts, or stays put
-        f1 = h1.sum(axis=1)
-        fail = (~(no_search | (f1 <= f - 0.25 * dec2))).nonzero()[0]
+        f = h.sum(axis=1)
+        fail = (~(no_search | (_smoothed(s1, nxt).sum(axis=1) <= f - 0.25 * dec2))).nonzero()[0]
         for k in range(1, _MAX_HALVINGS):
             if not fail.size:
                 break
             zt = za[fail] - 0.5**k * sol[fail, :, 0]
-            Ut, st, Vtt, ht = _smoothed(X0a[fail] + (zt[:, None] @ N9).reshape(-1, 3, 3), ma[fail])
-            ft = ht.sum(axis=1)
-            ok = ft <= f[fail] - 0.25 * 0.5**k * dec2[fail]
+            Ut, st, Vtt = np.linalg.svd(X0a[fail] + (zt[:, None] @ N9).reshape(-1, 3, 3))
+            ok = _smoothed(st, ma[fail]).sum(axis=1) <= f[fail] - 0.25 * 0.5**k * dec2[fail]
             acc = fail[ok]
-            z1[acc], U1[acc], s1[acc], Vt1[acc], h1[acc] = zt[ok], Ut[ok], st[ok], Vtt[ok], ht[ok]
-            f1[acc] = ft[ok]
+            z1[acc], U1[acc], s1[acc], Vt1[acc] = zt[ok], Ut[ok], st[ok], Vtt[ok]
             fail = fail[~ok]
         else:
             z1[fail], U1[fail], s1[fail], Vt1[fail] = za[fail], U[fail], s[fail], Vt[fail]
-            h1[fail], f1[fail] = h[fail], f[fail]
         # a done row, and on the last Newton system every row, is certified at its new
         # point from the smoothed gradient of the old; one short of DEFAULT_TOL goes on
         # from that point at a mu 100 times smaller (a NaN gap, of costs past the
@@ -312,16 +309,10 @@ def solve_dual_batch(Q, u):
             z[rows], iters[rows] = z1[d[ok]], it
             for k, v in cert.items():
                 out[k][rows] = v[ok]
-            keep = ~fin
-            if not ok.all():
-                d = d[~ok]
-                nxt[d] = ma[d] * _MU_FACTOR
-                h1[d] = np.sqrt(s1[d] * s1[d] + (nxt[d] * nxt[d])[:, None])
-                f1[d] = h1[d].sum(axis=1)
-                keep[d] = True
-            idx, X0a, z1, nxt = idx[keep], X0a[keep], z1[keep], nxt[keep]
-            U1, s1, Vt1, h1, f1 = U1[keep], s1[keep], Vt1[keep], h1[keep], f1[keep]
-        za, U, s, Vt, h, f, ma = z1, U1, s1, Vt1, h1, f1, nxt
+            keep, back = ~fin, d[~ok]
+            keep[back], nxt[back] = True, ma[back] * _MU_FACTOR
+            idx, X0a, z1, nxt, U1, s1, Vt1 = (a[keep] for a in (idx, X0a, z1, nxt, U1, s1, Vt1))
+        za, U, s, Vt, ma = z1, U1, s1, Vt1, nxt
 
     X = (X0 + (z[:, None] @ N9).reshape(-1, 3, 3)) * norm[:, None, None]
     return {**out, "X": X, "newton_iters": iters, "stalled": ~(out["gap"] <= DEFAULT_TOL)}

@@ -71,6 +71,8 @@ class CoilDesign:
     coil_radius  -- loop radius (m)
     wire_radius  -- conductor radius (m)
     resistivity  -- wire resistivity (ohm*m)
+
+    Every field must be finite and positive, and so must power_scale.
     """
 
     turns: float
@@ -84,6 +86,13 @@ class CoilDesign:
                 raise ValueError(f"CoilDesign.{name} must be strictly positive")
             if not getattr(self, name) < np.inf:
                 raise ValueError(f"CoilDesign.{name} must be finite")
+        with np.errstate(all="ignore"):  # finite fields can square past the float range
+            try:
+                scale = self.power_scale
+            except (OverflowError, ZeroDivisionError):
+                scale = np.inf
+        if not 0.0 < scale < np.inf:
+            raise ValueError("CoilDesign fields give no finite, positive power_scale")
 
     @property
     def resistance(self):

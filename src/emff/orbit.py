@@ -162,14 +162,21 @@ def desired_trajectory(plane, ctx, t):
         y = (2 r_xyd / c_-) cos(wt)
         z = (r_xyd / tan theta_p) (cos theta_z_xy / cos theta_z) sin(wt + theta_z)
     with theta_z = arctan(2 tan theta_z_xy); periodic with period 2*pi/omega_xy.
+    Raises ValueError when an amplitude (r_xyd / c_+, 2 r_xyd / c_-, r_zd) is
+    past the float range.
     """
     t = np.asarray(t, dtype=float)
     w = ctx.omega_xy
     th_z = np.arctan(2.0 * np.tan(plane.theta_z_xy))
     cos_ratio = np.cos(plane.theta_z_xy) / np.cos(th_z)
-    x = plane.r_xyd * np.sin(w * t) / ctx.c_plus
-    y = 2.0 * plane.r_xyd * np.cos(w * t) / ctx.c_minus
-    z = plane.r_xyd / np.tan(plane.theta_p) * cos_ratio * np.sin(w * t + th_z)
+    r = plane.r_xyd
+    with np.errstate(over="ignore"):
+        amplitudes = [r / ctx.c_plus, 2.0 * r / ctx.c_minus, r / np.tan(plane.theta_p) * cos_ratio]
+    if not np.isfinite(amplitudes).all():
+        raise ValueError(f"r_xyd = {r!r} m gives a trajectory amplitude past the float range")
+    x = r * np.sin(w * t) / ctx.c_plus
+    y = 2.0 * r * np.cos(w * t) / ctx.c_minus
+    z = r / np.tan(plane.theta_p) * cos_ratio * np.sin(w * t + th_z)
     return np.stack([x, y, z], axis=-1)
 
 

@@ -200,6 +200,17 @@ class TestScanCmd:
             assert float(r["r_l_m"]) == 200.0
             assert float(r["W_bar_W"]) > 0.0
 
+    @pytest.mark.parametrize("r_xyd", [1e-300, 1e-160, 1e300])
+    def test_line_direction_independent_of_r_xyd(self, scenario_path, tmp_path, r_xyd):
+        # the line direction is the trajectory chord normalized, whatever its size
+        path = scenario_with(tmp_path, lambda s: s["plane"].update(r_xyd_m=r_xyd))
+        ref, scaled = tmp_path / "ref.csv", tmp_path / "scaled.csv"
+        assert main(["scan", "--scenario", scenario_path, "--out", str(ref)]) == 0
+        assert main(["scan", "--scenario", path, "--out", str(scaled)]) == 0
+        for want, got in zip(read_csv(ref)[1], read_csv(scaled)[1], strict=True):
+            for key in ("M_A2m4_per_kg", "W_bar_W"):
+                assert abs(float(got[key]) / float(want[key]) - 1.0) <= 1e-12
+
     def test_solver_failure_exit_code(self, scenario_path, monkeypatch):
         import emff.power
         from emff import SolverError
@@ -461,6 +472,8 @@ class TestScenarioValidation:
             (lambda s: s.update(override={"k_j2": 0.0}), "unknown section 'override'"),
             # finite, but so high that r_ref^3 overflows: no finite orbit period
             (lambda s: s["orbit"].update(altitude_km=1e100), "gives no finite orbit period"),
+            # finite, but the trajectory's amplitude 2 r_xyd / c_- overflows
+            (lambda s: s["plane"].update(r_xyd_m=1e308), "r_xyd = 1e+308 m gives a trajectory amplitude"),
         ],
     )
     def test_bad_input_is_usage_error(self, tmp_path, capsys, edit, message):
@@ -469,6 +482,13 @@ class TestScenarioValidation:
             assert main([command, "--scenario", path, "--out", str(tmp_path / "o.csv")]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+    def test_coil_power_scale_past_float_range_is_usage_error(self, tmp_path, capsys):
+        # every coil field is finite, but a^2 overflows in gamma = pi N a^2
+        path = scenario_with(tmp_path, lambda s: s.update(coil={"coil_radius_m": 1e308}))
+        assert main(["scan", "--scenario", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "power_scale" in err and "Traceback" not in err
 
     def test_integral_floats_accepted(self, scenario_path, tmp_path):
         def edit(s):

@@ -219,13 +219,14 @@ class TestBatch:
             e = 1e-6
 
             def spectral(X, mu):
-                return dual._spectral(*dual._smoothed(X, mu), N, mu)
+                U, s, Vt = np.linalg.svd(X)
+                return dual._spectral(U, s, Vt, dual._smoothed(s, mu), N, mu)
 
             def gradient(X, mu):
                 return spectral(X, mu)[2][0, :, 0]
 
             def value(X):
-                return dual._smoothed(X, mu)[3][0].sum()
+                return dual._smoothed(np.linalg.svd(X, compute_uv=False), mu)[0].sum()
 
             with np.errstate(divide="raise", invalid="raise", over="raise"):
                 _, H, rhs = spectral(X, mu)

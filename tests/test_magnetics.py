@@ -296,12 +296,22 @@ class TestTypes:
         with pytest.raises(ValueError):
             CoilDesign(turns=0, coil_radius=0.4, wire_radius=2e-3, resistivity=1.7e-8)
 
-    @pytest.mark.parametrize("field", ["turns", "coil_radius", "wire_radius", "resistivity"])
-    def test_coil_fields_finite(self, field):
+    _FIELDS = ["turns", "coil_radius", "wire_radius", "resistivity"]
+    #: finite fields whose squares leave the float range: a^2 and (N a^2)^2
+    #: overflow, r_wire^2 underflows to 0
+    _SCALES = [("coil_radius", 1e308), ("turns", 1e300), ("wire_radius", 1e-200)]
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [(f, np.inf, f"CoilDesign.{f} must be finite") for f in _FIELDS]
+        + [(f, v, "no finite, positive power_scale") for f, v in _SCALES],
+        ids=_FIELDS + [f"{f}-{v:g}" for f, v in _SCALES],
+    )
+    def test_coil_fields_finite(self, field, value, message):
         # an infinite field would give a NaN power_scale, and NaN powers downstream
         values = dict(turns=100, coil_radius=0.4, wire_radius=2e-3, resistivity=1.7e-8)
-        with pytest.raises(ValueError, match=f"CoilDesign.{field} must be finite"):
-            CoilDesign(**{**values, field: np.inf})
+        with pytest.raises(ValueError, match=message):
+            CoilDesign(**{**values, field: value})
 
     def test_waveform_finite(self):
         with pytest.raises(ValueError):
