@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .orbit import OrbitContext, StablePlane, desired_trajectory, j2_disturbance_matrix
+from .orbit import OrbitContext, StablePlane, check_trajectory_range, desired_trajectory, j2_disturbance_matrix
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,9 @@ class DisturbanceField:
     @classmethod
     def from_orbit(cls, ctx: OrbitContext, plane: StablePlane):
         """Field of a swarm riding scaled copies of the stable relative orbit:
-        the line direction is the normalized desired-trajectory chord."""
+        the line direction is the normalized desired-trajectory chord.  Raises
+        ValueError where check_trajectory_range does."""
+        check_trajectory_range(plane, ctx)
 
         def p_hat(t):
             # the chords scaled exactly by one power of two, so no square leaves range

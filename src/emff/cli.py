@@ -213,6 +213,7 @@ def cmd_orbit(args):
     ctx = _context_from(scenario)
     plane = _plane_from(scenario)
     ts = np.linspace(0.0, ctx.period, scenario["sampling"]["time_samples"])
+    orbit.check_trajectory_range(plane, ctx)
     pos = orbit.desired_trajectory(plane, ctx, ts)
     header = ["t_s", "x_m", "y_m", "z_m"]
     header += [f"K{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)]

@@ -295,9 +295,9 @@ def solve_dual_batch(Q, u):
         else:
             z1[fail], U1[fail], s1[fail], Vt1[fail] = za[fail], U[fail], s[fail], Vt[fail]
         # a done row, and on the last Newton system every row, is certified at its new
-        # point from the smoothed gradient of the old; one short of DEFAULT_TOL goes on
-        # from that point at a mu 100 times smaller (a NaN gap, of costs past the
-        # double range, cannot shrink: that row ends stalled)
+        # point from the smoothed gradient of the old, and finished (given its iters) if
+        # within DEFAULT_TOL; one short of it goes on from that point at a mu 100 times
+        # smaller (a NaN gap, of costs past the double range, cannot shrink: it ends stalled)
         last = it == _MAX_NEWTON
         if last or done.any():
             fin = done | last
@@ -309,9 +309,10 @@ def solve_dual_batch(Q, u):
             z[rows], iters[rows] = z1[d[ok]], it
             for k, v in cert.items():
                 out[k][rows] = v[ok]
-            keep, back = ~fin, d[~ok]
-            keep[back], nxt[back] = True, ma[back] * _MU_FACTOR
-            idx, X0a, z1, nxt, U1, s1, Vt1 = (a[keep] for a in (idx, X0a, z1, nxt, U1, s1, Vt1))
+            nxt[d[~ok]] = ma[d[~ok]] * _MU_FACTOR
+            keep = iters[idx] == 0
+            idx, X0a, z1, nxt = idx[keep], X0a[keep], z1[keep], nxt[keep]
+            U1, s1, Vt1 = U1[keep], s1[keep], Vt1[keep]
         za, U, s, Vt, ma = z1, U1, s1, Vt1, nxt
 
     X = (X0 + (z[:, None] @ N9).reshape(-1, 3, 3)) * norm[:, None, None]

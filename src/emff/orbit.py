@@ -162,21 +162,16 @@ def desired_trajectory(plane, ctx, t):
         y = (2 r_xyd / c_-) cos(wt)
         z = (r_xyd / tan theta_p) (cos theta_z_xy / cos theta_z) sin(wt + theta_z)
     with theta_z = arctan(2 tan theta_z_xy); periodic with period 2*pi/omega_xy.
-    Raises ValueError when an amplitude (r_xyd / c_+, 2 r_xyd / c_-, r_zd) is
-    past the float range.
+    Outside the range of check_trajectory_range a sample overflows, or its
+    direction is lost to rounding.
     """
     t = np.asarray(t, dtype=float)
     w = ctx.omega_xy
     th_z = np.arctan(2.0 * np.tan(plane.theta_z_xy))
     cos_ratio = np.cos(plane.theta_z_xy) / np.cos(th_z)
-    r = plane.r_xyd
-    with np.errstate(over="ignore"):
-        amplitudes = [r / ctx.c_plus, 2.0 * r / ctx.c_minus, r / np.tan(plane.theta_p) * cos_ratio]
-    if not np.isfinite(amplitudes).all():
-        raise ValueError(f"r_xyd = {r!r} m gives a trajectory amplitude past the float range")
-    x = r * np.sin(w * t) / ctx.c_plus
-    y = 2.0 * r * np.cos(w * t) / ctx.c_minus
-    z = r / np.tan(plane.theta_p) * cos_ratio * np.sin(w * t + th_z)
+    x = plane.r_xyd * np.sin(w * t) / ctx.c_plus
+    y = 2.0 * plane.r_xyd * np.cos(w * t) / ctx.c_minus
+    z = plane.r_xyd / np.tan(plane.theta_p) * cos_ratio * np.sin(w * t + th_z)
     return np.stack([x, y, z], axis=-1)
 
 
@@ -184,6 +179,19 @@ def z_amplitude(plane):
     """Cross-track amplitude r_zd implied by the plane parameters."""
     th_z = np.arctan(2.0 * np.tan(plane.theta_z_xy))
     return plane.r_xyd / np.tan(plane.theta_p) * np.cos(plane.theta_z_xy) / np.cos(th_z)
+
+
+def check_trajectory_range(plane, ctx):
+    """Raise ValueError unless the desired trajectory's in-plane amplitudes
+    r_xyd / c_+ and 2 r_xyd / c_- are normal doubles and r_zd is finite.  Past
+    that range a sample overflows; below it |(x, y)| may be subnormal, and the
+    rounding of its components alone turns its direction."""
+    r = plane.r_xyd
+    with np.errstate(over="ignore"):
+        in_plane = np.array([r / ctx.c_plus, 2.0 * r / ctx.c_minus])
+        r_zd = z_amplitude(plane)
+    if not (np.all((in_plane >= np.finfo(float).tiny) & (in_plane < np.inf)) and np.isfinite(r_zd)):
+        raise ValueError(f"r_xyd = {r!r} m gives a trajectory amplitude outside the normal double range")
 
 
 def freq_mismatch_disturbance(r_zd, theta_z, ctx, t):

@@ -474,6 +474,8 @@ class TestScenarioValidation:
             (lambda s: s["orbit"].update(altitude_km=1e100), "gives no finite orbit period"),
             # finite, but the trajectory's amplitude 2 r_xyd / c_- overflows
             (lambda s: s["plane"].update(r_xyd_m=1e308), "r_xyd = 1e+308 m gives a trajectory amplitude"),
+            # positive, but the trajectory is subnormal: rounding alone would turn its direction
+            (lambda s: s["plane"].update(r_xyd_m=5e-324), "r_xyd = 5e-324 m gives a trajectory amplitude"),
         ],
     )
     def test_bad_input_is_usage_error(self, tmp_path, capsys, edit, message):
