@@ -20,13 +20,13 @@ Each row is solved over z in R^3 by Newton's method on the smoothed objective
 f_mu(z) = sum_i sqrt(sigma_i(X)^2 + mu^2), with the analytic Hessian of a
 spectral function (Lewis & Sendov 2001), an Armijo line search and a damping
 of 1e-14 tr H (an axial-torque command has a flat optimal face, where the
-Hessian is singular).  mu starts at _MU_START |X0|_F and falls by _MU_FACTOR
-per stage down to DEFAULT_TOL |X0|_F; each stage starts from the tangent
-predictor of the smoothed minimizer path z(mu).  Each stage is centred
-until its squared Newton decrement is at most mu^2; the last one then takes
-one more Newton step.  Since z(mu) = z* + mu z'(mu) + O(mu^2), a tangent
-step to mu = 0 then lands on the optimum without driving mu to rounding,
-where the Hessian's 1/mu curvature would swamp the rest of it.  A row's
+Hessian is singular).  mu falls by _MU_FACTOR per stage from _MU_START |X0|_F
+to 1e-9 |X0|_F, the first stage within one _MU_FACTOR of DEFAULT_TOL |X0|_F.
+Each stage starts from the tangent predictor of the smoothed minimizer path
+z(mu) and is centred until its squared Newton decrement is at most mu^2; the
+last then takes one more Newton step and, as z(mu) = z* + mu z'(mu) + O(mu^2),
+a tangent step to mu = 0 that lands on the optimum without driving mu to
+rounding, where the Hessian's 1/mu curvature would swamp it.  A row's
 iterate is z, mu and the SVD U s V^T of its point X0 + z.N, the trial its line
 search accepted (the first trial is the whole step); h = sqrt(s^2 + mu^2) and
 f_mu = sum h are computed from s and mu where they are used.
@@ -270,19 +270,20 @@ def solve_dual_batch(Q, u):
         # Newton step -sol[..., 0] with decrement^2 g.H^-1 g; tangent dz/dmu = -sol[..., 1]
         sol = np.linalg.solve(H, rhs)
         dec2 = np.vecdot(rhs[..., 0], sol[..., 0])
-        final = ma <= DEFAULT_TOL
+        final = ma * _MU_FACTOR < DEFAULT_TOL
         ended = dec2 <= ma * ma
         # done: one last Newton step, then the tangent step to mu = 0;
         # centred: shrink mu and start the next stage at the tangent predictor
         centred, done = ended & ~final, ended & final
-        no_search = ended | (dec2 <= _FULL_STEP * ma)
-        nxt = np.where(centred, np.maximum(ma * _MU_FACTOR, DEFAULT_TOL), np.where(done, 0.0, ma))
+        nxt = np.where(centred, ma * _MU_FACTOR, np.where(done, 0.0, ma))
         z1 = np.where(centred[:, None], za, za - sol[..., 0]) + (ma - nxt)[:, None] * sol[..., 1]
         U1, s1, Vt1 = np.linalg.svd(X0a + (z1[:, None] @ N9).reshape(-1, 3, 3))
         # a searched row took the whole Newton step as its first Armijo trial on f_mu;
         # if that fails it backtracks, keeping the SVD of the trial it accepts, or stays put
-        f = h.sum(axis=1)
-        fail = (~(no_search | (_smoothed(s1, nxt).sum(axis=1) <= f - 0.25 * dec2))).nonzero()[0]
+        fail = (~(ended | (dec2 <= _FULL_STEP * ma))).nonzero()[0]
+        if fail.size:
+            f = h.sum(axis=1)
+            fail = fail[~(_smoothed(s1[fail], ma[fail]).sum(axis=1) <= (f - 0.25 * dec2)[fail])]
         for k in range(1, _MAX_HALVINGS):
             if not fail.size:
                 break
@@ -300,8 +301,7 @@ def solve_dual_batch(Q, u):
         # smaller (a NaN gap, of costs past the double range, cannot shrink: it ends stalled)
         last = it == _MAX_NEWTON
         if last or done.any():
-            fin = done | last
-            d = fin.nonzero()[0]
+            d = (done | last).nonzero()[0]
             G_mu = (U[d] * t[d][:, None, :]) @ Vt[d]
             cert = _certificate(U1[d], s1[d], Vt1[d], G_mu, N, pinv, Q, u[idx[d]], scale[idx[d]])
             ok = ~(cert["gap"] > DEFAULT_TOL) | last

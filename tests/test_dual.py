@@ -119,8 +119,8 @@ def _band_rows(ratio, f_y, e):
 #: One batch row: None is a zero command, an array a row of the k = 2 band with
 #: |f_x/f_y| in 1e-8..1e-4, else (direction, log10 magnitude).  Magnitudes over
 #: 1e-9..1e-1 and random directions make rows finish their schedules at
-#: different iterations, so rows leave the batch at different points; about half
-#: of the band rows miss DEFAULT_TOL at the end of the schedule and go on.
+#: different iterations, so rows leave the batch at different points; about two
+#: thirds of the band rows miss DEFAULT_TOL at the end of the schedule and go on.
 _rows = st.one_of(
     st.none(),
     st.tuples(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6), st.floats(-9.0, -1.0)),
@@ -194,6 +194,19 @@ class TestBatch:
         assert not res["stalled"].any()
         assert (res["gap"] <= dual.DEFAULT_TOL).all()
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_k2_band_certified_within_newton_cap(self, seed):
+        # 300 rows per decade of |f_x/f_y| over 1e-12..1e-3: every row is certified
+        # before its _MAX_NEWTON Newton systems run out, at about 7.8 systems per row
+        rng = np.random.default_rng(seed)
+        k = np.repeat(np.arange(-12.0, -3.0), 300)
+        ratio = rng.choice([-1.0, 1.0], k.size) * 10.0 ** rng.uniform(k, k + 1.0)
+        f_y = rng.choice([-1.0, 1.0], k.size) * rng.uniform(0.5, 2.0, k.size)
+        res = solve_dual_batch(psi_stack(1.0), _band_rows(ratio, f_y, rng.normal(size=k.size)))
+        assert not res["stalled"].any()
+        assert not (res["newton_iters"] == dual._MAX_NEWTON).any()
+        assert res["newton_iters"].mean() <= 8.5
+
     def test_smoothed_derivatives_match_differences(self, rng):
         # gradient, Hessian and d g / d mu of f_mu(z) = sum_i sqrt(sigma_i^2 + mu^2)
         # against central differences of f_mu and of the gradient, also where
@@ -263,7 +276,7 @@ class TestBatch:
 
     def test_newton_iteration_budget(self):
         # a cost guard on the smoothing schedule and its tangent predictor,
-        # which average about 10 Newton systems per row on these commands
+        # which average about 9.2 Newton systems per row on these commands
         rng = np.random.default_rng(5)
         iters = []
         for _ in range(300):
@@ -273,7 +286,7 @@ class TestBatch:
             res = solve_dual_batch(psi_stack(d), u[None])
             assert not res["stalled"][0]
             iters.append(res["newton_iters"][0])
-        assert np.mean(iters) <= 14 and max(iters) <= 30
+        assert np.mean(iters) <= 10 and max(iters) <= 24
 
     def test_two_sided_certificate(self, rng):
         # both points are checked directly: Q vec X = -u and sigma_max(R) <= 1,
