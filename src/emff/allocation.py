@@ -173,6 +173,9 @@ _CURVATURE_FLOOR = 1.0e-3
 #: the cost measurably in double precision.
 _ROUNDING = 4.0 * np.finfo(float).eps
 
+#: Smallest normal double: keeps a zero Jacobian's normal matrix invertible.
+_TINY = np.finfo(float).tiny
+
 
 def _residuals(H, u, X):
     """Wrench residuals (r, 6) and Jacobians (r, 6, 12) of amplitude rows X.  Here and
@@ -186,7 +189,7 @@ def _normal_solve(J, v):
     rank-deficient J_r is solved as well."""
     JJ = J @ J.mT
     diagonal = JJ.reshape(-1, 36)[:, ::7]  # a view: the damping lands in JJ
-    diagonal += 1.0e-14 * diagonal.sum(axis=1, keepdims=True) + np.finfo(float).tiny
+    diagonal += 1.0e-14 * diagonal.sum(axis=1, keepdims=True) + _TINY
     return np.linalg.solve(JJ, v[:, :, None])[:, :, 0]
 
 
@@ -262,11 +265,15 @@ def _manifold_minima(H, u, X):
     coordinates (Nocedal & Wright, Numerical Optimization, 2nd ed., 15.2 and
     18.1): N from _tangent_basis, y from J J^T y = -J x, and the exact reduced
     Hessian N^T (I + sum_i y_i H_i) N, its eigenvalues entering as |lambda|
-    floored at _CURVATURE_FLOOR.  A step p = N q is retracted by Gauss-Newton
-    and accepted by an Armijo test on the cost.  A row stops when the
-    predicted decrease is below the rounding of its cost and no eigenvalue is
-    below -_CURVATURE_FLOOR (otherwise it steps along that eigenvector), or
-    when its line search fails.  Returns the rows and their step counts.
+    floored at _CURVATURE_FLOOR.  A step p = N q of length a is retracted by
+    Gauss-Newton from the second-order-corrected point x + a p + a^2 delta,
+    delta = -J^+ (p^T H_i p / 2) (ibid., ch. 15): the wrench is quadratic, so
+    the residual there is a^3 p^T H_i delta + a^4 delta^T H_i delta / 2, not
+    the a^2 p^T H_i p / 2 of x + a p.  The step is accepted by an Armijo test
+    on the cost.  A row stops when the predicted decrease is below the
+    rounding of its cost and no eigenvalue is below -_CURVATURE_FLOOR
+    (otherwise it steps along that eigenvector), or when its line search
+    fails.  Returns the rows and their step counts.
     """
     X, h, J = _feasible_points(H, u, X)
     steps = np.zeros(len(X), dtype=int)
@@ -296,10 +303,12 @@ def _manifold_minima(H, u, X):
         moving = np.flatnonzero(~flat | escape)
         if moving.size == 0:
             break
+        # one correction per row serves every trial length a, scaled by a^2
+        delta = -_least_norm(Jx[moving], _residuals(H, 0.0, p[moving])[0])
 
         def step(sub, a):
             r = moving[sub]
-            cand = _retract(H, u, x[r] + a * p[r])
+            cand = _retract(H, u, x[r] + a * p[r] + (a * a) * delta[sub])
             power = np.where(escape[r], a * a, a)
             return cand, (np.linalg.norm(cand[1], axis=1) <= _FEAS_TOL) & (
                 0.5 * np.vecdot(cand[0], cand[0]) <= cost[r] - 1.0e-4 * power * decrease[r]

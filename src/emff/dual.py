@@ -263,13 +263,13 @@ def _certificate(U, s, Vt, G_mu, N, pinv, Q, u, scale):
     Nt = _rotated(U, N, Vt)
     Gt = np.where(_TRAIL, np.swapaxes(U, 1, 2) @ G_mu @ np.swapaxes(Vt, 1, 2), 0.0)
     Gt += _LEAD_EYE
-    res = np.einsum("rbij,bkij->rbk", Gt, Nt)
+    res = np.vecdot(Gt.reshape(3, -1, 1, 9), Nt.reshape(-1, 3, 9))
     A = np.where(_TRAIL[:, :, None], Nt, 0.0).reshape(3, -1, 3, 9)
     AA = A @ np.swapaxes(A, -1, -2)
     damping = 1.0e-14 * np.trace(AA, axis1=-2, axis2=-1) + _TINY
     AA += damping[..., None, None] * _EYE3
     y = np.linalg.solve(AA, res[..., None])[..., 0]
-    Gt -= np.einsum("rbkp,rbk->rbp", A, y).reshape(Gt.shape)
+    Gt -= (y[..., None, :] @ A).reshape(Gt.shape)
     G = U @ Gt @ Vt
     lam = (G.swapaxes(-1, -2).reshape(3, -1, 1, 9) @ pinv)[..., 0, :]
     R = unvec_columns((lam[..., None, :] @ Q)[..., 0, :])
@@ -277,7 +277,7 @@ def _certificate(U, s, Vt, G_mu, N, pinv, Q, u, scale):
     shrink = np.maximum(smax, 1.0)
     c = 8.0 * np.pi / MU0
     with np.errstate(over="ignore", invalid="ignore"):
-        J_d = -c * np.einsum("rbi,bi->rb", lam, u) / shrink
+        J_d = -c * np.vecdot(lam, u) / shrink
         J_p = c * scale * s.sum(axis=1)
         pick = (np.argmax(J_d, axis=0), np.arange(len(u)))
         J_d, shrink = J_d[pick], shrink[pick]

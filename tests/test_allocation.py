@@ -21,8 +21,18 @@ from emff import (
     psi_stack,
     solve_dual,
 )
+from emff import allocation
 from emff.dual import DEFAULT_TOL
-from emff.allocation import MAX_NEWTON_STEPS, _manifold_minima, _tangent_basis
+from emff.allocation import (
+    _FEAS_TOL,
+    MAX_NEWTON_STEPS,
+    _feasible_points,
+    _least_norm,
+    _manifold_minima,
+    _residuals,
+    _tangent_basis,
+    _wrench_hessians,
+)
 from emff.brigade import GridConfig, pair_command
 from conftest import forward_command, infeasible_minima, random_geometry
 
@@ -440,6 +450,56 @@ class TestBruteForce:
         for J_r, N_r in zip(J, N):
             assert np.linalg.norm(J_r @ N_r) <= 1e-14 * np.linalg.norm(J_r)
             assert np.abs(N_r.T @ N_r - np.eye(6)).max() <= 1e-14
+
+    def test_second_order_correction_identity(self, rng):
+        # the wrench is quadratic, so along x + a p + a^2 delta from a feasible x, with
+        # J p = 0 and J delta = -p^T H_i p / 2, the residual is exactly
+        # a^3 p^T H_i delta + a^4 delta^T H_i delta / 2, and along x + a p it is
+        # a^2 p^T H_i p / 2; delta meets its equation to the damping of the least-norm
+        # solve (1e-14 of the trace of J J^T), which leaves about 1e-11 here
+        for _ in range(3):
+            r, hint, u, _ = forward_command(rng)
+            Q = interaction_operator(r, hint)
+            u = u.as_vector()
+            u_norm = np.linalg.norm(u)
+            m_scale = np.sqrt(u_norm / (MU0 / (8.0 * np.pi) * np.linalg.norm(Q)))
+            H, u = _wrench_hessians(Q) * (m_scale**2 / u_norm), u / u_norm
+            x, h, J = _feasible_points(H, u, rng.standard_normal((8, 12)))
+            feasible = np.linalg.norm(h, axis=1) <= _FEAS_TOL
+            assert feasible.sum() >= 4
+            x, h, J = x[feasible], h[feasible], J[feasible]
+            p = (_tangent_basis(J) @ rng.standard_normal((len(x), 6, 1)))[:, :, 0]
+            half_pHp, Hp = _residuals(H, 0.0, p)
+            delta = -_least_norm(J, half_pHp)
+            pHd = (Hp @ delta[:, :, None])[:, :, 0]
+            half_dHd = _residuals(H, 0.0, delta)[0]
+            for a in (1.0, 0.5, 0.25):
+                corrected = _residuals(H, u, x + a * p + a * a * delta)[0]
+                straight = _residuals(H, u, x + a * p)[0]
+                assert np.abs(corrected - (h + a**3 * pHd + a**4 * half_dHd)).max() <= 1e-10 * a * a
+                assert np.abs(straight - (h + a * a * half_pHp)).max() <= 1e-14
+
+    def test_manifold_work_budget(self, monkeypatch):
+        # a cost guard on the manifold stage: trial batches (one _retract each) and
+        # iterations (one _tangent_basis each) per oracle call on fixed draws; starting
+        # each retraction at the second-order-corrected point reads 20.1 batches and
+        # 10.0 iterations, against 24.4 and 10.5 from the straight tangent point
+        counts = {"_retract": 0, "_tangent_basis": 0}
+        for name in counts:
+            original = getattr(allocation, name)
+
+            def counted(*args, name=name, original=original):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(allocation, name, counted)
+        rng = np.random.default_rng(5)
+        calls = 30
+        for seed in range(calls):
+            r, hint, u, _ = forward_command(rng)
+            brute_force_allocate(r, hint, u, restarts=20, seed=seed)
+        assert counts["_retract"] / calls <= 22.0
+        assert counts["_tangent_basis"] / calls <= 10.5
 
     def test_rows_independent_of_batch(self, rng, manifold_runs):
         # restarts=40 draws the same first 20 starts as restarts=20
