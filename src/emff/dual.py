@@ -34,14 +34,15 @@ f_mu = sum h are computed from s and mu where they are used.
 The row is certified at that point.  From its SVD U S V^T, a dual matrix of
 leading rank r is G = U_r V_r^T + U_0 W V_0^T, where W on the trailing block
 starts from the smoothed gradient (from U diag(1, 1, w) V^T at the end of a
+rank-two finish, and from u_1 v_1^T, nearly 0 there, at the end of a rank-one
 finish) and takes the least-norm correction that makes G orthogonal to every
 N_i.  Projecting G onto range(Q^T) gives lambda, scaled so that
-sigma_max(R) <= 1.  Every such lambda is dual feasible, so of
-the candidates r = 1, 2, 3 the one with the largest dual value is kept; the
-rank of the optimum is never guessed from a threshold.  By weak duality the
-measured gap between the two points is a complete stopping test: a row within
-DEFAULT_TOL is finished, and one short of it (the tangent step leaves an
-error of order mu^2 / sigma_2, large where sigma_2 / sigma_1 is small) goes
+sigma_max(R) <= 1.  Every such lambda is dual feasible, so of the candidates
+r = 1, 2, 3 the one with the largest dual value is kept; the rank of the
+optimum is never guessed from a threshold.  By weak duality the measured gap
+between the two points is a complete stopping test: a row within DEFAULT_TOL
+is finished, and one short of it (the tangent step leaves an error of order
+mu^2 / sigma_2, large where sigma_2 / sigma_1 is small) goes
 on from that point with mu 100 times smaller.
 
 Near a rank-two optimum the nuclear norm is smooth on the matrices of rank
@@ -57,9 +58,26 @@ is finished within _FINISH_TOL and goes on finishing otherwise.  A finish whose
 squared residual stops falling is certified at its tangent point instead, and
 short of _FINISH_TOL the row resumes its schedule at the next stage's tangent
 predictor: exactly where it would have been without the finish, so its result
-is the schedule's, bit for bit.  It may finish again from a later stage.  A
-rank-one optimum (sigma_2 and sigma_3 both vanish) has no such system: it is
-certified at a tangent point within _FINISH_TOL or by the last stage.
+is the schedule's, bit for bit.  It may finish again from a later stage.
+
+At a rank-one optimum (sigma_2 and sigma_3 both vanish) that system is
+singular, but the nuclear norm is as smooth on the matrices of rank one, and
+the slice meets them there: the trailing block F = U_0^T X V_0 = diag(sigma_2,
+sigma_3) vanishes, four equations in the three unknowns z.  At a rank-one
+point X V_0 = 0 and U_0^T X = 0, so the Jacobian columns of F are the trailing
+blocks J_k of U^T N_k V alone, and Gauss-Newton steps in z (the 3x3 normal
+equations J^T J dz = -J^T F) converge quadratically, again with no mu.  Near
+such an optimum the smoothed trailing singular values scale with mu, and F,
+the image of a step, lies in the span of the J_k to second order in the step
+(exactly, on the structured commands that have such optima).  So a centred
+row with _RANK_ONE mu <= sigma_2 < mu whose F lies in that span (sin^2 of the
+angle at most _FINISH_STEP^2) takes this rank-one finish from the same
+tangent point instead (its w is inf).  Once sigma_2 of its new point is at most
+_FINISH_STEP^2 it is certified from u_1 v_1^T, with a least-norm W; within
+_FINISH_TOL it is finished, and otherwise it resumes its schedule at the next
+stage's tangent predictor, as a rank-two finish that goes back does.  W is no
+unknown of the finish: in a square system in (z, W) the four rows of F do not
+involve W, so it has rank at most 6 of 7.
 
 Q is a plain (6, 9) array shared by the batch; solve_dual(Q, u) is a batch
 of one.  Its pseudo-inverse and null-space basis come from one SVD of Q,
@@ -89,15 +107,22 @@ _MU_FACTOR = 0.01
 #: Steps with decrement^2 below this multiple of mu are taken whole, without a line search.
 _FULL_STEP = 0.01
 _MAX_HALVINGS = 40
-#: A centred row with sigma_3 < _RANK_TWO sigma_2 finishes; it is certified once its step is below
-#: _FINISH_STEP (in units of |X0|_F), and the finish ends its row only within _FINISH_TOL.
+#: A centred row with sigma_3 < _RANK_TWO sigma_2 takes the rank-two finish, certified once its
+#: step is below _FINISH_STEP (in units of |X0|_F); one with _RANK_ONE mu <= sigma_2 < mu whose
+#: trailing block is in the span of the U_0^T N_k V_0 (sin^2 of the angle at most _FINISH_STEP^2)
+#: takes the rank-one finish instead, certified once sigma_2 <= _FINISH_STEP^2.  A finish ends its
+#: row only within _FINISH_TOL.
 _RANK_TWO = 0.9
+_RANK_ONE = 0.1
 _FINISH_STEP = 1.0e-7
 _FINISH_TOL = 1.0e-13
 _EYE3 = np.eye(3)
 _TINY = np.finfo(float).tiny
 _OFF = _EYE3 == 0.0
 _BORDER = np.array([1.0, 1.0, 1.0, -1.0])
+# _MINORS[i]: the columns of a 3x4 matrix left when column i is struck out, with sign _ALTERNATE[i]
+_MINORS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+_ALTERNATE = np.array([1.0, -1.0, 1.0, -1.0])
 # _LEAD[r - 1, 0, i]: whether singular direction i is in the leading block of rank r;
 # _TRAIL[r - 1, 0]: the trailing block of rank r, and _LEAD_EYE: U_r V_r^T in the singular bases
 _LEAD = (np.arange(3) < np.arange(1, 4)[:, None])[:, None]
@@ -127,7 +152,7 @@ class DualCertificate:
     X         -- primal point with Q vec X = -u
     J_p       -- primal value (8 pi/mu0) ||X||_*: an upper bound
     gap       -- measured relative gap (J_p - J_d) / J_p (0 for u = 0)
-    newton_iters -- Newton systems the solve built
+    newton_iters -- Newton or Gauss-Newton systems the solve built
 
     Raises SolverError when sigma_max exceeds 1 + 1e-8 or J_d is not finite.
     """
@@ -173,9 +198,13 @@ def _spectral(U, s, Vt, h, N, mu, w):
     (b, 4, 2).  A smoothing row (w NaN) has t = s / h, K = [[H, 0], [0, -d]] with
     H the damped Hessian of f_mu(z) = sum_i h_i, and as the columns of rhs its
     gradient g and d g / d mu, each with a last entry 0; its system is H alone.
-    A finishing row has t = (1, 1, w), K = [[H, c], [c^T, -d]] with
-    c_k = (U^T N_k V)_33, and as the columns of rhs (<U diag(t) V^T, N_k>,
-    sigma_3) and 0.  With Nt[b, k] = U^T N_k V,
+    A rank-two finishing row (w finite) has t = (1, 1, w), K = [[H, c], [c^T, -d]]
+    with c_k = (U^T N_k V)_33, and as the columns of rhs (<U diag(t) V^T, N_k>,
+    sigma_3) and 0.  A rank-one finishing row (w infinite) has t = (1, 0, 0),
+    K = [[J^T J, 0], [0, -d]] and as the columns of rhs (J^T F, 0) and 0: the
+    Gauss-Newton normal equations of the trailing block F = diag(s_2, s_3), whose
+    Jacobian columns J_k are the trailing blocks of U^T N_k V.  With
+    Nt[b, k] = U^T N_k V,
         H_kl = sum_ij Nt_kij (a_ij (Nt_lij + Nt_lji) + b_ij (Nt_lij - Nt_lji)) / 2,
     a_ij = (t_i - t_j)/(s_i - s_j), b_ij = (t_i + t_j)/(s_i + s_j) (Lewis & Sendov
     2001).  A smoothing row takes a_ij = (mu/(h_i h_j))^2 / b_ij: a mean of 1/h_i
@@ -183,10 +212,10 @@ def _spectral(U, s, Vt, h, N, mu, w):
     finishing row takes a_ij = 0 where s_i = s_j and b_ij = 0 where i = j or
     s_i + s_j = 0.  H is damped by d = 1e-14 tr H, and by d = 1e-14 (tr H + 1) on
     a finishing row, whose K is then never singular (its H is positive
-    semidefinite for |w| <= 1)."""
+    semidefinite for |w| <= 1, as J^T J is)."""
     fin = ~np.isnan(w)
-    smoothing = not fin.all()
-    finishing = fin.any()
+    smoothing = np.count_nonzero(fin) < len(w)
+    finishing = np.count_nonzero(fin)
     if smoothing:
         m = mu[:, None]
         hh = h[:, :, None] * h[:, None, :]
@@ -197,9 +226,13 @@ def _spectral(U, s, Vt, h, N, mu, w):
         b = (t[:, :, None] + t[:, None, :]) / (ws[:, :, None] + ws[:, None, :])
         a = np.square(m[:, :, None] / hh) / b
     if finishing:
+        one = np.isinf(w)
+        rank_one = np.count_nonzero(one)
         df = np.zeros(s.shape + (2,))
         df[:, :2, 0] = 1.0
         df[:, 2, 0] = w
+        if rank_one:
+            df[one, 1:, 0] = 0.0
         tf = df[..., 0]
         ds = s[:, :, None] - s[:, None, :]
         ss = s[:, :, None] + s[:, None, :]
@@ -221,6 +254,12 @@ def _spectral(U, s, Vt, h, N, mu, w):
     if finishing:
         K[:, :3, 3] = K[:, 3, :3] = Nt[:, :, 2, 2] * fin[:, None]
         rhs[:, 3, 0] = s[:, 2] * fin
+        if rank_one:
+            J = Nt[one, :, 1:, 1:].reshape(-1, 3, 4)
+            K[one] = 0.0
+            K[one, :3, :3] = J @ J.swapaxes(1, 2)
+            rhs[one, :3, 0] = (J[..., ::3] @ s[one, 1:, None])[..., 0]
+            rhs[one, 3, 0] = 0.0
     diag = K.reshape(-1, 16)[:, ::5]
     diag += 1.0e-14 * (diag.sum(axis=1, keepdims=True) + fin[:, None]) * _BORDER
     return d[..., 0], K, rhs
@@ -228,12 +267,13 @@ def _spectral(U, s, Vt, h, N, mu, w):
 
 def _solve(K, rhs, fin):
     """The solutions sol of the systems K sol = rhs of _spectral: all of K for a
-    finishing row (fin), the 3x3 block H alone for a smoothing row, so that its
-    step does not depend on the rows it is batched with.  sol is (b, 4, 2), or
-    (b, 3, 2) when no row finishes."""
-    if not fin.any():
+    finishing row (fin; block diagonal for a rank-one one), the 3x3 block H alone
+    for a smoothing row, so that its step does not depend on the rows it is
+    batched with.  sol is (b, 4, 2), or (b, 3, 2) when no row finishes."""
+    finishing = np.count_nonzero(fin)
+    if not finishing:
         return np.linalg.solve(K[:, :3, :3], rhs[:, :3])
-    if fin.all():
+    if finishing == len(fin):
         return np.linalg.solve(K, rhs)
     sol = np.zeros_like(rhs)
     sol[fin] = np.linalg.solve(K[fin], rhs[fin])
@@ -244,6 +284,20 @@ def _solve(K, rhs, fin):
 def _rotated(U, N, Vt):
     """The null directions in the singular bases of each row: U^T N_k V (b, 3, 3, 3)."""
     return (U.swapaxes(1, 2)[:, None] @ N) @ Vt.swapaxes(1, 2)[:, None]
+
+
+def _off_span(U, s, Vt, N):
+    """sin^2 of the angle between the trailing block F = diag(s_2, s_3) of the
+    points U s V^T (b, 3, 3) and the span of the trailing blocks J_k of U^T N_k V,
+    from the normal n of that span in R^(2x2) (the signed 3x3 minors of J); inf
+    where the J_k do not span three dimensions.  It is 0 where F is the image of a
+    step in z, as at a point near a rank-one optimum, whose rank-one Gauss-Newton
+    system is then consistent."""
+    J = _rotated(U, N, Vt)[:, :, 1:, 1:].reshape(-1, 3, 4)
+    n = np.linalg.det(J[:, :, _MINORS].swapaxes(1, 2)) * _ALTERNATE
+    nn = np.vecdot(n, n) * np.vecdot(s[:, 1:], s[:, 1:])
+    return np.divide(np.square(n[:, 0] * s[:, 1] + n[:, 3] * s[:, 2]), nn,
+                     out=np.full(len(s), np.inf), where=nn > 0.0)
 
 
 def _smoothed(s, mu):
@@ -300,9 +354,10 @@ def solve_dual_batch(Q, u):
     -------
     dict with, per row: J_p (B,), J_d (B,), gap (B,) -- (J_p - J_d)/J_p --,
     X (B,3,3) -- the primal point, Q vec X = -u --, lambda_ (B,6), R (B,3,3),
-    sigma_max (B,), newton_iters (B,) -- Newton systems built over all stages
-    and finishes -- and stalled (B,), exactly ~(gap <= DEFAULT_TOL), as for a
-    row still short of DEFAULT_TOL when its _MAX_NEWTON Newton systems run out.
+    sigma_max (B,), newton_iters (B,) -- Newton or Gauss-Newton systems built
+    over all stages and finishes -- and stalled (B,), exactly
+    ~(gap <= DEFAULT_TOL), as for a row still short of DEFAULT_TOL when its
+    _MAX_NEWTON Newton systems run out.
     A row whose costs overflow has J_p = inf and a NaN gap; one whose
     least-norm point X0 has no finite |X0|_F is not iterated (newton_iters 0,
     X = X0, lambda_ = 0, J_p = J_d = inf).  No RuntimeWarning escapes.
@@ -345,6 +400,7 @@ def solve_dual_batch(Q, u):
     wa, ra = np.full(idx.size, np.nan), np.full(idx.size, np.inf)
     zT, zP, GT = np.zeros((idx.size, 3)), np.zeros((idx.size, 3)), np.zeros((idx.size, 3, 3))
     U, s, Vt = np.linalg.svd(X0a)
+    # masks are tested with np.count_nonzero, several times faster than .any() on a batch of one
     for it in range(1, _MAX_NEWTON + 1):
         if not idx.size:
             break
@@ -359,31 +415,38 @@ def solve_dual_batch(Q, u):
         z1 = za - sol[:, :3, 0]
         w1, nxt = wa, ma
         # done: one last Newton step, then the tangent step to mu = 0; enter: the same at
-        # an earlier stage, then the finish; centred: shrink mu and start the next stage
-        # at the tangent predictor (while no row has ended, none enters or is done)
+        # an earlier stage, then the rank-one finish (rank1: sigma_2 on the scale of mu and
+        # the trailing block in the span of a step) or the rank-two finish; centred: shrink
+        # mu and start the next stage at the tangent predictor (while no row has ended, none
+        # enters or is done)
         enter = done = ended
-        if ended.any():
+        if np.count_nonzero(ended):
             final = ma * _MU_FACTOR < DEFAULT_TOL
-            enter = ended & ~final & (s[:, 2] < _RANK_TWO * s[:, 1])
-            centred, done = ended & ~final & ~enter, ended & final
+            early = ended & ~final
+            rank1 = early & (s[:, 1] >= _RANK_ONE * ma) & (s[:, 1] < ma)
+            if np.count_nonzero(rank1):
+                rank1[rank1] = _off_span(U[rank1], s[rank1], Vt[rank1], N) <= _FINISH_STEP**2
+            enter = rank1 | (early & (s[:, 2] < _RANK_TWO * s[:, 1]))
+            centred, done = early & ~enter, ended & final
             nxt = np.where(centred, ma * _MU_FACTOR, np.where(done | enter, 0.0, ma))
             z1 = np.where(centred[:, None], za, z1) + (ma - nxt)[:, None] * sol[:, :3, 1]
-        if enter.any():
-            w1 = np.where(enter, t[:, 2], w1)
+        if np.count_nonzero(enter):
+            w1 = np.where(enter, np.where(rank1, np.inf, t[:, 2]), w1)
             ra = np.where(enter, np.inf, ra)
             zT[enter] = z1[enter]
             GT[enter] = ((U * t[:, None, :]) @ Vt)[enter]
             zP[enter] = (za + (ma - ma * _MU_FACTOR)[:, None] * sol[:, :3, 1])[enter]
             nxt[enter] = ma[enter]
         # (while no row finishes, none goes back or ends its finish)
-        back = conv = fin
-        if fin.any():
+        back = leave = conv = fin
+        finishing = np.count_nonzero(fin)
+        if finishing:
             # a finish is certified once its step is below _FINISH_STEP, and goes back to
-            # its tangent point once its squared residual stops falling or its step is
-            # longer than |X0|_F
+            # its tangent point once its squared residual (of a rank-one row, |J^T F|^2)
+            # stops falling or its step is longer than |X0|_F
             res = np.vecdot(rhs[..., 0], rhs[..., 0])
             step = np.vecdot(sol[..., 0], sol[..., 0])
-            back = fin & ~((res < ra) & (step <= 1.0))
+            back = leave = fin & ~((res < ra) & (step <= 1.0))
             conv = fin & ~back & (step <= _FINISH_STEP**2)
             ra = np.where(fin, res, ra)
             w1 = np.where(fin, wa - sol[:, 3, 0], w1)
@@ -406,13 +469,20 @@ def solve_dual_batch(Q, u):
             fail = fail[~ok]
         else:
             z1[fail], U1[fail], s1[fail], Vt1[fail] = za[fail], U[fail], s[fail], Vt[fail]
-        # a done row, a finish whose step is below _FINISH_STEP or that goes back, and on
-        # the last Newton system every row, is certified at its new point from U diag(t) V^T
-        # of the old (from GT if it went back), and finished (given its iters) if within
-        # DEFAULT_TOL, or _FINISH_TOL for a finish.  Short of it, a finish goes on finishing
-        # unless it went back; a done row goes on from its new point, and one that went back
-        # from zP, where its schedule would have been, at a mu 100 times smaller (a NaN gap,
-        # of costs past the double range, cannot shrink: it ends stalled)
+        if finishing:
+            # a rank-one finish is also certified once its trailing block is at rounding,
+            # and leaves its finish whenever its certificate falls short
+            one = np.isinf(wa)
+            if np.count_nonzero(one):
+                conv = conv | (one & ~back & (s1[:, 1] <= _FINISH_STEP**2))
+                leave = back | one
+        # a done row, a finish certified or going back, and on the last Newton system every
+        # row, is certified at its new point from U diag(t) V^T of the old (from GT if it went
+        # back), and finished (given its iters) if within DEFAULT_TOL, or _FINISH_TOL for a
+        # finish.  Short of it, a rank-two finish goes on finishing unless it went back; a
+        # done row goes on from its new point, and one that leaves its finish from zP, where
+        # its schedule would have been, at a mu 100 times smaller (a NaN gap, of costs past
+        # the double range, cannot shrink: it ends stalled)
         last = it == _MAX_NEWTON
         d = (done | conv | back | last).nonzero()[0]
         if d.size:
@@ -424,21 +494,24 @@ def solve_dual_batch(Q, u):
             for k, v in cert.items():
                 out[k][rows] = v[ok]
             # (nxt and w1 may still be ma and wa themselves, read no more in this pass)
-            short = d[~ok & ~conv[d]]
+            short = d[~ok & (leave | ~conv)[d]]
             nxt[short] = ma[short] * _MU_FACTOR
             w1[short] = np.nan
-            r = d[~ok & back[d]]
+            r = d[~ok & leave[d]]
             if r.size:
                 z1[r] = zP[r]
                 Xr = X0a[r] + (zP[r][:, None] @ N9).reshape(-1, 3, 3)
                 U1[r], s1[r], Vt1[r] = np.linalg.svd(Xr)
             keep = iters[idx] == 0
+            if not np.count_nonzero(keep):
+                break
             idx, X0a, z1, nxt = idx[keep], X0a[keep], z1[keep], nxt[keep]
             w1, ra = w1[keep], ra[keep]
             U, Vt, U1, s1, Vt1 = U[keep], Vt[keep], U1[keep], s1[keep], Vt1[keep]
             zT, zP, GT = zT[keep], zP[keep], GT[keep]
-        if not np.isnan(w1).all():
-            # w is kept against u_3 v_3^T, whose sign the new SVD may flip
+        if np.count_nonzero(np.isfinite(w1)):
+            # w is kept against u_3 v_3^T, whose sign the new SVD may flip (the inf of a
+            # rank-one finish needs no orientation)
             flip = np.vecdot(U1[:, :, 2], U[:, :, 2]) * np.vecdot(Vt1[:, 2], Vt[:, 2]) < 0.0
             w1 = np.where(flip, -w1, w1)
         za, U, s, Vt, ma, wa = z1, U1, s1, Vt1, nxt, w1
